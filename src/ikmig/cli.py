@@ -29,6 +29,7 @@ from .errors import (
     SingularityError,
 )
 from .forward import (
+    _fmt,
     array_response_band,
     direct_arrivals_band,
     intensity_data,
@@ -111,9 +112,36 @@ def _jsonable(obj):
     return obj
 
 
+def _write_text(path: str, text: str) -> None:
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+
+    _atomic(path, write)
+
+
 def _write_json(obj, path: str) -> None:
-    text = json.dumps(_jsonable(obj), indent=1, sort_keys=True)
-    _atomic(path, lambda p: open(p, "w").write(text + "\n"))
+    _write_text(path, json.dumps(_jsonable(obj), indent=1, sort_keys=True) + "\n")
+
+
+def _scene_inputs(spec: str) -> dict:
+    """Manifest inputs for a --scene value: the file, unless it names a preset."""
+    return {} if spec.startswith("preset:") else {"scene": spec}
+
+
+def _write_image_pair(out_dir: str, name: str, image) -> list:
+    """Write ``name``.csv and ``name``.pgm; returns both paths."""
+    cpath = os.path.join(out_dir, f"{name}.csv")
+    gpath = os.path.join(out_dir, f"{name}.pgm")
+    _atomic(cpath, lambda p: write_image_csv(image, p))
+    _atomic(gpath, lambda p: write_image_pgm(image, p))
+    return [cpath, gpath]
+
+
+def _warn_geometry(report) -> None:
+    if not report.ok:
+        print(f"warning: geometric visibility violated at receivers "
+              f"{list(report.violating_receivers)[:8]}", file=sys.stderr)
 
 
 def _write_manifest(out_dir: str, command: str, scene, params: dict,
@@ -193,8 +221,7 @@ def cmd_simulate(args) -> int:
     _write_manifest(args.out, "simulate", scene,
                     {"scene": args.scene, "stochastic": args.stochastic,
                      "seed": args.seed, "noise_fraction": args.noise_fraction},
-                    {} if args.scene.startswith("preset:") else {"scene": args.scene},
-                    outputs)
+                    _scene_inputs(args.scene), outputs)
     return 0
 
 
@@ -207,20 +234,16 @@ def cmd_recover(args) -> int:
     data = read_intensity_csv(args.data, illum)
     ptilde = recover_band(scene, data)
     geometry = check_geometric_condition(scene)
-    if not geometry.ok:
-        print(f"warning: geometric visibility violated at receivers "
-              f"{list(geometry.violating_receivers)[:8]}", file=sys.stderr)
+    _warn_geometry(geometry)
     conds = [condition_number(scene, w) for w in scene.band.omegas]
     os.makedirs(args.out, exist_ok=True)
     fpath = os.path.join(args.out, "recovered.csv")
     _atomic(fpath, lambda p: write_field_csv(scene.band.omegas, ptilde, p))
     rpath = os.path.join(args.out, "report.json")
     _write_json({"conditioning": conds, "geometry": _geometry_dict(geometry)}, rpath)
-    inputs = {"data": args.data}
+    inputs = {"data": args.data, **_scene_inputs(args.scene)}
     if illum is not None:
         inputs["illumination"] = illum
-    if not args.scene.startswith("preset:"):
-        inputs["scene"] = args.scene
     _write_manifest(args.out, "recover", scene, {"scene": args.scene},
                     inputs, [fpath, rpath])
     return 0
@@ -245,33 +268,22 @@ def cmd_migrate(args) -> int:
         stacks.append(r_values)
     images = migrate_broadband_stack(scene, np.stack(stacks, axis=2), threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    cpath = os.path.join(args.out, "image.csv")
-    gpath = os.path.join(args.out, "image.pgm")
-    _atomic(cpath, lambda p: write_image_csv(images[0], p))
-    _atomic(gpath, lambda p: write_image_pgm(images[0], p))
-    outputs += [cpath, gpath]
+    outputs = _write_image_pair(args.out, "image", images[0])
     if args.reference:
         metrics = image_metrics(images[0], scene, reference=images[1])
         ref_metrics = image_metrics(images[1], scene)
         payload = {"image": _metrics_dict(metrics),
                    "reference": _metrics_dict(ref_metrics),
                    "peak_displacement_cells": _peak_displacement(metrics, ref_metrics)}
-        rc = os.path.join(args.out, "image_reference.csv")
-        rg = os.path.join(args.out, "image_reference.pgm")
-        _atomic(rc, lambda p: write_image_csv(images[1], p))
-        _atomic(rg, lambda p: write_image_pgm(images[1], p))
-        outputs += [rc, rg]
+        outputs += _write_image_pair(args.out, "image_reference", images[1])
     else:
         payload = {"image": _metrics_dict(image_metrics(images[0], scene))}
     mpath = os.path.join(args.out, "metrics.json")
     _write_json(payload, mpath)
     outputs.append(mpath)
-    inputs = {"field": args.field}
+    inputs = {"field": args.field, **_scene_inputs(args.scene)}
     if args.reference:
         inputs["reference"] = args.reference
-    if not args.scene.startswith("preset:"):
-        inputs["scene"] = args.scene
     _write_manifest(args.out, "migrate", scene,
                     {"scene": args.scene, "threads": args.threads}, inputs, outputs)
     return 0
@@ -283,11 +295,10 @@ def _experiment_condition_study(out_dir: str) -> int:
     omegas = scene3.band.omegas
     rows = ["freq_index,omega_rad_s,cond_d3,cond_d2"]
     for i, w in enumerate(omegas):
-        rows.append(f"{i},{format(w, '.17g')},"
-                    f"{format(condition_number(scene3, w), '.17g')},"
-                    f"{format(condition_number(scene2, w), '.17g')}")
+        rows.append(f"{i},{_fmt(w)},{_fmt(condition_number(scene3, w))},"
+                    f"{_fmt(condition_number(scene2, w))}")
     cpath = os.path.join(out_dir, "condition.csv")
-    _atomic(cpath, lambda p: open(p, "w").write("\n".join(rows) + "\n"))
+    _write_text(cpath, "\n".join(rows) + "\n")
     dists = np.linalg.norm(scene3.receivers - scene3.source, axis=1)
     ratio = float(dists.max() / dists.min())
     lpath = os.path.join(out_dir, "limits.json")
@@ -302,13 +313,8 @@ def _experiment_spurious(out_dir: str, threads: int) -> int:
     mirror, report = spurious_term_image(scene, threads=threads)
     p = array_response_band(scene)
     (true_img,) = migrate_broadband_stack(scene, p[:, :, None], threads=threads)
-    outputs = []
-    for name, img in (("image_mirror", mirror), ("image_true", true_img)):
-        c = os.path.join(out_dir, f"{name}.csv")
-        g = os.path.join(out_dir, f"{name}.pgm")
-        _atomic(c, lambda p_, img=img: write_image_csv(img, p_))
-        _atomic(g, lambda p_, img=img: write_image_pgm(img, p_))
-        outputs += [c, g]
+    outputs = (_write_image_pair(out_dir, "image_mirror", mirror)
+               + _write_image_pair(out_dir, "image_true", true_img))
     rpath = os.path.join(out_dir, "report.json")
     _write_json({"ratio": report.ratio, "degenerate": report.degenerate,
                  "geometry_ok": report.geometry_ok}, rpath)
@@ -334,14 +340,12 @@ def cmd_experiment(args) -> int:
     data = _synthesize(scene, stochastic, args.seed, noise)
 
     spath = os.path.join(args.out, "scene.json")
-    _atomic(spath, lambda p: open(p, "w").write(emit_scene(scene)))
+    _write_text(spath, emit_scene(scene))
     outputs = [spath] + _write_data(data, args.out)
 
     ptilde = recover_band(scene, data)
     geometry = check_geometric_condition(scene)
-    if not geometry.ok:
-        print(f"warning: geometric visibility violated at receivers "
-              f"{list(geometry.violating_receivers)[:8]}", file=sys.stderr)
+    _warn_geometry(geometry)
     fpath = os.path.join(args.out, "recovered.csv")
     _atomic(fpath, lambda p: write_field_csv(scene.band.omegas, ptilde, p))
     outputs.append(fpath)
@@ -349,12 +353,8 @@ def cmd_experiment(args) -> int:
     p = array_response_band(scene)
     img_true, img_rec = migrate_broadband_stack(
         scene, np.stack([p, ptilde], axis=2), threads=args.threads)
-    for name, img in (("image_true", img_true), ("image_recovered", img_rec)):
-        c = os.path.join(args.out, f"{name}.csv")
-        g = os.path.join(args.out, f"{name}.pgm")
-        _atomic(c, lambda p_, img=img: write_image_csv(img, p_))
-        _atomic(g, lambda p_, img=img: write_image_pgm(img, p_))
-        outputs += [c, g]
+    outputs += _write_image_pair(args.out, "image_true", img_true)
+    outputs += _write_image_pair(args.out, "image_recovered", img_rec)
 
     m_true = image_metrics(img_true, scene)
     m_rec = image_metrics(img_rec, scene, reference=img_true)
@@ -379,13 +379,12 @@ def cmd_condition(args) -> int:
     scene = _load_scene(args.scene)
     rows = ["freq_index,omega_rad_s,cond"]
     for i, w in enumerate(scene.band.omegas):
-        rows.append(f"{i},{format(w, '.17g')},{format(condition_number(scene, w), '.17g')}")
+        rows.append(f"{i},{_fmt(w)},{_fmt(condition_number(scene, w))}")
     os.makedirs(args.out, exist_ok=True)
     cpath = os.path.join(args.out, "condition.csv")
-    _atomic(cpath, lambda p: open(p, "w").write("\n".join(rows) + "\n"))
+    _write_text(cpath, "\n".join(rows) + "\n")
     _write_manifest(args.out, "condition", scene, {"scene": args.scene},
-                    {} if args.scene.startswith("preset:") else {"scene": args.scene},
-                    [cpath])
+                    _scene_inputs(args.scene), [cpath])
     return 0
 
 
@@ -401,8 +400,7 @@ def cmd_check_geometry(args) -> int:
         gpath = os.path.join(args.out, "geometry.json")
         _write_json(payload, gpath)
         _write_manifest(args.out, "check-geometry", scene, {"scene": args.scene},
-                        {} if args.scene.startswith("preset:") else {"scene": args.scene},
-                        [gpath])
+                        _scene_inputs(args.scene), [gpath])
     return 0
 
 

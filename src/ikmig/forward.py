@@ -8,6 +8,7 @@ discarded at this point; everything downstream works from these power rows.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "array_response",
     "direct_arrivals_band",
     "array_response_band",
+    "total_field",
     "total_field_band",
     "intensity_data",
     "linearization_residual",
@@ -105,37 +107,33 @@ def _distances(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points - ref, axis=-1)
 
 
-def _green_from_distance(r: np.ndarray, k: float, dimension: int) -> np.ndarray:
-    """Green's function values for an array of separations."""
+def _green_from_distance(r: np.ndarray, k, dimension: int) -> np.ndarray:
+    """Green's function values for separations r at wavenumbers k (broadcast)."""
     if dimension == 3:
         return np.exp(1j * k * r) / (4.0 * math.pi * r)
-    flat = np.asarray(r, dtype=float).reshape(-1)
-    out = np.empty(flat.shape, dtype=complex)
-    for i, t in enumerate(flat):
-        out[i] = 0.25j * hankel0_1(k * t)
-    return out.reshape(np.shape(r))
+    return 0.25j * hankel0_1(k * r)
 
 
-def direct_arrivals(scene: Scene, omega: float) -> FieldVector:
-    """Direct source-to-receiver field g0 at one frequency."""
-    if not omega > 0.0:
+def _wavenumbers(scene: Scene, omegas) -> np.ndarray:
+    omegas = np.asarray(omegas, dtype=float)
+    if not np.all(omegas > 0.0):
         raise ValueError("omega must be positive")
-    k = omega / scene.c0
+    return omegas / scene.c0
+
+
+def _direct_rows(scene: Scene, k: np.ndarray) -> np.ndarray:
+    """(F, N) direct arrivals g0 at the wavenumbers k."""
     r = _distances(scene.receivers, scene.source)
     hit = np.flatnonzero(r == 0.0)
     if hit.size:
         raise SingularityError(f"source coincides with receiver {hit[0]}")
-    return FieldVector(_green_from_distance(r, k, scene.dimension), "g0")
+    return _green_from_distance(r, k[:, None], scene.dimension)
 
 
-def array_response(scene: Scene, omega: float) -> FieldVector:
-    """Scattered field p at the receivers, first Born term, one frequency."""
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    k = omega / scene.c0
-    n = scene.n_receivers
+def _response_rows(scene: Scene, k: np.ndarray) -> np.ndarray:
+    """(F, N) scattered field p, first Born term, at the wavenumbers k."""
     if not scene.scatterers:
-        return FieldVector(np.zeros(n, dtype=complex), "p")
+        return np.zeros((k.shape[0], scene.n_receivers), dtype=complex)
     positions = np.asarray([s.position for s in scene.scatterers])
     rho = np.asarray([s.rho for s in scene.scatterers])
 
@@ -149,25 +147,40 @@ def array_response(scene: Scene, omega: float) -> FieldVector:
     if bad.size:
         raise SingularityError(f"scatterer {bad[0]} coincides with the source")
 
-    g_recv = _green_from_distance(r_rs, k, scene.dimension)
-    g_src = _green_from_distance(r_ss, k, scene.dimension)
-    p = (k * k) * (g_recv * (rho * g_src)[None, :]).sum(axis=1)
-    return FieldVector(p, "p")
+    g_recv = _green_from_distance(r_rs, k[:, None, None], scene.dimension)
+    g_src = _green_from_distance(r_ss, k[:, None], scene.dimension)
+    return (k * k)[:, None] * (g_recv * (rho * g_src)[:, None, :]).sum(axis=2)
+
+
+def direct_arrivals(scene: Scene, omega: float) -> FieldVector:
+    """Direct source-to-receiver field g0 at one frequency."""
+    return FieldVector(_direct_rows(scene, _wavenumbers(scene, [omega]))[0], "g0")
+
+
+def array_response(scene: Scene, omega: float) -> FieldVector:
+    """Scattered field p at the receivers, first Born term, one frequency."""
+    return FieldVector(_response_rows(scene, _wavenumbers(scene, [omega]))[0], "p")
 
 
 def direct_arrivals_band(scene: Scene) -> np.ndarray:
     """Stacked g0 rows, shape (F, N), ascending frequency."""
-    return np.stack([direct_arrivals(scene, w).values for w in scene.band.omegas])
+    return _direct_rows(scene, _wavenumbers(scene, scene.band.omegas))
 
 
 def array_response_band(scene: Scene) -> np.ndarray:
     """Stacked p rows, shape (F, N), ascending frequency."""
-    return np.stack([array_response(scene, w).values for w in scene.band.omegas])
+    return _response_rows(scene, _wavenumbers(scene, scene.band.omegas))
+
+
+def total_field(scene: Scene, omegas) -> np.ndarray:
+    """g0 + p at the receivers for any positive frequencies; shape (F, N)."""
+    k = _wavenumbers(scene, omegas)
+    return _direct_rows(scene, k) + _response_rows(scene, k)
 
 
 def total_field_band(scene: Scene) -> np.ndarray:
     """Stacked g0 + p rows, shape (F, N), ascending frequency."""
-    return direct_arrivals_band(scene) + array_response_band(scene)
+    return total_field(scene, scene.band.omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +209,7 @@ def intensity_data(scene: Scene, fhat_sq=None) -> IntensityData:
         raise DataFormatError("fhat_sq must hold one value per frequency")
     if np.any(fhat_sq <= 0.0):
         raise DataFormatError("illumination power must be positive")
-    total = direct_arrivals_band(scene) + array_response_band(scene)
+    total = total_field_band(scene)
     power = (np.conj(total) * total).real
     return IntensityData(omegas, fhat_sq[:, None] * power, fhat_sq)
 
@@ -214,10 +227,61 @@ def linearization_residual(scene: Scene, omega: float) -> float:
 
 _INTENSITY_HEADER = "freq_index,omega_rad_s,receiver_index,value"
 _ILLUMINATION_HEADER = "freq_index,omega_rad_s,twopi_Fhat"
+_FIELD_HEADER = "freq_index,omega_rad_s,receiver_index,re,im"
 
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
+    """One array per column of a CSV file, of the types ``kinds`` (int/float).
+
+    The shared contract of every reader: the header must match exactly,
+    blank lines are skipped, each row has one field per column, and a
+    field that does not parse is a DataFormatError.
+    """
+    dtype = [(f"c{j}", kind) for j, kind in enumerate(kinds)]
+    with open(path) as fh:
+        first = fh.readline().strip()
+        if first != header:
+            raise DataFormatError(f"unexpected {what} header {first!r}")
+        with warnings.catch_warnings():
+            # loadtxt warns about a table without rows; that is raised below
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                columns = np.loadtxt(filter(None, map(str.strip, fh)), dtype=dtype,
+                                     delimiter=",", comments=None, ndmin=1, unpack=True)
+            except ValueError as exc:
+                raise DataFormatError(f"malformed {what} row: {exc}") from None
+    if columns[0].size == 0:
+        raise DataFormatError(f"{what} file holds no rows")
+    return columns
+
+
+def _grid_shape(slow: np.ndarray, fast: np.ndarray, what: str, origin: int = 0):
+    """(n_slow, n_fast) of index columns that enumerate a complete grid in
+    row-major order (first index slow), both indices counting from ``origin``.
+    """
+    n_slow = int(slow.max()) - origin + 1
+    n_fast = int(fast.max()) - origin + 1
+    if n_slow < 1 or n_fast < 1 or slow.shape[0] != n_slow * n_fast:
+        raise DataFormatError(f"{what} rows do not fill the grid")
+    k = np.arange(slow.shape[0])
+    if np.any(slow - origin != k // n_fast) or np.any(fast - origin != k % n_fast):
+        raise DataFormatError(f"{what} rows out of order")
+    return n_slow, n_fast
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def write_intensity_csv(data: IntensityData, path) -> None:
@@ -227,88 +291,45 @@ def write_intensity_csv(data: IntensityData, path) -> None:
         w = _fmt(omega)
         for r in range(data.n_receivers):
             lines.append(f"{i},{w},{r},{_fmt(data.values[i, r])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_illumination_csv(data: IntensityData, path) -> None:
     lines = [_ILLUMINATION_HEADER]
     for i, omega in enumerate(data.omegas):
         lines.append(f"{i},{_fmt(omega)},{_fmt(data.illumination[i])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_intensity_csv(path, illumination_path=None) -> IntensityData:
     """Inverse of the writers; checks grid completeness and ordering."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _INTENSITY_HEADER:
-            raise DataFormatError(f"unexpected intensity header {header!r}")
-        freq, om, recv, val = [], [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataFormatError(f"malformed intensity row {line!r}")
-            freq.append(int(parts[0]))
-            om.append(float(parts[1]))
-            recv.append(int(parts[2]))
-            val.append(float(parts[3]))
-    if not freq:
-        raise DataFormatError("intensity file holds no rows")
-    n_freq = max(freq) + 1
-    n_recv = max(recv) + 1
-    if len(freq) != n_freq * n_recv:
-        raise DataFormatError("intensity rows do not fill the (F, N) grid")
-    omegas = np.full(n_freq, np.nan)
-    values = np.full((n_freq, n_recv), np.nan)
-    expect = 0
-    for f, w, r, v in zip(freq, om, recv, val):
-        if f != expect // n_recv or r != expect % n_recv:
-            raise DataFormatError("intensity rows out of order")
-        expect += 1
-        omegas[f] = w
-        values[f, r] = v
-
+    freq, om, recv, val = _read_columns(
+        path, _INTENSITY_HEADER, (int, float, int, float), "intensity")
+    shape = _grid_shape(freq, recv, "intensity")
+    omegas = om.reshape(shape)[:, 0]
     if illumination_path is None:
-        illum = np.ones(n_freq)
+        illum = np.ones(shape[0])
     else:
-        illum = _read_illumination(illumination_path, omegas)
-    return IntensityData(omegas, values, illum)
-
-
-def _read_illumination(path, omegas) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _ILLUMINATION_HEADER:
-            raise DataFormatError(f"unexpected illumination header {header!r}")
-        illum = np.full(omegas.shape[0], np.nan)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataFormatError(f"malformed illumination row {line!r}")
-            i = int(parts[0])
-            if not 0 <= i < omegas.shape[0]:
-                raise DataFormatError(f"illumination row {i} outside the grid")
-            if float(parts[1]) != omegas[i]:
-                raise DataFormatError(f"illumination omega mismatch at row {i}")
-            illum[i] = float(parts[2])
-    if np.any(np.isnan(illum)):
-        raise DataFormatError("illumination file misses frequencies")
-    return illum
+        illum = read_illumination_csv(illumination_path, omegas)
+    return IntensityData(omegas, val.reshape(shape), illum)
 
 
 def read_illumination_csv(path, omegas) -> np.ndarray:
-    return _read_illumination(path, np.asarray(omegas, dtype=float))
-
-
-_FIELD_HEADER = "freq_index,omega_rad_s,receiver_index,re,im"
+    """Per-frequency illumination divisors on the given frequency grid."""
+    omegas = np.asarray(omegas, dtype=float)
+    idx, om, values = _read_columns(
+        path, _ILLUMINATION_HEADER, (int, float, float), "illumination")
+    outside = (idx < 0) | (idx >= omegas.shape[0])
+    if outside.any():
+        raise DataFormatError(f"illumination row {idx[outside][0]} outside the grid")
+    mismatch = om != omegas[idx]
+    if mismatch.any():
+        raise DataFormatError(f"illumination omega mismatch at row {idx[mismatch][0]}")
+    illum = np.full(omegas.shape[0], np.nan)
+    illum[idx] = values
+    if np.any(np.isnan(illum)):
+        raise DataFormatError("illumination file misses frequencies")
+    return illum
 
 
 def write_field_csv(omegas, values, path) -> None:
@@ -320,37 +341,12 @@ def write_field_csv(omegas, values, path) -> None:
         for r in range(values.shape[1]):
             v = values[i, r]
             lines.append(f"{i},{w},{r},{_fmt(v.real)},{_fmt(v.imag)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of write_field_csv; returns (omegas, values (F, N))."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _FIELD_HEADER:
-            raise DataFormatError(f"unexpected field header {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise DataFormatError(f"malformed field row {line!r}")
-            rows.append(parts)
-    if not rows:
-        raise DataFormatError("field file holds no rows")
-    n_freq = max(int(r[0]) for r in rows) + 1
-    n_recv = max(int(r[2]) for r in rows) + 1
-    if len(rows) != n_freq * n_recv:
-        raise DataFormatError("field rows do not fill the (F, N) grid")
-    omegas = np.full(n_freq, np.nan)
-    values = np.empty((n_freq, n_recv), dtype=complex)
-    for expect, parts in enumerate(rows):
-        f, r = int(parts[0]), int(parts[2])
-        if f != expect // n_recv or r != expect % n_recv:
-            raise DataFormatError("field rows out of order")
-        omegas[f] = float(parts[1])
-        values[f, r] = complex(float(parts[3]), float(parts[4]))
-    return omegas, values
+    freq, om, recv, re, im = _read_columns(
+        path, _FIELD_HEADER, (int, float, int, float, float), "field")
+    shape = _grid_shape(freq, recv, "field")
+    return om.reshape(shape)[:, 0], _complex(re, im).reshape(shape)

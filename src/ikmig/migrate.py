@@ -16,7 +16,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .forward import FieldVector, array_response_band, direct_arrivals_band
+from .forward import (
+    FieldVector,
+    _complex,
+    _fmt,
+    _grid_shape,
+    _read_columns,
+    _write_lines,
+    array_response_band,
+    direct_arrivals_band,
+)
 from .recover import check_geometric_condition
 from .scene import ImageWindowSpec, Scene, scene_digest
 from .specfun import hankel0_1
@@ -102,12 +111,8 @@ def _apply_kernel(d_recv, d_src, mask, k: float, dimension: int, stack: np.ndarr
         kernel = np.exp(-1j * k * (d_recv + d_src[:, None]))
         kernel /= (16.0 * math.pi * math.pi) * d_recv * d_src[:, None]
     else:
-        g_recv = np.empty(d_recv.shape, dtype=complex)
-        flat = d_recv.reshape(-1)
-        out = g_recv.reshape(-1)
-        for i, r in enumerate(flat):
-            out[i] = 0.25j * hankel0_1(k * r)
-        g_src = np.array([0.25j * hankel0_1(k * r) for r in d_src])
+        g_recv = 0.25j * hankel0_1(k * d_recv)
+        g_src = 0.25j * hankel0_1(k * d_src)
         kernel = np.conj(g_recv) * np.conj(g_src)[:, None]
     image = kernel @ stack
     image[mask, :] = complex(np.nan, np.nan)
@@ -363,10 +368,6 @@ def image_metrics(image: ImageGrid, scene: Scene, reference: ImageGrid | None = 
 _IMAGE_HEADER = "ix,iy,x_m,y_m,re,im,abs"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_image_csv(image: ImageGrid, path) -> None:
     """Row-major cell dump (first index slow) with 17 significant digits."""
     he = image.window.half_extent
@@ -383,37 +384,19 @@ def write_image_csv(image: ImageGrid, path) -> None:
             lines.append(
                 f"{ix},{iy},{_fmt(x)},{_fmt(y)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
             )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_image_csv(path) -> dict:
     """Read back a CSV image dump; returns cell indices and value arrays."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _IMAGE_HEADER:
-            raise DataFormatError(f"unexpected image header {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(line.split(","))
-    if not rows:
-        raise DataFormatError("image file holds no rows")
-    ix = np.array([int(r[0]) for r in rows])
-    iy = np.array([int(r[1]) for r in rows])
-    he = ix.max()
-    n = 2 * he + 1
-    if len(rows) != n * n or ix.min() != -he:
+    ix, iy, xs, ys, re, im, _ = _read_columns(
+        path, _IMAGE_HEADER, (int, int, float, float, float, float, float), "image")
+    he = int(ix.max())
+    shape = _grid_shape(ix, iy, "image", origin=-he)
+    if shape[0] != shape[1]:
         raise DataFormatError("image rows do not fill a square grid")
-    values = np.empty((n, n), dtype=complex)
-    xs = np.empty((n, n))
-    ys = np.empty((n, n))
-    for r, (i, j) in zip(rows, zip(ix, iy)):
-        values[i + he, j + he] = complex(float(r[4]), float(r[5]))
-        xs[i + he, j + he] = float(r[2])
-        ys[i + he, j + he] = float(r[3])
-    return {"values": values, "x_m": xs, "y_m": ys, "half_extent": int(he)}
+    return {"values": _complex(re, im).reshape(shape), "x_m": xs.reshape(shape),
+            "y_m": ys.reshape(shape), "half_extent": he}
 
 
 def write_image_pgm(image: ImageGrid, path) -> None:
@@ -440,8 +423,7 @@ def write_image_pgm(image: ImageGrid, path) -> None:
     lines = ["P2", f"{n} {n}", "255"]
     for j in range(n - 1, -1, -1):
         lines.append(" ".join(str(int(pixels[i, j])) for i in range(n)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def export_image(image: ImageGrid, path) -> None:

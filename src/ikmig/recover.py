@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import DataFormatError, NumericError, SingularityError
-from .forward import FieldVector, IntensityData
+from .forward import FieldVector, IntensityData, direct_arrivals_band
 from .scene import ImageWindowSpec, Scene
 from .specfun import hankel0_1
 
@@ -124,23 +124,21 @@ def recover_band(scene: Scene, data: IntensityData) -> np.ndarray:
     """Recover every frequency row of a data set; returns (F, N) complex.
 
     The data grid must match the scene band exactly (file round-trips are
-    bit-exact, so equality is literal).
+    bit-exact, so equality is literal).  Row i equals
+    ``recover_ptilde(g0_i, data.values[i], data.illumination[i]).ptilde``.
     """
-    from .forward import direct_arrivals
-
     omegas = scene.band.omegas
     if data.omegas.shape != omegas.shape or np.any(data.omegas != omegas):
         raise DataFormatError("data frequency grid does not match the scene band")
     if data.n_receivers != scene.n_receivers:
         raise DataFormatError("data receiver count does not match the scene")
-    out = np.empty((omegas.shape[0], scene.n_receivers), dtype=complex)
-    for i, omega in enumerate(omegas):
-        ill = data.illumination[i]
-        if not ill > 0.0:
-            raise NumericError(f"zero illumination at frequency {i}")
-        g0 = direct_arrivals(scene, omega)
-        out[i] = recover_ptilde(g0, data.values[i], ill).ptilde.values
-    return out
+    dark = np.flatnonzero(~(data.illumination > 0.0))
+    if dark.size:
+        raise NumericError(f"zero illumination at frequency {dark[0]}")
+    g0 = direct_arrivals_band(scene)
+    if np.any(g0 == 0):
+        raise SingularityError("zero direct arrival; measurement is rank-deficient")
+    return data.values / (data.illumination[:, None] * np.conj(g0)) - g0
 
 
 def dense_pseudoinverse_oracle(m: MeasurementMatrix, d_row) -> np.ndarray:
@@ -168,7 +166,7 @@ def condition_number(scene: Scene, omega: float) -> float:
     if scene.dimension == 3:
         return float(np.max(dists) / np.min(dists))
     k = omega / scene.c0
-    moduli = np.array([abs(hankel0_1(k * r)) for r in dists])
+    moduli = np.abs(hankel0_1(k * dists))
     return float(np.max(moduli) / np.min(moduli))
 
 

@@ -303,6 +303,13 @@ def _position(value, unit: float, field_name: str) -> tuple[float, ...]:
         raise SceneParseError(f"{field_name} must contain numbers") from None
 
 
+def _number(value, field_name: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SceneParseError(f"{field_name} must be a number") from None
+
+
 def parse_scene(text: str) -> Scene:
     """Parse and validate a JSON scene document."""
     try:
@@ -331,8 +338,8 @@ def parse_scene(text: str) -> Scene:
     if not isinstance(count, int):
         raise SceneParseError("band.count must be an integer")
     band = FrequencyGrid(
-        float(_require(band_doc, "f_min_hz", "band.")),
-        float(_require(band_doc, "f_max_hz", "band.")),
+        _number(_require(band_doc, "f_min_hz", "band."), "band.f_min_hz"),
+        _number(_require(band_doc, "f_max_hz", "band."), "band.f_max_hz"),
         count,
     )
 
@@ -346,8 +353,9 @@ def parse_scene(text: str) -> Scene:
         axis = _require(lin, "axis", "receivers.linear.")
         receivers = linear_array(
             _position(_require(lin, "center", "receivers.linear."), unit, "receivers.linear.center"),
-            float(_require(lin, "length", "receivers.linear.")) * unit,
-            int(_require(lin, "count", "receivers.linear.")),
+            _number(_require(lin, "length", "receivers.linear."), "receivers.linear.length")
+            * unit,
+            _number(_require(lin, "count", "receivers.linear."), "receivers.linear.count", int),
             axis,
         )
     elif "explicit" in recv_doc:
@@ -386,9 +394,9 @@ def parse_scene(text: str) -> Scene:
     if "spacing" in win_doc and "spacing_lambda0" in win_doc:
         raise SceneParseError("window accepts only one of spacing/spacing_lambda0")
     if "spacing" in win_doc:
-        spacing = float(win_doc["spacing"]) * unit
+        spacing = _number(win_doc["spacing"], "window.spacing") * unit
     else:
-        spacing = float(win_doc.get("spacing_lambda0", 0.4)) * lambda0
+        spacing = _number(win_doc.get("spacing_lambda0", 0.4), "window.spacing_lambda0") * lambda0
     window = ImageWindowSpec(center, spacing, half_extent)
 
     return Scene(

@@ -1,11 +1,12 @@
-"""Scalar special functions: J0, Y0, the first-kind Hankel function of order
-zero, and the free-space frequency-domain Green's function in two and three
+"""Special functions: J0, Y0, the first-kind Hankel function of order zero,
+and the free-space frequency-domain Green's function in two and three
 dimensions.
 
-Self-contained double-precision implementations: the defining power series
-below a fixed crossover argument, the large-argument expansion above it.
-Accuracy target is 1e-10 absolute for small arguments and 1e-10 relative to
-the envelope sqrt(2/(pi*t)) for large ones.
+The Bessel functions wrap SciPy's cephes ``j0``/``y0``; they take a scalar
+or an array and return a Python float/complex for a scalar.  The accuracy
+target, 1e-10 absolute for small arguments and 1e-10 relative to the
+envelope sqrt(2/(pi*t)) for large ones, is pinned by the arbitrary-precision
+oracle in ``tests/ref_bessel.py``.
 """
 
 from __future__ import annotations
@@ -13,110 +14,45 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+from scipy import special
+
 from .errors import SingularityError
 
 __all__ = ["bessel_j0", "bessel_y0", "hankel0_1", "green0"]
 
-# Euler-Mascheroni constant.
-_GAMMA = 0.5772156649015329
 
-# Branch switch between the power series and the large-argument expansion.
-# The expansion truncated at its smallest term has error ~exp(-2t); at t=12
-# that is below 4e-11 relative to the envelope, and the series roundoff
-# (largest term ~e^t/(pi t)) stays below the budget on the other side.
-_CROSS = 12.0
-
-_MAX_ASYMPTOTIC_TERMS = 40
+def _positive(t) -> np.ndarray:
+    arr = np.asarray(t, dtype=float)
+    if not np.all(arr > 0.0):
+        raise ValueError(f"argument must be positive, got {t!r}")
+    return arr
 
 
-def _series_terms_j0(t: float) -> list[float]:
-    x = 0.25 * t * t
-    terms = [1.0]
-    term = 1.0
-    m = 0
-    limit = math.sqrt(x) + 6.0
-    while True:
-        m += 1
-        term *= -x / (m * m)
-        terms.append(term)
-        if abs(term) < 1e-20 and m > limit:
-            return terms
-
-
-def _j0_small(t: float) -> float:
-    return math.fsum(_series_terms_j0(t))
-
-
-def _y0_small(t: float) -> float:
-    x = 0.25 * t * t
-    term = 1.0
-    harmonic = 0.0
-    j0_terms = [1.0]
-    h_terms = []
-    m = 0
-    limit = math.sqrt(x) + 6.0
-    while True:
-        m += 1
-        term *= -x / (m * m)
-        harmonic += 1.0 / m
-        j0_terms.append(term)
-        # term already carries (-1)^m; the series wants (-1)^(m+1) H_m x^m/(m!)^2
-        h_terms.append(-term * harmonic)
-        if abs(term) < 1e-20 and m > limit:
-            break
-    j0_val = math.fsum(j0_terms)
-    h_val = math.fsum(h_terms)
-    return (2.0 / math.pi) * ((math.log(0.5 * t) + _GAMMA) * j0_val + h_val)
-
-
-def _h0_large(t: float) -> complex:
-    # H0(t) ~ sqrt(2/(pi t)) e^{i(t - pi/4)} sum_k (-i)^k a_k / t^k with
-    # a_k = ((2k-1)!!)^2 / (k! 8^k); truncated at its smallest term.
-    total = complex(1.0, 0.0)
-    term = complex(1.0, 0.0)
-    prev_mag = 1.0
-    for k in range(_MAX_ASYMPTOTIC_TERMS):
-        odd = 2 * k + 1
-        term *= complex(0.0, -1.0) * (odd * odd) / (8.0 * (k + 1) * t)
-        mag = abs(term)
-        if mag >= prev_mag:
-            break
-        total += term
-        prev_mag = mag
-        if mag < 1e-18:
-            break
-    envelope = math.sqrt(2.0 / (math.pi * t))
-    return envelope * cmath.exp(1j * (t - 0.25 * math.pi)) * total
-
-
-def bessel_j0(t: float) -> float:
+def bessel_j0(t):
     """Bessel function of the first kind, order zero, for t > 0."""
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"argument must be positive, got {t!r}")
-    if t <= _CROSS:
-        return _j0_small(t)
-    return _h0_large(t).real
+    arr = _positive(t)
+    out = special.j0(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
-def bessel_y0(t: float) -> float:
+def bessel_y0(t):
     """Bessel function of the second kind, order zero, for t > 0."""
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"argument must be positive, got {t!r}")
-    if t <= _CROSS:
-        return _y0_small(t)
-    return _h0_large(t).imag
+    arr = _positive(t)
+    out = special.y0(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
-def hankel0_1(t: float) -> complex:
-    """First-kind Hankel function of order zero: J0(t) + i Y0(t)."""
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"argument must be positive, got {t!r}")
-    if t <= _CROSS:
-        return complex(_j0_small(t), _y0_small(t))
-    return _h0_large(t)
+def hankel0_1(t):
+    """First-kind Hankel function of order zero: J0(t) + i Y0(t), for t > 0.
+
+    Composed from ``j0`` and ``y0`` rather than taken from SciPy's AMOS
+    ``hankel1``, so it equals ``complex(bessel_j0(t), bessel_y0(t))``
+    exactly.
+    """
+    arr = _positive(t)
+    out = special.j0(arr) + 1j * special.y0(arr)
+    return complex(out) if arr.ndim == 0 else out
 
 
 def green0(x, y, k: float, dimension: int) -> complex:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .forward import IntensityData, array_response, direct_arrivals, total_field_band
+from .forward import IntensityData, total_field, total_field_band
 from .scene import FrequencyGrid, Scene
 
 __all__ = [
@@ -200,15 +200,6 @@ def noisy_power_data(
 # ---------------------------------------------------------------------------
 
 
-def _transfer_band(scene: Scene, omegas: np.ndarray) -> np.ndarray:
-    """(N, K) total receiver transfer g0 + p at arbitrary frequencies."""
-    n = scene.n_receivers
-    out = np.empty((n, omegas.shape[0]), dtype=complex)
-    for j, w in enumerate(omegas):
-        out[:, j] = direct_arrivals(scene, w).values + array_response(scene, w).values
-    return out
-
-
 def time_domain_autocorr_oracle(
     scene: Scene,
     spectrum: PowerSpectrum,
@@ -249,7 +240,7 @@ def time_domain_autocorr_oracle(
     z = rng.standard_normal((k.shape[0], 2))
     coeff = np.sqrt(fhat_sq[active] / (2.0 * period)) * (z[:, 0] + 1j * z[:, 1])
 
-    transfer = _transfer_band(scene, omega_k)
+    transfer = total_field(scene, omega_k).T
     spec = np.zeros((scene.n_receivers, m), dtype=complex)
     spec[:, k] = transfer * coeff[None, :]
     traces = np.fft.fft(spec, axis=1)

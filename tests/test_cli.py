@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +376,23 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_non_numeric_scene_number_is_a_parse_error(self, tmp_path, capsys):
+        doc = json.loads(emit_scene(small_scene()))
+        doc["band"]["f_min_hz"] = "abc"
+        spath = tmp_path / "scene.json"
+        spath.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scene", str(spath), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "band.f_min_hz" in capsys.readouterr().err
+
+    def test_non_integer_csv_index_is_a_format_error(self, tmp_path, capsys):
+        data = tmp_path / "intensity.csv"
+        data.write_text("freq_index,omega_rad_s,receiver_index,value\nx,1.0,0,2.0\n")
+        rc = main(["recover", "--scene", "preset:point", "--data", str(data),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "malformed" in capsys.readouterr().err
+
     def test_zero_illumination_is_a_numeric_error(self, tmp_path):
         sc = small_scene()
         sim = tmp_path / "sim"
@@ -388,3 +409,17 @@ class TestExitCodes:
                    "--illumination", str(illum),
                    "--out", str(tmp_path / "o")])
         assert rc == 3
+
+
+def test_commands_close_their_files(tmp_path):
+    """Under -X dev an unclosed file prints a ResourceWarning to stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for args in (["condition", "--scene", "preset:point", "--out", str(tmp_path / "c")],
+                 ["check-geometry", "--scene", "preset:point", "--out", str(tmp_path / "g")]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "ikmig.cli",
+             *args], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr

@@ -274,6 +274,9 @@ class TestIntensityCsv:
         path.write_text("freq_index,omega_rad_s,receiver_index,value\n0,1.0,0\n")
         with pytest.raises(DataFormatError, match="malformed"):
             read_intensity_csv(path)
+        path.write_text("freq_index,omega_rad_s,receiver_index,value\nx,1.0,0,2.0\n")
+        with pytest.raises(DataFormatError, match="malformed"):
+            read_intensity_csv(path)
 
     def test_out_of_order_rows(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -363,4 +366,8 @@ class TestFieldCsv:
             "0,1.0,1,1.0,0.0\n0,1.0,0,1.0,0.0\n"
         )
         with pytest.raises(DataFormatError, match="out of order"):
+            read_field_csv(path)
+        path.write_text(
+            "freq_index,omega_rad_s,receiver_index,re,im\n0,1.0,0.5,1.0,0.0\n")
+        with pytest.raises(DataFormatError, match="malformed"):
             read_field_csv(path)

@@ -415,6 +415,16 @@ class TestExports:
         )
         with pytest.raises(DataFormatError, match="square"):
             read_image_csv(path)
+        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
+        img = ImageGrid(win, np.arange(9, dtype=complex).reshape(3, 3), np.array([1.0]), 1, "x")
+        write_image_csv(img, path)
+        rows = path.read_text().splitlines()
+        assert rows[3].startswith("-1,1,")
+        # iy = -2 would wrap into column +2; iy = 0 repeats a cell and leaves one unwritten.
+        for bad in ("-1,-2,", "-1,0,"):
+            path.write_text("\n".join(rows[:3] + [bad + rows[3][5:]] + rows[4:]) + "\n")
+            with pytest.raises(DataFormatError, match="out of order"):
+                read_image_csv(path)
 
     def test_pgm_golden(self, tmp_path):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)

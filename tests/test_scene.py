@@ -331,6 +331,12 @@ class TestJsonInterface:
         (lambda d: d.update(band={"f_min_hz": 1.0, "f_max_hz": 2.0, "count": 2.5}), "count"),
         (lambda d: d.update(window={"center": [0.0, 0.0], "spacing": 1.0,
                                     "spacing_lambda0": 1.0}), "spacing"),
+        (lambda d: d["band"].update(f_min_hz="abc"), "band.f_min_hz"),
+        (lambda d: d["band"].update(f_max_hz=None), "band.f_max_hz"),
+        (lambda d: d["receivers"]["linear"].update(length="long"), "receivers.linear.length"),
+        (lambda d: d["receivers"]["linear"].update(count=[11]), "receivers.linear.count"),
+        (lambda d: d["window"].update(spacing_lambda0="x"), "window.spacing_lambda0"),
+        (lambda d: d.update(window={"center": [50.0, 0.0], "spacing": {}}), "window.spacing"),
     ])
     def test_parse_errors_name_the_field(self, mutate, fragment):
         doc = json.loads(json.dumps(self.DOC))

@@ -29,9 +29,8 @@ from .errors import (
     SingularityError,
 )
 from .forward import (
-    _fmt,
+    _write_columns,
     array_response_band,
-    direct_arrivals_band,
     intensity_data,
     linearization_residual,
     read_field_csv,
@@ -41,9 +40,9 @@ from .forward import (
     write_intensity_csv,
 )
 from .migrate import (
+    _spurious_images,
     image_metrics,
     migrate_broadband_stack,
-    spurious_term_image,
     write_image_csv,
     write_image_pgm,
 )
@@ -74,7 +73,11 @@ def _load_scene(spec: str):
     if spec.startswith("preset:"):
         return preset_scene(spec[len("preset:"):])
     with open(spec) as fh:
-        return parse_scene(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SceneParseError(f"undecodable bytes in scene file: {exc}") from None
+    return parse_scene(text)
 
 
 def _atomic(path: str, writer) -> None:
@@ -235,7 +238,7 @@ def cmd_recover(args) -> int:
     ptilde = recover_band(scene, data)
     geometry = check_geometric_condition(scene)
     _warn_geometry(geometry)
-    conds = [condition_number(scene, w) for w in scene.band.omegas]
+    conds = condition_number(scene, scene.band.omegas)
     os.makedirs(args.out, exist_ok=True)
     fpath = os.path.join(args.out, "recovered.csv")
     _atomic(fpath, lambda p: write_field_csv(scene.band.omegas, ptilde, p))
@@ -293,12 +296,10 @@ def _experiment_condition_study(out_dir: str) -> int:
     scene3 = preset_scene("point")
     scene2 = replace(scene3, dimension=2)
     omegas = scene3.band.omegas
-    rows = ["freq_index,omega_rad_s,cond_d3,cond_d2"]
-    for i, w in enumerate(omegas):
-        rows.append(f"{i},{_fmt(w)},{_fmt(condition_number(scene3, w))},"
-                    f"{_fmt(condition_number(scene2, w))}")
+    columns = (np.arange(omegas.shape[0]), omegas, condition_number(scene3, omegas),
+               condition_number(scene2, omegas))
     cpath = os.path.join(out_dir, "condition.csv")
-    _write_text(cpath, "\n".join(rows) + "\n")
+    _atomic(cpath, lambda p: _write_columns(p, "freq_index,omega_rad_s,cond_d3,cond_d2", columns))
     dists = np.linalg.norm(scene3.receivers - scene3.source, axis=1)
     ratio = float(dists.max() / dists.min())
     lpath = os.path.join(out_dir, "limits.json")
@@ -310,9 +311,7 @@ def _experiment_condition_study(out_dir: str) -> int:
 
 def _experiment_spurious(out_dir: str, threads: int) -> int:
     scene = preset_scene("point")
-    mirror, report = spurious_term_image(scene, threads=threads)
-    p = array_response_band(scene)
-    (true_img,) = migrate_broadband_stack(scene, p[:, :, None], threads=threads)
+    true_img, mirror, report = _spurious_images(scene, None, threads)
     outputs = (_write_image_pair(out_dir, "image_mirror", mirror)
                + _write_image_pair(out_dir, "image_true", true_img))
     rpath = os.path.join(out_dir, "report.json")
@@ -358,7 +357,7 @@ def cmd_experiment(args) -> int:
 
     m_true = image_metrics(img_true, scene)
     m_rec = image_metrics(img_rec, scene, reference=img_true)
-    residual = max(linearization_residual(scene, w) for w in scene.band.omegas)
+    residual = float(np.max(linearization_residual(scene, scene.band.omegas)))
     mpath = os.path.join(args.out, "metrics.json")
     _write_json({
         "true": _metrics_dict(m_true),
@@ -377,12 +376,11 @@ def cmd_experiment(args) -> int:
 
 def cmd_condition(args) -> int:
     scene = _load_scene(args.scene)
-    rows = ["freq_index,omega_rad_s,cond"]
-    for i, w in enumerate(scene.band.omegas):
-        rows.append(f"{i},{_fmt(w)},{_fmt(condition_number(scene, w))}")
+    omegas = scene.band.omegas
+    columns = (np.arange(omegas.shape[0]), omegas, condition_number(scene, omegas))
     os.makedirs(args.out, exist_ok=True)
     cpath = os.path.join(args.out, "condition.csv")
-    _write_text(cpath, "\n".join(rows) + "\n")
+    _atomic(cpath, lambda p: _write_columns(p, "freq_index,omega_rad_s,cond", columns))
     _write_manifest(args.out, "condition", scene, {"scene": args.scene},
                     _scene_inputs(args.scene), [cpath])
     return 0

@@ -214,11 +214,16 @@ def intensity_data(scene: Scene, fhat_sq=None) -> IntensityData:
     return IntensityData(omegas, fhat_sq[:, None] * power, fhat_sq)
 
 
-def linearization_residual(scene: Scene, omega: float) -> float:
-    """max_r |p_r| / |g0_r|, the size of the neglected quadratic term."""
-    g0 = direct_arrivals(scene, omega).values
-    p = array_response(scene, omega).values
-    return float(np.max(np.abs(p) / np.abs(g0)))
+def linearization_residual(scene: Scene, omega):
+    """max_r |p_r| / |g0_r|, the size of the neglected quadratic term.
+
+    A scalar omega gives a float; an array of frequencies gives one value
+    per frequency.
+    """
+    omega = np.asarray(omega, dtype=float)
+    k = _wavenumbers(scene, omega.reshape(-1))
+    ratio = np.max(np.abs(_response_rows(scene, k)) / np.abs(_direct_rows(scene, k)), axis=1)
+    return float(ratio[0]) if omega.ndim == 0 else ratio.reshape(omega.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +235,18 @@ _ILLUMINATION_HEADER = "freq_index,omega_rad_s,twopi_Fhat"
 _FIELD_HEADER = "freq_index,omega_rad_s,receiver_index,re,im"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _write_columns(path, header: str, columns) -> None:
+    """One row per index of equal-length 1-D arrays, under ``header``.
 
-
-def _write_lines(path, lines) -> None:
+    The contract every writer shares, and the inverse of ``_read_columns``:
+    ``%d`` for an integer column, ``%.17g`` (round-trip exact) for a float
+    column.
+    """
+    fmt = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
+                   for c in columns) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(fmt % row for row in zip(*(c.tolist() for c in columns), strict=True))
 
 
 def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
@@ -244,21 +254,24 @@ def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
 
     The shared contract of every reader: the header must match exactly,
     blank lines are skipped, each row has one field per column, and a
-    field that does not parse is a DataFormatError.
+    field that does not parse, or bytes that do not decode, are a
+    DataFormatError.
     """
     dtype = [(f"c{j}", kind) for j, kind in enumerate(kinds)]
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise DataFormatError(f"unexpected {what} header {first!r}")
-        with warnings.catch_warnings():
-            # loadtxt warns about a table without rows; that is raised below
-            warnings.simplefilter("ignore", UserWarning)
-            try:
+    try:
+        with open(path) as fh:
+            first = fh.readline().strip()
+            if first != header:
+                raise DataFormatError(f"unexpected {what} header {first!r}")
+            with warnings.catch_warnings():
+                # loadtxt warns about a table without rows; that is raised below
+                warnings.simplefilter("ignore", UserWarning)
                 columns = np.loadtxt(filter(None, map(str.strip, fh)), dtype=dtype,
                                      delimiter=",", comments=None, ndmin=1, unpack=True)
-            except ValueError as exc:
-                raise DataFormatError(f"malformed {what} row: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"undecodable bytes in {what} file: {exc}") from None
+    except ValueError as exc:
+        raise DataFormatError(f"malformed {what} row: {exc}") from None
     if columns[0].size == 0:
         raise DataFormatError(f"{what} file holds no rows")
     return columns
@@ -284,21 +297,30 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
+def _band_columns(omegas: np.ndarray, n: int) -> tuple:
+    """Frequency index, omega and receiver index columns of an (F, n) grid."""
+    f = omegas.shape[0]
+    return np.arange(f).repeat(n), omegas.repeat(n), np.tile(np.arange(n), f)
+
+
+def _band_omegas(om: np.ndarray, shape, what: str) -> np.ndarray:
+    """One omega per frequency; every row of a frequency must carry it."""
+    om = om.reshape(shape)
+    bad = np.flatnonzero(np.any(om != om[:, :1], axis=1))
+    if bad.size:
+        raise DataFormatError(f"{what} omega mismatch at frequency {bad[0]}")
+    return om[:, 0]
+
+
 def write_intensity_csv(data: IntensityData, path) -> None:
     """Rows sorted by (freq_index, receiver_index), 17 significant digits."""
-    lines = [_INTENSITY_HEADER]
-    for i, omega in enumerate(data.omegas):
-        w = _fmt(omega)
-        for r in range(data.n_receivers):
-            lines.append(f"{i},{w},{r},{_fmt(data.values[i, r])}")
-    _write_lines(path, lines)
+    _write_columns(path, _INTENSITY_HEADER,
+                   (*_band_columns(data.omegas, data.n_receivers), data.values.ravel()))
 
 
 def write_illumination_csv(data: IntensityData, path) -> None:
-    lines = [_ILLUMINATION_HEADER]
-    for i, omega in enumerate(data.omegas):
-        lines.append(f"{i},{_fmt(omega)},{_fmt(data.illumination[i])}")
-    _write_lines(path, lines)
+    _write_columns(path, _ILLUMINATION_HEADER,
+                   (np.arange(data.omegas.shape[0]), data.omegas, data.illumination))
 
 
 def read_intensity_csv(path, illumination_path=None) -> IntensityData:
@@ -306,7 +328,7 @@ def read_intensity_csv(path, illumination_path=None) -> IntensityData:
     freq, om, recv, val = _read_columns(
         path, _INTENSITY_HEADER, (int, float, int, float), "intensity")
     shape = _grid_shape(freq, recv, "intensity")
-    omegas = om.reshape(shape)[:, 0]
+    omegas = _band_omegas(om, shape, "intensity")
     if illumination_path is None:
         illum = np.ones(shape[0])
     else:
@@ -325,23 +347,22 @@ def read_illumination_csv(path, omegas) -> np.ndarray:
     mismatch = om != omegas[idx]
     if mismatch.any():
         raise DataFormatError(f"illumination omega mismatch at row {idx[mismatch][0]}")
-    illum = np.full(omegas.shape[0], np.nan)
-    illum[idx] = values
-    if np.any(np.isnan(illum)):
+    counts = np.bincount(idx, minlength=omegas.shape[0])
+    if np.any(counts > 1):
+        raise DataFormatError(f"repeated illumination row {np.argmax(counts > 1)}")
+    if np.any(counts == 0):
         raise DataFormatError("illumination file misses frequencies")
+    illum = np.empty(omegas.shape[0])
+    illum[idx] = values
     return illum
 
 
 def write_field_csv(omegas, values, path) -> None:
     """Per-frequency complex receiver fields, same ordering as intensity."""
     values = np.asarray(values, dtype=complex)
-    lines = [_FIELD_HEADER]
-    for i, omega in enumerate(np.asarray(omegas, dtype=float)):
-        w = _fmt(omega)
-        for r in range(values.shape[1]):
-            v = values[i, r]
-            lines.append(f"{i},{w},{r},{_fmt(v.real)},{_fmt(v.imag)}")
-    _write_lines(path, lines)
+    omegas = np.asarray(omegas, dtype=float)
+    _write_columns(path, _FIELD_HEADER, (*_band_columns(omegas, values.shape[1]),
+                                         values.real.ravel(), values.imag.ravel()))
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -349,4 +370,4 @@ def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
     freq, om, recv, re, im = _read_columns(
         path, _FIELD_HEADER, (int, float, int, float, float), "field")
     shape = _grid_shape(freq, recv, "field")
-    return om.reshape(shape)[:, 0], _complex(re, im).reshape(shape)
+    return _band_omegas(om, shape, "field"), _complex(re, im).reshape(shape)

@@ -11,18 +11,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataFormatError
 from .forward import (
-    FieldVector,
     _complex,
-    _fmt,
     _grid_shape,
     _read_columns,
-    _write_lines,
+    _write_columns,
     array_response_band,
     direct_arrivals_band,
 )
@@ -34,8 +31,6 @@ __all__ = [
     "ImageGrid",
     "ImageMetrics",
     "SpuriousReport",
-    "migrate_single",
-    "migrate_broadband",
     "migrate_broadband_stack",
     "spurious_term_image",
     "image_metrics",
@@ -79,13 +74,6 @@ class ImageGrid:
 # ---------------------------------------------------------------------------
 
 
-def _field_values(field, n: int) -> np.ndarray:
-    vals = field.values if isinstance(field, FieldVector) else np.asarray(field, dtype=complex)
-    if vals.shape != (n,):
-        raise DataFormatError("field length must equal the receiver count")
-    return vals
-
-
 def _geometry(scene: Scene, window: ImageWindowSpec):
     """Distances from each cell to the receivers and to the source."""
     pos = window.cell_positions()
@@ -117,19 +105,6 @@ def _apply_kernel(d_recv, d_src, mask, k: float, dimension: int, stack: np.ndarr
     image = kernel @ stack
     image[mask, :] = complex(np.nan, np.nan)
     return image
-
-
-def migrate_single(scene: Scene, field, omega: float, window: ImageWindowSpec | None = None) -> ImageGrid:
-    """Image of one per-frequency field at one angular frequency."""
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    window = window or scene.window
-    vals = _field_values(field, scene.n_receivers)
-    d_recv, d_src, mask = _geometry(scene, window)
-    img = _apply_kernel(d_recv, d_src, mask, omega / scene.c0, scene.dimension, vals[:, None])
-    n = window.cells_per_side
-    return ImageGrid(window, img[:, 0].reshape(n, n), np.asarray([omega]),
-                     scene.n_receivers, scene_digest(scene))
 
 
 def migrate_broadband_stack(
@@ -185,26 +160,6 @@ def migrate_broadband_stack(
     ]
 
 
-def migrate_broadband(
-    scene: Scene,
-    fields: Sequence,
-    window: ImageWindowSpec | None = None,
-    threads: int = 1,
-) -> ImageGrid:
-    """Uniform-weight frequency sum of single-frequency migrations.
-
-    ``fields`` holds one per-receiver field per band frequency, ascending.
-    A single-sample band degenerates to unit weight, i.e. the plain
-    single-frequency image.
-    """
-    omegas = scene.band.omegas
-    if len(fields) != omegas.shape[0]:
-        raise DataFormatError("need exactly one field per band frequency")
-    n = scene.n_receivers
-    stack = np.stack([_field_values(f, n) for f in fields])[:, :, None]
-    return migrate_broadband_stack(scene, stack, window, threads)[0]
-
-
 # ---------------------------------------------------------------------------
 # spurious-term diagnostic
 # ---------------------------------------------------------------------------
@@ -219,15 +174,8 @@ class SpuriousReport:
     geometry_ok: bool
 
 
-def spurious_term_image(
-    scene: Scene, window: ImageWindowSpec | None = None, threads: int = 1
-) -> tuple[ImageGrid, SpuriousReport]:
-    """Migrate the mirror term (conj(g0))^-1 g0 conj(p) over the band.
-
-    Returns the mirror image and a report with the peak-magnitude ratio
-    against the migrated true response.  The geometric visibility check
-    runs first; a failing check is reported, not raised.
-    """
+def _spurious_images(scene: Scene, window: ImageWindowSpec | None, threads: int):
+    """(true-response image, mirror image, report) from one kernel pass."""
     geometry = check_geometric_condition(scene, window)
     g0 = direct_arrivals_band(scene)
     p = array_response_band(scene)
@@ -242,7 +190,20 @@ def spurious_term_image(
     peak_p = float(np.nanmax(np.abs(image_p.values)))
     peak_s = float(np.nanmax(np.abs(image_s.values)))
     ratio = 0.0 if degenerate else peak_s / peak_p
-    return image_s, SpuriousReport(ratio, degenerate, geometry.ok)
+    return image_p, image_s, SpuriousReport(ratio, degenerate, geometry.ok)
+
+
+def spurious_term_image(
+    scene: Scene, window: ImageWindowSpec | None = None, threads: int = 1
+) -> tuple[ImageGrid, SpuriousReport]:
+    """Migrate the mirror term (conj(g0))^-1 g0 conj(p) over the band.
+
+    Returns the mirror image and a report with the peak-magnitude ratio
+    against the migrated true response.  The geometric visibility check
+    runs first; a failing check is reported, not raised.
+    """
+    _, image_s, report = _spurious_images(scene, window, threads)
+    return image_s, report
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +331,13 @@ _IMAGE_HEADER = "ix,iy,x_m,y_m,re,im,abs"
 
 def write_image_csv(image: ImageGrid, path) -> None:
     """Row-major cell dump (first index slow) with 17 significant digits."""
-    he = image.window.half_extent
-    center = image.window.center
-    spacing = image.window.spacing
-    lines = [_IMAGE_HEADER]
-    for i in range(image.window.cells_per_side):
-        ix = i - he
-        x = center[0] + ix * spacing
-        for j in range(image.window.cells_per_side):
-            iy = j - he
-            y = center[1] + iy * spacing
-            v = image.values[i, j]
-            lines.append(
-                f"{ix},{iy},{_fmt(x)},{_fmt(y)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
-            )
-    _write_lines(path, lines)
+    n = image.window.cells_per_side
+    cells = image.window.cell_offsets()
+    pos = image.window.cell_positions()
+    v = image.values.ravel()
+    _write_columns(path, _IMAGE_HEADER, (
+        cells.repeat(n), np.tile(cells, n), pos[:, :, 0].ravel(), pos[:, :, 1].ravel(),
+        v.real, v.imag, np.hypot(v.real, v.imag)))
 
 
 def read_image_csv(path) -> dict:
@@ -423,7 +376,8 @@ def write_image_pgm(image: ImageGrid, path) -> None:
     lines = ["P2", f"{n} {n}", "255"]
     for j in range(n - 1, -1, -1):
         lines.append(" ".join(str(int(pixels[i, j])) for i in range(n)))
-    _write_lines(path, lines)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def export_image(image: ImageGrid, path) -> None:

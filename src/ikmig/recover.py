@@ -154,20 +154,24 @@ def dense_pseudoinverse_oracle(m: MeasurementMatrix, d_row) -> np.ndarray:
     return mat.T @ y
 
 
-def condition_number(scene: Scene, omega: float) -> float:
+def condition_number(scene: Scene, omega):
     """Spectral condition number of the per-frequency measurement matrix.
 
     Equal to the ratio of extreme direct-arrival moduli: the distance ratio
     for three-dimensional propagation, the Hankel-envelope ratio in two.
+    A scalar omega gives a float; an array of frequencies gives one value
+    per frequency.
     """
-    if not omega > 0.0:
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(omega > 0.0):
         raise ValueError("omega must be positive")
     dists = np.linalg.norm(scene.receivers - scene.source, axis=1)
     if scene.dimension == 3:
-        return float(np.max(dists) / np.min(dists))
-    k = omega / scene.c0
-    moduli = np.abs(hankel0_1(k * dists))
-    return float(np.max(moduli) / np.min(moduli))
+        cond = np.full(omega.shape, np.max(dists) / np.min(dists))
+    else:
+        moduli = np.abs(hankel0_1(omega[..., None] / scene.c0 * dists))
+        cond = np.max(moduli, axis=-1) / np.min(moduli, axis=-1)
+    return float(cond) if cond.ndim == 0 else cond
 
 
 # ---------------------------------------------------------------------------

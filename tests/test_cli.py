@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ikmig import migrate as migrate_module
 from ikmig.cli import main
 from ikmig.forward import (
     array_response_band,
@@ -298,6 +299,20 @@ class TestExperiment:
         assert (out / "image_mirror.csv").exists()
         assert (out / "image_true.pgm").exists()
 
+    def test_spurious_term_builds_each_kernel_once(self, tmp_path, monkeypatch):
+        # One kernel pass per band frequency serves both images.
+        calls = []
+        kernel = migrate_module._apply_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(migrate_module, "_apply_kernel", counting)
+        assert main(["experiment", "--case", "spurious_term",
+                     "--out", str(tmp_path / "out"), "--threads", "2"]) == 0
+        assert len(calls) == preset_scene("point").band.count
+
     def test_unknown_case(self, tmp_path):
         assert main(["experiment", "--case", "bogus",
                      "--out", str(tmp_path / "out")]) == 2
@@ -358,10 +373,11 @@ class TestExitCodes:
 
     def test_invalid_scene_json(self, tmp_path):
         spath = tmp_path / "scene.json"
-        spath.write_text("{broken")
-        rc = main(["simulate", "--scene", str(spath),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
+        for content in (b"{broken", b"\xff{}"):
+            spath.write_bytes(content)
+            rc = main(["simulate", "--scene", str(spath),
+                       "--out", str(tmp_path / "o")])
+            assert rc == 2
 
     def test_data_scene_grid_mismatch(self, tmp_path):
         sc = small_scene()
@@ -387,11 +403,14 @@ class TestExitCodes:
 
     def test_non_integer_csv_index_is_a_format_error(self, tmp_path, capsys):
         data = tmp_path / "intensity.csv"
-        data.write_text("freq_index,omega_rad_s,receiver_index,value\nx,1.0,0,2.0\n")
-        rc = main(["recover", "--scene", "preset:point", "--data", str(data),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "malformed" in capsys.readouterr().err
+        header = b"freq_index,omega_rad_s,receiver_index,value\n"
+        for content, message in ((header + b"x,1.0,0,2.0\n", "malformed"),
+                                 (b"\xff" + header, "undecodable")):
+            data.write_bytes(content)
+            rc = main(["recover", "--scene", "preset:point", "--data", str(data),
+                       "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
     def test_zero_illumination_is_a_numeric_error(self, tmp_path):
         sc = small_scene()

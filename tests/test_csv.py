@@ -1,0 +1,186 @@
+"""The CSV writer contract: exact text of every writer, and write -> read
+round trips that must return the written floats bit for bit.
+
+The pinned strings are literal, so they hold on any platform whose floats
+are IEEE doubles: ``%d`` for index columns, ``%.17g`` for float columns,
+one row per index in the order the readers expect.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from ikmig.cli import main
+from ikmig.forward import (
+    IntensityData,
+    read_field_csv,
+    read_intensity_csv,
+    write_field_csv,
+    write_illumination_csv,
+    write_intensity_csv,
+)
+from ikmig.migrate import ImageGrid, read_image_csv, write_image_csv
+from ikmig.scene import FrequencyGrid, ImageWindowSpec, Scene, emit_scene
+
+TINY = 5e-324  # smallest subnormal double
+
+
+class TestPinnedText:
+    def test_intensity_and_illumination(self, tmp_path):
+        data = IntensityData(np.array([0.1, 1 / 3]),
+                             np.array([[TINY, -0.0], [1 / 3, 7.0]]),
+                             np.array([1 / 3, 2.5]))
+        write_intensity_csv(data, tmp_path / "i.csv")
+        write_illumination_csv(data, tmp_path / "l.csv")
+        assert (tmp_path / "i.csv").read_text() == (
+            "freq_index,omega_rad_s,receiver_index,value\n"
+            "0,0.10000000000000001,0,4.9406564584124654e-324\n"
+            "0,0.10000000000000001,1,-0\n"
+            "1,0.33333333333333331,0,0.33333333333333331\n"
+            "1,0.33333333333333331,1,7\n"
+        )
+        assert (tmp_path / "l.csv").read_text() == (
+            "freq_index,omega_rad_s,twopi_Fhat\n"
+            "0,0.10000000000000001,0.33333333333333331\n"
+            "1,0.33333333333333331,2.5\n"
+        )
+
+    def test_field(self, tmp_path):
+        values = np.array([[complex(0.1, -0.0), complex(TINY, 1 / 3)],
+                           [complex(-0.0, 2.5), complex(1 / 3, -TINY)]])
+        write_field_csv(np.array([0.1, 1 / 3]), values, tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_text() == (
+            "freq_index,omega_rad_s,receiver_index,re,im\n"
+            "0,0.10000000000000001,0,0.10000000000000001,-0\n"
+            "0,0.10000000000000001,1,4.9406564584124654e-324,0.33333333333333331\n"
+            "1,0.33333333333333331,0,-0,2.5\n"
+            "1,0.33333333333333331,1,0.33333333333333331,-4.9406564584124654e-324\n"
+        )
+
+    def test_image(self, tmp_path):
+        values = np.array([
+            [0.1 + 0j, complex(-0.0, 1 / 3), complex(TINY, -TINY)],
+            [1 / 3, complex(math.nan, math.nan), 3 + 4j],
+            [0, -1j, 2e300 + 2e300j],
+        ])
+        image = ImageGrid(ImageWindowSpec((0.1, 1 / 3), 0.1, 1), values,
+                          np.array([1.0]), 1, "x")
+        write_image_csv(image, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text() == (
+            "ix,iy,x_m,y_m,re,im,abs\n"
+            "-1,-1,0,0.23333333333333331,0.10000000000000001,0,0.10000000000000001\n"
+            "-1,0,0,0.33333333333333331,-0,0.33333333333333331,0.33333333333333331\n"
+            "-1,1,0,0.43333333333333335,4.9406564584124654e-324,"
+            "-4.9406564584124654e-324,4.9406564584124654e-324\n"
+            "0,-1,0.10000000000000001,0.23333333333333331,0.33333333333333331,0,"
+            "0.33333333333333331\n"
+            "0,0,0.10000000000000001,0.33333333333333331,nan,nan,nan\n"
+            "0,1,0.10000000000000001,0.43333333333333335,3,4,5\n"
+            "1,-1,0.20000000000000001,0.23333333333333331,0,0,0\n"
+            "1,0,0.20000000000000001,0.33333333333333331,-0,-1,1\n"
+            "1,1,0.20000000000000001,0.43333333333333335,2.0000000000000001e+300,"
+            "2.0000000000000001e+300,2.8284271247461903e+300\n"
+        )
+
+    def test_condition_command(self, tmp_path):
+        # Receivers 5 m and 1 m from the source: the 3-D condition number is 5.
+        scene = Scene(dimension=3, c0=343.0, receivers=np.array([[3.0, 4.0], [0.0, 1.0]]),
+                      source=np.array([0.0, 0.0]), band=FrequencyGrid(100.0, 200.0, 2),
+                      scatterers=(), window=ImageWindowSpec((5.0, 0.0), 0.2, 1))
+        spath = tmp_path / "scene.json"
+        spath.write_text(emit_scene(scene))
+        assert main(["condition", "--scene", str(spath), "--out", str(tmp_path / "c")]) == 0
+        assert (tmp_path / "c" / "condition.csv").read_text() == (
+            "freq_index,omega_rad_s,cond\n"
+            "0,628.31853071795865,5\n"
+            "1,1256.6370614359173,5\n"
+        )
+
+
+# ---------------------------------------------------------------------------
+# write -> read round trips
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@st.composite
+def band_arrays(draw, dtype=float):
+    f = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    omegas = draw(hnp.arrays(float, f, elements=FINITE))
+    values = draw(hnp.arrays(float, (f, n), elements=FINITE))
+    if dtype is complex:
+        values = values.astype(complex)
+        values.imag = draw(hnp.arrays(float, (f, n), elements=FINITE))
+    return omegas, values
+
+
+ROUND_TRIP = settings(max_examples=60, deadline=None)
+
+
+@ROUND_TRIP
+@given(band_arrays(), st.data())
+def test_intensity_round_trip(tmp_path_factory, arrays, data):
+    omegas, values = arrays
+    illum = data.draw(hnp.arrays(float, omegas.shape, elements=FINITE))
+    written = IntensityData(omegas, values, illum)
+    d = tmp_path_factory.mktemp("intensity")
+    write_intensity_csv(written, d / "i.csv")
+    write_illumination_csv(written, d / "l.csv")
+    back = read_intensity_csv(d / "i.csv", d / "l.csv")
+    assert same_bits(back.omegas, written.omegas)
+    assert same_bits(back.values, written.values)
+    assert same_bits(back.illumination, written.illumination)
+
+
+@ROUND_TRIP
+@given(band_arrays(complex))
+def test_field_round_trip(tmp_path_factory, arrays):
+    omegas, values = arrays
+    path = tmp_path_factory.mktemp("field") / "f.csv"
+    write_field_csv(omegas, values, path)
+    om_back, val_back = read_field_csv(path)
+    assert same_bits(om_back, omegas)
+    assert same_bits(val_back, values)
+
+
+@st.composite
+def images(draw):
+    half = draw(st.integers(0, 2))
+    n = 2 * half + 1
+    center = (draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)))
+    window = ImageWindowSpec(center, draw(st.floats(1e-3, 10.0)), half)
+    values = draw(hnp.arrays(complex, (n, n), elements=st.complex_numbers(
+        allow_nan=False, allow_infinity=False)))
+    masked = draw(hnp.arrays(bool, (n, n)))
+    values[masked] = complex(math.nan, math.nan)
+    return ImageGrid(window, values, np.array([1.0]), 1, "x")
+
+
+@ROUND_TRIP
+@given(images())
+def test_image_round_trip(tmp_path_factory, image):
+    path = tmp_path_factory.mktemp("image") / "m.csv"
+    write_image_csv(image, path)
+    back = read_image_csv(path)
+    masked = np.isnan(image.values)
+    assert back["half_extent"] == image.window.half_extent
+    assert np.array_equal(np.isnan(back["values"]), masked)
+    assert same_bits(back["values"][~masked], image.values[~masked])
+    pos = image.window.cell_positions()
+    assert same_bits(back["x_m"], pos[:, :, 0])
+    assert same_bits(back["y_m"], pos[:, :, 1])
+    # abs is the correctly rounded hypot of the written parts
+    magnitude = np.loadtxt(path, delimiter=",", skiprows=1, usecols=6, ndmin=1)
+    v = image.values.ravel()
+    assert same_bits(magnitude[~masked.ravel()], np.hypot(v.real, v.imag)[~masked.ravel()])
+

@@ -221,6 +221,16 @@ class TestLinearization:
         worst = max(linearization_residual(sc, w) for w in sc.band.omegas)
         assert worst == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_band_call_equals_per_frequency_calls(self, dimension):
+        sc = random_scene(np.random.default_rng(50 + dimension), dimension)
+        omegas = sc.band.omegas
+        singles = [linearization_residual(sc, w) for w in omegas]
+        assert all(type(v) is float for v in singles)
+        assert np.array_equal(linearization_residual(sc, omegas), singles)
+        with pytest.raises(ValueError):
+            linearization_residual(sc, np.array([omegas[0], 0.0]))
+
     def test_residual_linear_in_rho(self):
         from dataclasses import replace
         sc = preset_scene("point")
@@ -296,6 +306,15 @@ class TestIntensityCsv:
         with pytest.raises(DataFormatError, match="grid"):
             read_intensity_csv(path)
 
+    def test_omega_mismatch_within_a_frequency(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text(
+            "freq_index,omega_rad_s,receiver_index,value\n"
+            "0,1.0,0,2.0\n0,99.0,1,3.0\n"
+        )
+        with pytest.raises(DataFormatError, match="omega mismatch"):
+            read_intensity_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("freq_index,omega_rad_s,receiver_index,value\n")
@@ -330,6 +349,10 @@ class TestIntensityCsv:
         lpath.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="outside"):
             read_illumination_csv(lpath, data.omegas)
+        # A repeated frequency row is an index error too, not a last-one-wins.
+        lpath.write_text("freq_index,omega_rad_s,twopi_Fhat\n0,1,5.0\n0,1,7.0\n1,2,3.0\n")
+        with pytest.raises(DataFormatError, match="repeated illumination row 0"):
+            read_illumination_csv(lpath, np.array([1.0, 2.0]))
 
 
 class TestFieldCsv:
@@ -370,4 +393,10 @@ class TestFieldCsv:
         path.write_text(
             "freq_index,omega_rad_s,receiver_index,re,im\n0,1.0,0.5,1.0,0.0\n")
         with pytest.raises(DataFormatError, match="malformed"):
+            read_field_csv(path)
+        path.write_text(
+            "freq_index,omega_rad_s,receiver_index,re,im\n"
+            "0,1.0,0,1.0,0.0\n0,99.0,1,1.0,0.0\n"
+        )
+        with pytest.raises(DataFormatError, match="omega mismatch"):
             read_field_csv(path)

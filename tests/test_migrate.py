@@ -11,10 +11,10 @@ from ikmig.migrate import (
     ImageGrid,
     export_image,
     image_metrics,
+    _apply_kernel,
+    _geometry,
     magnitude_correlation,
-    migrate_broadband,
     migrate_broadband_stack,
-    migrate_single,
     read_image_csv,
     spurious_term_image,
     write_image_csv,
@@ -61,15 +61,21 @@ def brute_image(scene, field, omega, window):
     return out
 
 
+def single(scene, field, f_hz):
+    """Single-frequency image: a one-sample band at f_hz has unit weight."""
+    sc = scene.with_band(FrequencyGrid(f_hz, f_hz, 1))
+    (img,) = migrate_broadband_stack(sc, np.asarray(field, dtype=complex)[None, :, None])
+    return img
+
+
 class TestSingleFrequency:
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_matches_brute_force(self, dimension):
         sc = imaging_scene(dimension, n_receivers=5, count=3, half_extent=2)
         rng = np.random.default_rng(0)
         field = rng.normal(size=5) + 1j * rng.normal(size=5)
-        omega = float(sc.band.omegas[1])
-        got = migrate_single(sc, field, omega)
-        want = brute_image(sc, field, omega, sc.window)
+        got = single(sc, field, 600.0)
+        want = brute_image(sc, field, float(sc.band.omegas[1]), sc.window)
         assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_linearity(self):
@@ -77,16 +83,15 @@ class TestSingleFrequency:
         rng = np.random.default_rng(1)
         f1 = rng.normal(size=5) + 1j * rng.normal(size=5)
         f2 = rng.normal(size=5) + 1j * rng.normal(size=5)
-        omega = 3000.0
-        combo = migrate_single(sc, 2.0 * f1 - 1j * f2, omega).values
-        parts = 2.0 * migrate_single(sc, f1, omega).values \
-            - 1j * migrate_single(sc, f2, omega).values
+        f_hz = 3000.0 / (2.0 * math.pi)
+        combo = single(sc, 2.0 * f1 - 1j * f2, f_hz).values
+        parts = 2.0 * single(sc, f1, f_hz).values - 1j * single(sc, f2, f_hz).values
         assert np.allclose(combo, parts, rtol=1e-13)
 
     def test_metadata(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
-        img = migrate_single(sc, np.ones(5, dtype=complex), 2500.0)
-        assert img.omegas.tolist() == [2500.0]
+        img = single(sc, np.ones(5, dtype=complex), 400.0)
+        assert img.omegas.tolist() == [2.0 * math.pi * 400.0]
         assert img.n_receivers == 5
         assert len(img.scene_sha256) == 64
         assert img.values.shape == (5, 5)
@@ -94,9 +99,7 @@ class TestSingleFrequency:
     def test_field_length_checked(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
         with pytest.raises(DataFormatError):
-            migrate_single(sc, np.ones(4, dtype=complex), 2500.0)
-        with pytest.raises(ValueError):
-            migrate_single(sc, np.ones(5, dtype=complex), 0.0)
+            single(sc, np.ones(4, dtype=complex), 400.0)
 
 
 class TestBroadband:
@@ -104,18 +107,19 @@ class TestBroadband:
         sc = imaging_scene(n_receivers=5, count=4, half_extent=3)
         rng = np.random.default_rng(2)
         fields = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-        img = migrate_broadband(sc, list(fields))
-        acc = sum(migrate_single(sc, fields[i], float(w)).values
-                  for i, w in enumerate(sc.band.omegas))
+        (img,) = migrate_broadband_stack(sc, fields[:, :, None])
+        freqs = np.linspace(sc.band.f_min_hz, sc.band.f_max_hz, sc.band.count)
+        acc = sum(single(sc, fields[i], float(f)).values for i, f in enumerate(freqs))
         assert np.allclose(img.values, sc.band.delta_omega * acc, rtol=1e-13)
 
     def test_single_sample_band_has_unit_weight(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
         sc = sc.with_band(FrequencyGrid(600.0, 600.0, 1))
         field = np.ones(5, dtype=complex)
-        broad = migrate_broadband(sc, [field])
-        single = migrate_single(sc, field, float(sc.band.omegas[0]))
-        assert np.array_equal(broad.values, single.values)
+        (broad,) = migrate_broadband_stack(sc, field[None, :, None])
+        raw = _apply_kernel(*_geometry(sc, sc.window), float(sc.band.omegas[0]) / sc.c0,
+                            sc.dimension, field[:, None])
+        assert np.array_equal(broad.values, raw.reshape(5, 5))
 
     def test_stack_shares_the_kernel_pass(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
@@ -123,7 +127,7 @@ class TestBroadband:
         f = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
         one, two = migrate_broadband_stack(sc, np.stack([f, 2.0 * f], axis=2))
         assert np.allclose(two.values, 2.0 * one.values, rtol=1e-14)
-        alone = migrate_broadband(sc, list(f))
+        (alone,) = migrate_broadband_stack(sc, f[:, :, None])
         assert np.allclose(one.values, alone.values, rtol=1e-13)
 
     def test_thread_count_does_not_change_bits(self):
@@ -140,7 +144,7 @@ class TestBroadband:
         with pytest.raises(DataFormatError):
             migrate_broadband_stack(sc, np.ones((2, 5, 1), dtype=complex))
         with pytest.raises(DataFormatError):
-            migrate_broadband(sc, [np.ones(5)] * 2)
+            migrate_broadband_stack(sc, np.ones((3, 5), dtype=complex))
 
     def test_matched_filter_peaks_on_the_scatterer(self):
         for dimension, n, count, he in ((3, 17, 9, 8), (2, 9, 5, 4)):
@@ -181,7 +185,7 @@ class TestCollisions:
 
     def test_receiver_collision_masks_one_cell(self):
         sc = self.collision_scene()
-        img = migrate_single(sc, np.ones(3, dtype=complex), 2000.0)
+        img = single(sc, np.ones(3, dtype=complex), 300.0)
         nan_mask = np.isnan(img.values.real)
         assert nan_mask[1, 1]
         assert nan_mask.sum() == 1
@@ -191,14 +195,14 @@ class TestCollisions:
         from dataclasses import replace
         sc = replace(sc, receivers=np.array([[0.0, -1.0], [0.0, 1.0]]),
                      source=np.array([5.0, 0.2]))
-        img = migrate_single(sc, np.ones(2, dtype=complex), 2000.0)
+        img = single(sc, np.ones(2, dtype=complex), 300.0)
         nan_mask = np.isnan(img.values.real)
         assert nan_mask[1, 2]
         assert nan_mask.sum() == 1
 
     def test_metrics_skip_masked_cells(self):
         sc = self.collision_scene()
-        img = migrate_broadband(sc, [np.ones(3, dtype=complex)] * 3)
+        (img,) = migrate_broadband_stack(sc, np.ones((3, 3, 1), dtype=complex))
         metrics = image_metrics(img, sc)
         assert not math.isnan(metrics.peak_value)
         assert metrics.peak_value > 0.0

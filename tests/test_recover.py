@@ -275,10 +275,20 @@ class TestConditionNumber:
         assert condition_number(sc, omega) == pytest.approx(
             np.linalg.cond(m.materialize()), rel=1e-12)
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_band_call_equals_per_frequency_calls(self, dimension):
+        sc = random_scene(np.random.default_rng(18), dimension)
+        omegas = sc.band.omegas
+        singles = [condition_number(sc, w) for w in omegas]
+        assert all(type(v) is float for v in singles)
+        assert np.array_equal(condition_number(sc, omegas), singles)
+
     def test_omega_domain(self):
         sc = random_scene(np.random.default_rng(17), 3)
         with pytest.raises(ValueError):
             condition_number(sc, 0.0)
+        with pytest.raises(ValueError):
+            condition_number(sc, np.array([100.0, 0.0]))
 
 
 def flat_scene(source, window_center=(5.0, 0.0), half_extent=2, spacing=0.25):

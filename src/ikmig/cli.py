@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -61,7 +61,7 @@ _NOISE_FRACTION_DEFAULT = 0.1
 
 
 class _UsageError(Exception):
-    """Bad flag combination; maps to exit code 2."""
+    """Bad flag value or combination; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,7 @@ def _load_scene(spec: str):
 
 def _atomic(path: str, writer) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     os.close(fd)
     try:
@@ -141,12 +142,6 @@ def _write_image_pair(out_dir: str, name: str, image) -> list:
     return [cpath, gpath]
 
 
-def _warn_geometry(report) -> None:
-    if not report.ok:
-        print(f"warning: geometric visibility violated at receivers "
-              f"{list(report.violating_receivers)[:8]}", file=sys.stderr)
-
-
 def _write_manifest(out_dir: str, command: str, scene, params: dict,
                     inputs: dict, outputs: list) -> None:
     manifest = {
@@ -163,40 +158,24 @@ def _write_manifest(out_dir: str, command: str, scene, params: dict,
 
 
 def _metrics_dict(m) -> dict:
-    return {
-        "peak_cell": list(m.peak_cell),
-        "peak_position_m": list(m.peak_position),
-        "peak_value": m.peak_value,
-        "range_axis": m.range_axis,
-        "range_fwhm_m": m.range_fwhm_m,
-        "crossrange_fwhm_m": m.crossrange_fwhm_m,
-        "rayleigh_estimate_m": m.rayleigh_estimate_m,
-        "range_estimate_m": m.range_estimate_m,
-        "correlation": m.correlation,
-        "flags": list(m.flags),
-    }
-
-
-def _geometry_dict(report) -> dict:
-    return {
-        "ok": report.ok,
-        "violating_receivers": list(report.violating_receivers),
-        "theta_tol": report.theta_tol,
-    }
-
-
-def _peak_displacement(a, b) -> int:
-    return max(abs(a.peak_cell[0] - b.peak_cell[0]), abs(a.peak_cell[1] - b.peak_cell[1]))
+    d = asdict(m)
+    d["peak_position_m"] = d.pop("peak_position")
+    return d
 
 
 def _synthesize(scene, stochastic: bool, seed, noise_fraction):
     if noise_fraction is not None and not stochastic:
         raise _UsageError("--noise-fraction requires --stochastic")
+    if noise_fraction is not None and not (math.isfinite(noise_fraction) and noise_fraction >= 0):
+        raise _UsageError(f"--noise-fraction must be finite and >= 0, got {noise_fraction}")
     if not stochastic:
         return intensity_data(scene)
     if seed is None:
         raise _UsageError("stochastic synthesis requires --seed")
-    spectrum = PowerSpectrum.for_band(scene.band)
+    try:
+        spectrum = PowerSpectrum.for_band(scene.band)
+    except ValueError as exc:
+        raise _UsageError(f"--stochastic: {exc}") from None
     draw = sample_illumination(spectrum, scene.band, seed)
     if noise_fraction:
         return noisy_power_data(scene, draw, noise_fraction, seed)
@@ -211,6 +190,70 @@ def _write_data(data, out_dir: str) -> list:
     return [ipath, lpath]
 
 
+def _read_field(path: str, scene, name: str):
+    """(F, N) values of a field file checked against the scene's band and array."""
+    omegas, values = read_field_csv(path)
+    band = scene.band.omegas
+    if omegas.shape != band.shape or np.any(omegas != band):
+        raise DataFormatError(f"{name} frequencies do not match the scene band")
+    if values.shape[1] != scene.n_receivers:
+        raise DataFormatError(f"{name} receiver count does not match the scene")
+    return values
+
+
+def _write_condition(out_dir: str, scenes: dict) -> str:
+    """condition.csv: one column of condition numbers per named scene."""
+    omegas = next(iter(scenes.values())).band.omegas
+    columns = [np.arange(omegas.shape[0]), omegas]
+    columns += [condition_number(scene, omegas) for scene in scenes.values()]
+    header = ",".join(["freq_index", "omega_rad_s", *scenes])
+    cpath = os.path.join(out_dir, "condition.csv")
+    _atomic(cpath, lambda p: _write_columns(p, header, columns))
+    return cpath
+
+
+# ---------------------------------------------------------------------------
+# stages shared by the commands and the experiments
+# ---------------------------------------------------------------------------
+
+
+def _recover(scene, data, out_dir: str):
+    """Recover the projected field and write recovered.csv.
+
+    Returns (ptilde, geometry report, path); a failed geometry check warns.
+    """
+    ptilde = recover_band(scene, data)
+    geometry = check_geometric_condition(scene)
+    if not geometry.ok:
+        print(f"warning: geometric visibility violated at receivers "
+              f"{list(geometry.violating_receivers)[:8]}", file=sys.stderr)
+    fpath = os.path.join(out_dir, "recovered.csv")
+    _atomic(fpath, lambda p: write_field_csv(scene.band.omegas, ptilde, p))
+    return ptilde, geometry, fpath
+
+
+def _migrate(scene, fields: dict, threads: int, out_dir: str):
+    """Migrate the named (F, N) fields in one kernel pass, stacked in dict order.
+
+    Writes ``name``.csv and ``name``.pgm per field; returns
+    ({name: image}, written paths).
+    """
+    stack = np.stack(list(fields.values()), axis=2)
+    images = dict(zip(fields, migrate_broadband_stack(scene, stack, threads=threads)))
+    outputs = []
+    for name, image in images.items():
+        outputs += _write_image_pair(out_dir, name, image)
+    return images, outputs
+
+
+def _compare(image, reference, scene):
+    """(image metrics against the reference, reference metrics, peak offset in cells)."""
+    metrics = image_metrics(image, scene, reference=reference)
+    ref_metrics = image_metrics(reference, scene)
+    shift = max(abs(a - b) for a, b in zip(metrics.peak_cell, ref_metrics.peak_cell))
+    return _metrics_dict(metrics), _metrics_dict(ref_metrics), shift
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -219,7 +262,6 @@ def _write_data(data, out_dir: str) -> list:
 def cmd_simulate(args) -> int:
     scene = _load_scene(args.scene)
     data = _synthesize(scene, args.stochastic, args.seed, args.noise_fraction)
-    os.makedirs(args.out, exist_ok=True)
     outputs = _write_data(data, args.out)
     _write_manifest(args.out, "simulate", scene,
                     {"scene": args.scene, "stochastic": args.stochastic,
@@ -235,15 +277,10 @@ def cmd_recover(args) -> int:
         sibling = os.path.join(os.path.dirname(os.path.abspath(args.data)), "illumination.csv")
         illum = sibling if os.path.exists(sibling) else None
     data = read_intensity_csv(args.data, illum)
-    ptilde = recover_band(scene, data)
-    geometry = check_geometric_condition(scene)
-    _warn_geometry(geometry)
-    conds = condition_number(scene, scene.band.omegas)
-    os.makedirs(args.out, exist_ok=True)
-    fpath = os.path.join(args.out, "recovered.csv")
-    _atomic(fpath, lambda p: write_field_csv(scene.band.omegas, ptilde, p))
+    _, geometry, fpath = _recover(scene, data, args.out)
     rpath = os.path.join(args.out, "report.json")
-    _write_json({"conditioning": conds, "geometry": _geometry_dict(geometry)}, rpath)
+    _write_json({"conditioning": condition_number(scene, scene.band.omegas),
+                 "geometry": asdict(geometry)}, rpath)
     inputs = {"data": args.data, **_scene_inputs(args.scene)}
     if illum is not None:
         inputs["illumination"] = illum
@@ -252,54 +289,30 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _check_field_grid(scene, omegas) -> None:
-    band = scene.band.omegas
-    if omegas.shape != band.shape or np.any(omegas != band):
-        raise DataFormatError("field frequencies do not match the scene band")
-
-
 def cmd_migrate(args) -> int:
     scene = _load_scene(args.scene)
-    omegas, values = read_field_csv(args.field)
-    _check_field_grid(scene, omegas)
-    if values.shape[1] != scene.n_receivers:
-        raise DataFormatError("field receiver count does not match the scene")
-    stacks = [values]
-    if args.reference:
-        r_omegas, r_values = read_field_csv(args.reference)
-        _check_field_grid(scene, r_omegas)
-        stacks.append(r_values)
-    images = migrate_broadband_stack(scene, np.stack(stacks, axis=2), threads=args.threads)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = _write_image_pair(args.out, "image", images[0])
-    if args.reference:
-        metrics = image_metrics(images[0], scene, reference=images[1])
-        ref_metrics = image_metrics(images[1], scene)
-        payload = {"image": _metrics_dict(metrics),
-                   "reference": _metrics_dict(ref_metrics),
-                   "peak_displacement_cells": _peak_displacement(metrics, ref_metrics)}
-        outputs += _write_image_pair(args.out, "image_reference", images[1])
-    else:
-        payload = {"image": _metrics_dict(image_metrics(images[0], scene))}
-    mpath = os.path.join(args.out, "metrics.json")
-    _write_json(payload, mpath)
-    outputs.append(mpath)
+    fields = {"image": _read_field(args.field, scene, "field")}
     inputs = {"field": args.field, **_scene_inputs(args.scene)}
     if args.reference:
+        fields["image_reference"] = _read_field(args.reference, scene, "reference")
         inputs["reference"] = args.reference
+    images, outputs = _migrate(scene, fields, args.threads, args.out)
+    if args.reference:
+        image, reference, shift = _compare(images["image"], images["image_reference"], scene)
+        payload = {"image": image, "reference": reference, "peak_displacement_cells": shift}
+    else:
+        payload = {"image": _metrics_dict(image_metrics(images["image"], scene))}
+    mpath = os.path.join(args.out, "metrics.json")
+    _write_json(payload, mpath)
     _write_manifest(args.out, "migrate", scene,
-                    {"scene": args.scene, "threads": args.threads}, inputs, outputs)
+                    {"scene": args.scene, "threads": args.threads}, inputs, outputs + [mpath])
     return 0
 
 
 def _experiment_condition_study(out_dir: str) -> int:
     scene3 = preset_scene("point")
-    scene2 = replace(scene3, dimension=2)
-    omegas = scene3.band.omegas
-    columns = (np.arange(omegas.shape[0]), omegas, condition_number(scene3, omegas),
-               condition_number(scene2, omegas))
-    cpath = os.path.join(out_dir, "condition.csv")
-    _atomic(cpath, lambda p: _write_columns(p, "freq_index,omega_rad_s,cond_d3,cond_d2", columns))
+    cpath = _write_condition(out_dir, {"cond_d3": scene3,
+                                       "cond_d2": replace(scene3, dimension=2)})
     dists = np.linalg.norm(scene3.receivers - scene3.source, axis=1)
     ratio = float(dists.max() / dists.min())
     lpath = os.path.join(out_dir, "limits.json")
@@ -315,10 +328,9 @@ def _experiment_spurious(out_dir: str, threads: int) -> int:
     outputs = (_write_image_pair(out_dir, "image_mirror", mirror)
                + _write_image_pair(out_dir, "image_true", true_img))
     rpath = os.path.join(out_dir, "report.json")
-    _write_json({"ratio": report.ratio, "degenerate": report.degenerate,
-                 "geometry_ok": report.geometry_ok}, rpath)
-    outputs.append(rpath)
-    _write_manifest(out_dir, "experiment", scene, {"case": "spurious_term"}, {}, outputs)
+    _write_json(asdict(report), rpath)
+    _write_manifest(out_dir, "experiment", scene, {"case": "spurious_term"}, {},
+                    outputs + [rpath])
     return 0
 
 
@@ -326,61 +338,39 @@ def cmd_experiment(args) -> int:
     case = args.case
     if case not in EXPERIMENT_CASES:
         raise _UsageError(f"unknown case {case!r}; choose from {', '.join(EXPERIMENT_CASES)}")
-    os.makedirs(args.out, exist_ok=True)
     if case == "condition_study":
         return _experiment_condition_study(args.out)
     if case == "spurious_term":
         return _experiment_spurious(args.out, args.threads)
 
     stochastic = case in ("stochastic", "stochastic_noisy")
-    scene_case = "stochastic" if case == "stochastic_noisy" else case
-    scene = preset_scene(scene_case)
+    scene = preset_scene("stochastic" if case == "stochastic_noisy" else case)
     noise = _NOISE_FRACTION_DEFAULT if case == "stochastic_noisy" else None
     data = _synthesize(scene, stochastic, args.seed, noise)
-
     spath = os.path.join(args.out, "scene.json")
     _write_text(spath, emit_scene(scene))
     outputs = [spath] + _write_data(data, args.out)
 
-    ptilde = recover_band(scene, data)
-    geometry = check_geometric_condition(scene)
-    _warn_geometry(geometry)
-    fpath = os.path.join(args.out, "recovered.csv")
-    _atomic(fpath, lambda p: write_field_csv(scene.band.omegas, ptilde, p))
-    outputs.append(fpath)
-
-    p = array_response_band(scene)
-    img_true, img_rec = migrate_broadband_stack(
-        scene, np.stack([p, ptilde], axis=2), threads=args.threads)
-    outputs += _write_image_pair(args.out, "image_true", img_true)
-    outputs += _write_image_pair(args.out, "image_recovered", img_rec)
-
-    m_true = image_metrics(img_true, scene)
-    m_rec = image_metrics(img_rec, scene, reference=img_true)
+    # `recover` then `migrate --reference` run these stages and write the same bytes.
+    ptilde, geometry, fpath = _recover(scene, data, args.out)
+    images, image_paths = _migrate(
+        scene, {"image_true": array_response_band(scene), "image_recovered": ptilde},
+        args.threads, args.out)
+    recovered, true, shift = _compare(images["image_recovered"], images["image_true"], scene)
     residual = float(np.max(linearization_residual(scene, scene.band.omegas)))
     mpath = os.path.join(args.out, "metrics.json")
-    _write_json({
-        "true": _metrics_dict(m_true),
-        "recovered": _metrics_dict(m_rec),
-        "peak_displacement_cells": _peak_displacement(m_rec, m_true),
-        "linearization_residual_max": residual,
-        "geometry": _geometry_dict(geometry),
-    }, mpath)
-    outputs.append(mpath)
+    _write_json({"true": true, "recovered": recovered, "peak_displacement_cells": shift,
+                 "linearization_residual_max": residual, "geometry": asdict(geometry)}, mpath)
     _write_manifest(args.out, "experiment", scene,
                     {"case": case, "seed": args.seed, "threads": args.threads,
                      "noise_fraction": noise},
-                    {}, outputs)
+                    {}, outputs + [fpath] + image_paths + [mpath])
     return 0
 
 
 def cmd_condition(args) -> int:
     scene = _load_scene(args.scene)
-    omegas = scene.band.omegas
-    columns = (np.arange(omegas.shape[0]), omegas, condition_number(scene, omegas))
-    os.makedirs(args.out, exist_ok=True)
-    cpath = os.path.join(args.out, "condition.csv")
-    _atomic(cpath, lambda p: _write_columns(p, "freq_index,omega_rad_s,cond", columns))
+    cpath = _write_condition(args.out, {"cond": scene})
     _write_manifest(args.out, "condition", scene, {"scene": args.scene},
                     _scene_inputs(args.scene), [cpath])
     return 0
@@ -389,12 +379,11 @@ def cmd_condition(args) -> int:
 def cmd_check_geometry(args) -> int:
     scene = _load_scene(args.scene)
     report = check_geometric_condition(scene)
-    payload = _geometry_dict(report)
+    payload = asdict(report)
     print(json.dumps(payload, indent=1, sort_keys=True))
     if not report.ok:
         print("warning: source lies inside a receiver view cone", file=sys.stderr)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         gpath = os.path.join(args.out, "geometry.json")
         _write_json(payload, gpath)
         _write_manifest(args.out, "check-geometry", scene, {"scene": args.scene},
@@ -411,6 +400,13 @@ def _u64(text: str) -> int:
     value = int(text, 0)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must lie in [0, 2**64)")
+    return value
+
+
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("thread count must be at least 1")
     return value
 
 
@@ -445,14 +441,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--reference", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.set_defaults(func=cmd_migrate)
 
     p = sub.add_parser("experiment", help="run a named end-to-end case")
     p.add_argument("--case", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_u64, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("condition", help="per-frequency condition numbers")

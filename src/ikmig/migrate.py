@@ -24,7 +24,7 @@ from .forward import (
     direct_arrivals_band,
 )
 from .recover import check_geometric_condition
-from .scene import ImageWindowSpec, Scene, scene_digest
+from .scene import ImageWindowSpec, Scene
 from .specfun import hankel0_1
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "spurious_term_image",
     "image_metrics",
     "magnitude_correlation",
-    "export_image",
     "write_image_csv",
     "write_image_pgm",
     "read_image_csv",
@@ -48,13 +47,10 @@ _COLLISION_FRACTION = 1e-9
 
 @dataclass(frozen=True)
 class ImageGrid:
-    """Complex image on a square window grid, plus provenance metadata."""
+    """Complex image on a square window grid."""
 
     window: ImageWindowSpec
     values: np.ndarray
-    omegas: np.ndarray
-    n_receivers: int
-    scene_sha256: str
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -153,11 +149,7 @@ def migrate_broadband_stack(
     total *= scene.band.delta_omega
 
     n = window.cells_per_side
-    digest = scene_digest(scene)
-    return [
-        ImageGrid(window, total[:, s].reshape(n, n), omegas, scene.n_receivers, digest)
-        for s in range(stack.shape[2])
-    ]
+    return [ImageGrid(window, total[:, s].reshape(n, n)) for s in range(stack.shape[2])]
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +370,3 @@ def write_image_pgm(image: ImageGrid, path) -> None:
         lines.append(" ".join(str(int(pixels[i, j])) for i in range(n)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def export_image(image: ImageGrid, path) -> None:
-    """Write CSV or PGM depending on the path suffix."""
-    text = str(path)
-    if text.endswith(".csv"):
-        write_image_csv(image, path)
-    elif text.endswith(".pgm"):
-        write_image_pgm(image, path)
-    else:
-        raise DataFormatError(f"unsupported image suffix in {text!r}")

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikmig import migrate as migrate_module
 from ikmig.cli import main
@@ -28,6 +30,7 @@ from ikmig.scene import (
     Scene,
     emit_scene,
     linear_array,
+    parse_scene,
     preset_scene,
 )
 
@@ -39,6 +42,14 @@ def sha256(path):
 def assert_clean_dir(path):
     leftovers = list(path.glob("*.tmp"))
     assert leftovers == []
+
+
+def exit_code(argv):
+    """main's return code, counting argparse's SystemExit as its exit code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def small_scene():
@@ -66,6 +77,16 @@ def point_rec(tmp_path_factory, point_sim):
     rc = main(["recover", "--scene", "preset:point",
                "--data", str(point_sim / "intensity.csv"), "--out", str(out)])
     assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """scene.json and recovered.csv of small_scene()."""
+    out = tmp_path_factory.mktemp("small")
+    sc = small_scene()
+    (out / "scene.json").write_text(emit_scene(sc))
+    write_field_csv(sc.band.omegas, recover_band(sc, intensity_data(sc)), out / "recovered.csv")
     return out
 
 
@@ -220,6 +241,15 @@ class TestMigrate:
                    "--out", str(out)])
         assert rc == 2
 
+    def test_reference_receiver_count_is_a_format_error(self, prepared, tmp_path, capsys):
+        sc, spath, fpath, _, _, p = prepared
+        short = tmp_path / "short.csv"
+        write_field_csv(sc.band.omegas, p[:, :-1], short)
+        rc = main(["migrate", "--scene", str(spath), "--field", str(fpath),
+                   "--reference", str(short), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "reference receiver count" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_point_metrics(self, exp_point):
@@ -252,6 +282,24 @@ class TestExperiment:
         got_rec = read_image_csv(exp_point / "image_recovered.csv")
         assert np.array_equal(got_true["values"], img_true.values)
         assert np.array_equal(got_rec["values"], img_rec.values)
+
+    def test_equals_recover_then_migrate(self, exp_point, tmp_path):
+        # The experiment runs the same stages as `recover` then `migrate --reference`.
+        scene = exp_point / "scene.json"
+        sc = parse_scene(scene.read_text())
+        truth = tmp_path / "truth.csv"
+        write_field_csv(sc.band.omegas, array_response_band(sc), truth)
+        rec, mig = tmp_path / "rec", tmp_path / "mig"
+        assert main(["recover", "--scene", str(scene),
+                     "--data", str(exp_point / "intensity.csv"), "--out", str(rec)]) == 0
+        assert main(["migrate", "--scene", str(scene), "--field", str(rec / "recovered.csv"),
+                     "--reference", str(truth), "--threads", "2", "--out", str(mig)]) == 0
+        for got, want in ((rec / "recovered.csv", "recovered.csv"),
+                          (mig / "image.csv", "image_recovered.csv"),
+                          (mig / "image.pgm", "image_recovered.pgm"),
+                          (mig / "image_reference.csv", "image_true.csv"),
+                          (mig / "image_reference.pgm", "image_true.pgm")):
+            assert got.read_bytes() == (exp_point / want).read_bytes(), want
 
     def test_stochastic_requires_seed(self, tmp_path):
         out = tmp_path / "out"
@@ -366,6 +414,30 @@ class TestExitCodes:
         assert rc == 2
         assert "requires --seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+    def test_noise_fraction_must_be_finite_and_nonnegative(self, tmp_path, capsys, value):
+        rc = main(["simulate", "--scene", "preset:point", "--stochastic", "--seed", "1",
+                   "--noise-fraction", value, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "--noise-fraction" in capsys.readouterr().err
+
+    def test_stochastic_needs_a_band_of_positive_width(self, tmp_path, capsys):
+        spath = tmp_path / "scene.json"
+        spath.write_text(emit_scene(small_scene().with_band(FrequencyGrid(600.0, 600.0, 1))))
+        rc = main(["simulate", "--scene", str(spath), "--stochastic", "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "band must span a positive width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_must_be_positive(self, small_files, tmp_path, capsys, threads):
+        for command in (["migrate", "--scene", str(small_files / "scene.json"),
+                         "--field", str(small_files / "recovered.csv")],
+                        ["experiment", "--case", "condition_study"]):
+            rc = exit_code(command + ["--threads", threads, "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert "--threads" in capsys.readouterr().err
+
     def test_missing_scene_file(self, tmp_path):
         rc = main(["simulate", "--scene", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "o")])
@@ -442,3 +514,16 @@ def test_commands_close_their_files(tmp_path):
              *args], capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "ResourceWarning" not in proc.stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(noise=st.floats(), threads=st.integers(-2, 4))
+def test_fuzzed_flags_keep_the_exit_code_contract(small_files, noise, threads):
+    scene = str(small_files / "scene.json")
+    out = str(small_files / "fuzz")
+    rc = exit_code(["simulate", "--scene", scene, "--stochastic", "--seed", "1",
+                    f"--noise-fraction={noise!r}", "--out", out])
+    assert rc in {0, 2, 3, 4}
+    rc = exit_code(["migrate", "--scene", scene, "--field", str(small_files / "recovered.csv"),
+                    f"--threads={threads}", "--out", out])
+    assert rc in {0, 2, 3, 4}

@@ -66,8 +66,7 @@ class TestPinnedText:
             [1 / 3, complex(math.nan, math.nan), 3 + 4j],
             [0, -1j, 2e300 + 2e300j],
         ])
-        image = ImageGrid(ImageWindowSpec((0.1, 1 / 3), 0.1, 1), values,
-                          np.array([1.0]), 1, "x")
+        image = ImageGrid(ImageWindowSpec((0.1, 1 / 3), 0.1, 1), values)
         write_image_csv(image, tmp_path / "m.csv")
         assert (tmp_path / "m.csv").read_text() == (
             "ix,iy,x_m,y_m,re,im,abs\n"
@@ -163,7 +162,7 @@ def images(draw):
         allow_nan=False, allow_infinity=False)))
     masked = draw(hnp.arrays(bool, (n, n)))
     values[masked] = complex(math.nan, math.nan)
-    return ImageGrid(window, values, np.array([1.0]), 1, "x")
+    return ImageGrid(window, values)
 
 
 @ROUND_TRIP

@@ -9,7 +9,6 @@ from ikmig.errors import DataFormatError
 from ikmig.forward import array_response_band, direct_arrivals_band, intensity_data
 from ikmig.migrate import (
     ImageGrid,
-    export_image,
     image_metrics,
     _apply_kernel,
     _geometry,
@@ -91,9 +90,6 @@ class TestSingleFrequency:
     def test_metadata(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
         img = single(sc, np.ones(5, dtype=complex), 400.0)
-        assert img.omegas.tolist() == [2.0 * math.pi * 400.0]
-        assert img.n_receivers == 5
-        assert len(img.scene_sha256) == 64
         assert img.values.shape == (5, 5)
 
     def test_field_length_checked(self):
@@ -212,17 +208,17 @@ class TestImageGrid:
     def test_shape_must_match_window(self):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         with pytest.raises(DataFormatError):
-            ImageGrid(win, np.zeros((2, 2), dtype=complex), np.array([1.0]), 1, "x")
+            ImageGrid(win, np.zeros((2, 2), dtype=complex))
 
     def test_values_read_only(self):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        img = ImageGrid(win, np.zeros((3, 3), dtype=complex), np.array([1.0]), 1, "x")
+        img = ImageGrid(win, np.zeros((3, 3), dtype=complex))
         with pytest.raises(ValueError):
             img.values[0, 0] = 1.0
 
     def test_magnitude(self):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 0)
-        img = ImageGrid(win, np.array([[3 + 4j]]), np.array([1.0]), 1, "x")
+        img = ImageGrid(win, np.array([[3 + 4j]]))
         assert img.magnitude[0, 0] == pytest.approx(5.0)
 
 
@@ -231,7 +227,7 @@ def gaussian_image(sigma_x, sigma_y, spacing=0.5, half_extent=10, center=(20.0, 
     off = win.cell_offsets() * spacing
     mag = np.exp(-off[:, None] ** 2 / (2 * sigma_x**2)
                  - off[None, :] ** 2 / (2 * sigma_y**2))
-    return ImageGrid(win, mag.astype(complex), np.array([1.0]), 1, "x")
+    return ImageGrid(win, mag.astype(complex))
 
 
 def metrics_scene(window):
@@ -271,7 +267,7 @@ class TestMetrics:
 
     def test_zero_image_is_degenerate(self):
         win = ImageWindowSpec((20.0, 0.0), 0.5, 3)
-        img = ImageGrid(win, np.zeros((7, 7), dtype=complex), np.array([1.0]), 1, "x")
+        img = ImageGrid(win, np.zeros((7, 7), dtype=complex))
         m = image_metrics(img, metrics_scene(win))
         assert "degenerate_zero_image" in m.flags
         assert m.peak_value == 0.0
@@ -305,7 +301,7 @@ class TestMetrics:
         win = ImageWindowSpec((20.0, 0.0), 0.5, 3)
         vals = np.zeros((7, 7), dtype=complex)
         vals[5, 2] = 2.0
-        img = ImageGrid(win, vals, np.array([1.0]), 1, "x")
+        img = ImageGrid(win, vals)
         m = image_metrics(img, metrics_scene(win))
         assert m.peak_cell == (2, -1)
         assert m.peak_position == (21.0, -0.5)
@@ -318,7 +314,7 @@ class TestCorrelation:
 
     def test_scale_invariant_in_magnitude(self):
         a = gaussian_image(1.0, 1.0)
-        b = ImageGrid(a.window, 3j * a.values, a.omegas, 1, "x")
+        b = ImageGrid(a.window, 3j * a.values)
         assert magnitude_correlation(a, b) == pytest.approx(1.0, rel=1e-14)
 
     def test_disjoint_supports(self):
@@ -327,13 +323,13 @@ class TestCorrelation:
         b = np.zeros((3, 3), dtype=complex)
         a[0, 0] = 1.0
         b[2, 2] = 1.0
-        ia = ImageGrid(win, a, np.array([1.0]), 1, "x")
-        ib = ImageGrid(win, b, np.array([1.0]), 1, "x")
+        ia = ImageGrid(win, a)
+        ib = ImageGrid(win, b)
         assert magnitude_correlation(ia, ib) == 0.0
 
     def test_zero_image_correlates_to_zero(self):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        z = ImageGrid(win, np.zeros((3, 3), dtype=complex), np.array([1.0]), 1, "x")
+        z = ImageGrid(win, np.zeros((3, 3), dtype=complex))
         g = gaussian_image(1.0, 1.0, half_extent=1, center=(0.0, 0.0))
         assert magnitude_correlation(z, g) == 0.0
 
@@ -396,7 +392,7 @@ class TestExports:
     def test_csv_header_and_order(self, tmp_path):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         vals = np.arange(9, dtype=complex).reshape(3, 3)
-        img = ImageGrid(win, vals, np.array([1.0]), 1, "x")
+        img = ImageGrid(win, vals)
         path = tmp_path / "image.csv"
         write_image_csv(img, path)
         lines = path.read_text().splitlines()
@@ -420,7 +416,7 @@ class TestExports:
         with pytest.raises(DataFormatError, match="square"):
             read_image_csv(path)
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        img = ImageGrid(win, np.arange(9, dtype=complex).reshape(3, 3), np.array([1.0]), 1, "x")
+        img = ImageGrid(win, np.arange(9, dtype=complex).reshape(3, 3))
         write_image_csv(img, path)
         rows = path.read_text().splitlines()
         assert rows[3].startswith("-1,1,")
@@ -433,7 +429,7 @@ class TestExports:
     def test_pgm_golden(self, tmp_path):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         vals = np.arange(9, dtype=float).reshape(3, 3)
-        img = ImageGrid(win, vals.astype(complex), np.array([1.0]), 1, "x")
+        img = ImageGrid(win, vals.astype(complex))
         path = tmp_path / "image.pgm"
         write_image_pgm(img, path)
         assert path.read_text() == (
@@ -447,7 +443,7 @@ class TestExports:
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         vals = np.zeros((3, 3), dtype=complex)
         vals[0, 2] = 1.0
-        img = ImageGrid(win, vals, np.array([1.0]), 1, "x")
+        img = ImageGrid(win, vals)
         path = tmp_path / "image.pgm"
         write_image_pgm(img, path)
         rows = path.read_text().splitlines()[3:]
@@ -457,14 +453,14 @@ class TestExports:
 
     def test_pgm_flat_nonzero_is_white(self, tmp_path):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        img = ImageGrid(win, np.full((3, 3), 2.0, dtype=complex), np.array([1.0]), 1, "x")
+        img = ImageGrid(win, np.full((3, 3), 2.0, dtype=complex))
         path = tmp_path / "flat.pgm"
         write_image_pgm(img, path)
         assert path.read_text().splitlines()[3:] == ["255 255 255"] * 3
 
     def test_pgm_zero_image_is_black(self, tmp_path):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        img = ImageGrid(win, np.zeros((3, 3), dtype=complex), np.array([1.0]), 1, "x")
+        img = ImageGrid(win, np.zeros((3, 3), dtype=complex))
         path = tmp_path / "zero.pgm"
         write_image_pgm(img, path)
         assert path.read_text().splitlines()[3:] == ["0 0 0"] * 3
@@ -473,17 +469,8 @@ class TestExports:
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         vals = np.full((3, 3), 5.0, dtype=complex)
         vals[1, 1] = complex(math.nan, math.nan)
-        img = ImageGrid(win, vals, np.array([1.0]), 1, "x")
+        img = ImageGrid(win, vals)
         path = tmp_path / "masked.pgm"
         write_image_pgm(img, path)
         rows = path.read_text().splitlines()[3:]
         assert rows[1] == "255 0 255"
-
-    def test_export_dispatch(self, tmp_path):
-        img = gaussian_image(1.0, 1.0, half_extent=1, center=(0.0, 0.0))
-        export_image(img, tmp_path / "a.csv")
-        export_image(img, tmp_path / "a.pgm")
-        assert (tmp_path / "a.csv").exists()
-        assert (tmp_path / "a.pgm").read_text().startswith("P2\n")
-        with pytest.raises(DataFormatError, match="suffix"):
-            export_image(img, tmp_path / "a.png")

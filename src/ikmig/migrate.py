@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DataFormatError
 from .forward import (
     _complex,
+    _distances,
+    _green_from_distance,
     _grid_shape,
     _read_columns,
     _write_columns,
@@ -25,7 +27,6 @@ from .forward import (
 )
 from .recover import check_geometric_condition
 from .scene import ImageWindowSpec, Scene
-from .specfun import hankel0_1
 
 __all__ = [
     "ImageGrid",
@@ -43,6 +44,10 @@ __all__ = [
 # Cells closer to a receiver/source than this fraction of the cell spacing
 # are treated as collisions.
 _COLLISION_FRACTION = 1e-9
+
+# Cells per migration block: the unit of work of one worker, and the bound
+# on the (cells x N) temporaries of one kernel pass.
+_BLOCK_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -70,35 +75,29 @@ class ImageGrid:
 # ---------------------------------------------------------------------------
 
 
-def _geometry(scene: Scene, window: ImageWindowSpec):
-    """Distances from each cell to the receivers and to the source."""
-    pos = window.cell_positions()
-    n = window.cells_per_side
-    if pos.shape[2] != scene.coords:
-        raise DataFormatError("window coordinate length must match the scene")
-    cells = pos.reshape(n * n, -1)
-    d_recv = np.linalg.norm(cells[:, None, :] - scene.receivers[None, :, :], axis=2)
-    d_src = np.linalg.norm(cells - scene.source[None, :], axis=1)
-    eps = _COLLISION_FRACTION * window.spacing
+def _geometry(scene: Scene, cells: np.ndarray, spacing: float):
+    """Distances from each of the (B, coords) cells to the receivers and to
+    the source, and the mask of cells that collide with either."""
+    d_recv = _distances(cells[:, None, :], scene.receivers[None, :, :])
+    d_src = _distances(cells, scene.source)
+    eps = _COLLISION_FRACTION * spacing
     mask = (d_recv < eps).any(axis=1) | (d_src < eps)
-    if mask.any():
-        d_recv = d_recv.copy()
-        d_src = d_src.copy()
-        d_recv[mask, :] = 1.0
-        d_src[mask] = 1.0
+    d_recv[mask, :] = 1.0
+    d_src[mask] = 1.0
     return d_recv, d_src, mask
 
 
 def _apply_kernel(d_recv, d_src, mask, k: float, dimension: int, stack: np.ndarray):
-    """Migrate a (N, S) stack of fields at wavenumber k; returns (cells, S)."""
-    if dimension == 3:
-        kernel = np.exp(-1j * k * (d_recv + d_src[:, None]))
-        kernel /= (16.0 * math.pi * math.pi) * d_recv * d_src[:, None]
-    else:
-        g_recv = 0.25j * hankel0_1(k * d_recv)
-        g_src = 0.25j * hankel0_1(k * d_src)
-        kernel = np.conj(g_recv) * np.conj(g_src)[:, None]
-    image = kernel @ stack
+    """Migrate a (N, S) stack of fields at wavenumber k; returns (cells, S).
+
+    The kernel conj(G(x, x_r) G(x, x_s)) factors per cell, so each field
+    is one matrix-vector product with the receiver leg, and its image does
+    not depend on the other fields of the stack.
+    """
+    g_recv = _green_from_distance(d_recv, k, dimension)
+    g_src = _green_from_distance(d_src, k, dimension)
+    fields = np.ascontiguousarray(np.conj(stack).T)
+    image = np.conj(g_src[:, None] * np.stack([g_recv @ f for f in fields], axis=1))
     image[mask, :] = complex(np.nan, np.nan)
     return image
 
@@ -122,30 +121,32 @@ def migrate_broadband_stack(
 
     Notes
     -----
-    Frequencies are processed independently (optionally in a thread pool)
-    and accumulated in ascending order, so results do not depend on the
-    thread count.
+    The window's cells are split into fixed blocks of ``_BLOCK_CELLS``;
+    ``threads`` workers migrate whole blocks, each summing its frequencies
+    in ascending order.  Memory stays bounded by the block size, not the
+    window, and the thread count never changes a bit of the result.
     """
     window = window or scene.window
     omegas = scene.band.omegas
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[:2] != (omegas.shape[0], scene.n_receivers):
         raise DataFormatError("stack must have shape (F, N, S) on the scene band")
-    d_recv, d_src, mask = _geometry(scene, window)
-    c0, dim = scene.c0, scene.dimension
+    pos = window.cell_positions()
+    if pos.shape[2] != scene.coords:
+        raise DataFormatError("window coordinate length must match the scene")
+    cells = pos.reshape(-1, scene.coords)
+    k = omegas / scene.c0
 
-    def one(i: int) -> np.ndarray:
-        return _apply_kernel(d_recv, d_src, mask, omegas[i] / c0, dim, stack[i])
+    def block(start: int) -> np.ndarray:
+        geometry = _geometry(scene, cells[start:start + _BLOCK_CELLS], window.spacing)
+        total = _apply_kernel(*geometry, k[0], scene.dimension, stack[0])
+        for i in range(1, k.shape[0]):
+            total += _apply_kernel(*geometry, k[i], scene.dimension, stack[i])
+        return total
 
-    indices = range(omegas.shape[0])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(one, indices))
-    else:
-        partials = [one(i) for i in indices]
-    total = partials[0].copy()
-    for part in partials[1:]:
-        total += part
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        blocks = list(pool.map(block, range(0, cells.shape[0], _BLOCK_CELLS)))
+    total = np.concatenate(blocks)
     total *= scene.band.delta_omega
 
     n = window.cells_per_side

@@ -22,9 +22,15 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import DataFormatError, NumericError, SingularityError
-from .forward import FieldVector, IntensityData, direct_arrivals_band
+from .forward import (
+    FieldVector,
+    IntensityData,
+    _direct_rows,
+    _distances,
+    _wavenumbers,
+    direct_arrivals_band,
+)
 from .scene import ImageWindowSpec, Scene
-from .specfun import hankel0_1
 
 __all__ = [
     "MeasurementMatrix",
@@ -163,15 +169,14 @@ def condition_number(scene: Scene, omega):
     per frequency.
     """
     omega = np.asarray(omega, dtype=float)
-    if not np.all(omega > 0.0):
-        raise ValueError("omega must be positive")
-    dists = np.linalg.norm(scene.receivers - scene.source, axis=1)
+    k = _wavenumbers(scene, omega.reshape(-1))
     if scene.dimension == 3:
-        cond = np.full(omega.shape, np.max(dists) / np.min(dists))
+        dists = _distances(scene.receivers, scene.source)
+        cond = np.full(k.shape, np.max(dists) / np.min(dists))
     else:
-        moduli = np.abs(hankel0_1(omega[..., None] / scene.c0 * dists))
-        cond = np.max(moduli, axis=-1) / np.min(moduli, axis=-1)
-    return float(cond) if cond.ndim == 0 else cond
+        moduli = np.abs(_direct_rows(scene, k))
+        cond = np.max(moduli, axis=1) / np.min(moduli, axis=1)
+    return float(cond[0]) if omega.ndim == 0 else cond.reshape(omega.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -362,9 +362,10 @@ def parse_scene(text: str) -> Scene:
         rows = recv_doc["explicit"]
         if not isinstance(rows, list) or not rows:
             raise SceneParseError("receivers.explicit must be a nonempty list")
-        receivers = np.asarray(
-            [_position(r, unit, f"receivers.explicit[{i}]") for i, r in enumerate(rows)]
-        )
+        positions = [_position(r, unit, f"receivers.explicit[{i}]") for i, r in enumerate(rows)]
+        if len({len(p) for p in positions}) != 1:
+            raise SceneParseError("receivers.explicit rows must share one length")
+        receivers = np.asarray(positions)
     else:
         raise SceneParseError("receivers must hold one of 'linear'/'explicit'")
 

@@ -20,6 +20,7 @@ from ikmig.forward import (
     intensity_data,
     read_field_csv,
     write_field_csv,
+    write_intensity_csv,
 )
 from ikmig.migrate import migrate_broadband_stack, read_image_csv
 from ikmig.recover import recover_band
@@ -82,10 +83,11 @@ def point_rec(tmp_path_factory, point_sim):
 
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
-    """scene.json and recovered.csv of small_scene()."""
+    """scene.json, intensity.csv and recovered.csv of small_scene()."""
     out = tmp_path_factory.mktemp("small")
     sc = small_scene()
     (out / "scene.json").write_text(emit_scene(sc))
+    write_intensity_csv(intensity_data(sc), out / "intensity.csv")
     write_field_csv(sc.band.omegas, recover_band(sc, intensity_data(sc)), out / "recovered.csv")
     return out
 
@@ -232,6 +234,16 @@ class TestMigrate:
         assert (out / "image_reference.csv").exists()
         assert (out / "image_reference.pgm").exists()
 
+    def test_reference_does_not_change_the_image_bytes(self, prepared, tmp_path):
+        # A field's image must not depend on what else shares its stack.
+        _, spath, fpath, rpath, _, _ = prepared
+        alone, paired = tmp_path / "alone", tmp_path / "paired"
+        args = ["migrate", "--scene", str(spath), "--field", str(fpath)]
+        assert main(args + ["--out", str(alone)]) == 0
+        assert main(args + ["--reference", str(rpath), "--out", str(paired)]) == 0
+        for name in ("image.csv", "image.pgm"):
+            assert (alone / name).read_bytes() == (paired / name).read_bytes()
+
     def test_band_mismatch_is_a_format_error(self, prepared, tmp_path):
         sc, spath, _, _, ptilde, _ = prepared
         wrong = tmp_path / "wrong.csv"
@@ -348,18 +360,20 @@ class TestExperiment:
         assert (out / "image_true.pgm").exists()
 
     def test_spurious_term_builds_each_kernel_once(self, tmp_path, monkeypatch):
-        # One kernel pass per band frequency serves both images.
-        calls = []
+        # Both images share one kernel build: every (cell, receiver)
+        # entry is built once per band frequency.
+        entries = []
         kernel = migrate_module._apply_kernel
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
+        def counting(d_recv, *args, **kwargs):
+            entries.append(d_recv.size)
+            return kernel(d_recv, *args, **kwargs)
 
         monkeypatch.setattr(migrate_module, "_apply_kernel", counting)
         assert main(["experiment", "--case", "spurious_term",
                      "--out", str(tmp_path / "out"), "--threads", "2"]) == 0
-        assert len(calls) == preset_scene("point").band.count
+        sc = preset_scene("point")
+        assert sum(entries) == sc.window.cells_per_side ** 2 * sc.n_receivers * sc.band.count
 
     def test_unknown_case(self, tmp_path):
         assert main(["experiment", "--case", "bogus",
@@ -526,4 +540,42 @@ def test_fuzzed_flags_keep_the_exit_code_contract(small_files, noise, threads):
     assert rc in {0, 2, 3, 4}
     rc = exit_code(["migrate", "--scene", scene, "--field", str(small_files / "recovered.csv"),
                     f"--threads={threads}", "--out", out])
+    assert rc in {0, 2, 3, 4}
+
+
+def mutate(raw: bytes, edits) -> bytes:
+    """``raw`` with each (position, byte) edit applied in turn: the byte at
+    the position (modulo the length) is replaced, or deleted for None."""
+    out = bytearray(raw)
+    for pos, byte in edits:
+        if not out:
+            break
+        if byte is None:
+            del out[pos % len(out)]
+        else:
+            out[pos % len(out)] = byte
+    return bytes(out)
+
+
+# Replacements and deletions only: no edit can lengthen a number by more
+# than the bytes around it, so a mutated file cannot ask for a huge problem.
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 2**16),
+              st.none() | st.sampled_from(list(b"-+.e0123456789,:[]{}\"\n")) | st.integers(0, 255)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data_edits=_EDITS, scene_edits=_EDITS)
+def test_fuzzed_input_files_keep_the_exit_code_contract(small_files, data_edits, scene_edits):
+    fuzz = small_files / "fuzz_files"
+    fuzz.mkdir(exist_ok=True)
+    data = fuzz / "intensity.csv"
+    data.write_bytes(mutate((small_files / "intensity.csv").read_bytes(), data_edits))
+    rc = exit_code(["recover", "--scene", str(small_files / "scene.json"),
+                    "--data", str(data), "--out", str(fuzz / "rec")])
+    assert rc in {0, 2, 3, 4}
+    scene = fuzz / "scene.json"
+    scene.write_bytes(mutate((small_files / "scene.json").read_bytes(), scene_edits))
+    rc = exit_code(["simulate", "--scene", str(scene), "--out", str(fuzz / "sim")])
     assert rc in {0, 2, 3, 4}

@@ -1,6 +1,7 @@
 """Migration kernels, broadband accumulation, metrics, image exports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,8 +114,9 @@ class TestBroadband:
         sc = sc.with_band(FrequencyGrid(600.0, 600.0, 1))
         field = np.ones(5, dtype=complex)
         (broad,) = migrate_broadband_stack(sc, field[None, :, None])
-        raw = _apply_kernel(*_geometry(sc, sc.window), float(sc.band.omegas[0]) / sc.c0,
-                            sc.dimension, field[:, None])
+        cells = sc.window.cell_positions().reshape(25, 2)
+        raw = _apply_kernel(*_geometry(sc, cells, sc.window.spacing),
+                            float(sc.band.omegas[0]) / sc.c0, sc.dimension, field[:, None])
         assert np.array_equal(broad.values, raw.reshape(5, 5))
 
     def test_stack_shares_the_kernel_pass(self):
@@ -124,14 +126,30 @@ class TestBroadband:
         one, two = migrate_broadband_stack(sc, np.stack([f, 2.0 * f], axis=2))
         assert np.allclose(two.values, 2.0 * one.values, rtol=1e-14)
         (alone,) = migrate_broadband_stack(sc, f[:, :, None])
-        assert np.allclose(one.values, alone.values, rtol=1e-13)
+        assert np.array_equal(one.values, alone.values)
 
     def test_thread_count_does_not_change_bits(self):
-        sc = imaging_scene(n_receivers=9, count=6, half_extent=4)
+        # 81 cells fit in one block; 625 cells span three.
+        for half_extent in (4, 12):
+            sc = imaging_scene(n_receivers=9, count=6, half_extent=half_extent)
+            p = array_response_band(sc)
+            (serial,) = migrate_broadband_stack(sc, p[:, :, None], threads=1)
+            (pooled,) = migrate_broadband_stack(sc, p[:, :, None], threads=4)
+            assert np.array_equal(serial.values, pooled.values)
+
+    def test_peak_memory_does_not_grow_with_the_window(self):
+        # 6,561 cells: one (cells x N) complex array is 10.6 MB; the
+        # migration must peak below it.
+        sc = imaging_scene(n_receivers=101, count=3, half_extent=40)
         p = array_response_band(sc)
-        (serial,) = migrate_broadband_stack(sc, p[:, :, None], threads=1)
-        (pooled,) = migrate_broadband_stack(sc, p[:, :, None], threads=4)
-        assert np.array_equal(serial.values, pooled.values)
+        tracemalloc.start()
+        try:
+            migrate_broadband_stack(sc, p[:, :, None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = sc.window.cells_per_side ** 2
+        assert peak < cells * sc.n_receivers * np.dtype(complex).itemsize
 
     def test_shape_validation(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)

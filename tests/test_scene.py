@@ -337,6 +337,8 @@ class TestJsonInterface:
         (lambda d: d["receivers"]["linear"].update(count=[11]), "receivers.linear.count"),
         (lambda d: d["window"].update(spacing_lambda0="x"), "window.spacing_lambda0"),
         (lambda d: d.update(window={"center": [50.0, 0.0], "spacing": {}}), "window.spacing"),
+        (lambda d: d.update(receivers={"explicit": [[0.0, 1.0], [0.0, 1.0, 2.0]]}),
+         "receivers.explicit"),
     ])
     def test_parse_errors_name_the_field(self, mutate, fragment):
         doc = json.loads(json.dumps(self.DOC))

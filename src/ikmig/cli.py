@@ -55,6 +55,8 @@ from .stochastic import (
     sample_illumination,
 )
 
+__all__ = ["EXPERIMENT_CASES", "main"]
+
 EXPERIMENT_CASES = PRESET_CASES + ("stochastic_noisy", "condition_study", "spurious_term")
 
 _NOISE_FRACTION_DEFAULT = 0.1

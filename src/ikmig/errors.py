@@ -4,6 +4,15 @@ The CLI maps these onto exit codes: scene/schema problems exit 2, numeric
 failures (singular geometry, zero illumination) exit 3, I/O failures exit 4.
 """
 
+__all__ = [
+    "IkmigError",
+    "SceneParseError",
+    "SceneValidationError",
+    "DataFormatError",
+    "SingularityError",
+    "NumericError",
+]
+
 
 class IkmigError(Exception):
     """Base class for all package errors."""

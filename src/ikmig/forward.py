@@ -18,10 +18,7 @@ from .scene import Scene
 from .specfun import hankel0_1
 
 __all__ = [
-    "FieldVector",
     "IntensityData",
-    "direct_arrivals",
-    "array_response",
     "direct_arrivals_band",
     "array_response_band",
     "total_field",
@@ -35,32 +32,6 @@ __all__ = [
     "write_field_csv",
     "read_field_csv",
 ]
-
-_ROLES = ("g0", "p", "total", "recovered")
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """Per-receiver complex field samples at one frequency."""
-
-    values: np.ndarray
-    role: str
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.shape[0] < 1:
-            raise ValueError("field values must be a nonempty 1-D array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        if self.role not in _ROLES:
-            raise ValueError(f"role must be one of {_ROLES}, got {self.role!r}")
-        if self.role == "g0" and np.any(vals == 0):
-            raise ValueError("direct arrivals must be nonzero at every receiver")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -150,16 +121,6 @@ def _response_rows(scene: Scene, k: np.ndarray) -> np.ndarray:
     g_recv = _green_from_distance(r_rs, k[:, None, None], scene.dimension)
     g_src = _green_from_distance(r_ss, k[:, None], scene.dimension)
     return (k * k)[:, None] * (g_recv * (rho * g_src)[:, None, :]).sum(axis=2)
-
-
-def direct_arrivals(scene: Scene, omega: float) -> FieldVector:
-    """Direct source-to-receiver field g0 at one frequency."""
-    return FieldVector(_direct_rows(scene, _wavenumbers(scene, [omega]))[0], "g0")
-
-
-def array_response(scene: Scene, omega: float) -> FieldVector:
-    """Scattered field p at the receivers, first Born term, one frequency."""
-    return FieldVector(_response_rows(scene, _wavenumbers(scene, [omega]))[0], "p")
 
 
 def direct_arrivals_band(scene: Scene) -> np.ndarray:

@@ -3,14 +3,14 @@
 Per frequency the linearized power row is d = |fhat|^2 Re[conj(g0) (g0+2p)],
 an underdetermined linear system in the real and imaginary parts of the
 total field.  Its normal matrix is diagonal, so the minimum-norm solution
-costs a handful of vector operations and yields
+costs a handful of array operations over the whole band and yields
 
     ptilde = d / (|fhat|^2 conj(g0)) - g0,
 
 which equals p plus a conjugate-mirrored term; migration suppresses the
-mirror.  The module also provides the measurement-matrix view, a dense
-pseudo-inverse oracle for tests, the conditioning formula, and the
-geometric visibility check on the imaging window.
+mirror.  The module also provides a dense pseudo-inverse oracle for tests,
+the conditioning formula, and the geometric visibility check on the
+imaging window.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from scipy.optimize import nnls
 
 from .errors import DataFormatError, NumericError, SingularityError
 from .forward import (
-    FieldVector,
     IntensityData,
     _direct_rows,
     _distances,
@@ -33,10 +32,8 @@ from .forward import (
 from .scene import ImageWindowSpec, Scene
 
 __all__ = [
-    "MeasurementMatrix",
-    "RecoveredField",
     "GeometryReport",
-    "build_measurement",
+    "measurement_matrix",
     "recover_ptilde",
     "recover_band",
     "dense_pseudoinverse_oracle",
@@ -45,115 +42,78 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    """Implicit [diag(Re g0), diag(Im g0)] with its diagonal normal matrix."""
+def measurement_matrix(g0) -> np.ndarray:
+    """Dense (N, 2N) [diag(Re g0), diag(Im g0)] of one frequency (test scale).
 
-    g0: np.ndarray
-
-    def materialize(self) -> np.ndarray:
-        """Dense (N, 2N) matrix; intended for test-scale N only."""
-        n = self.g0.shape[0]
-        out = np.zeros((n, 2 * n))
-        idx = np.arange(n)
-        out[idx, idx] = self.g0.real
-        out[idx, n + idx] = self.g0.imag
-        return out
-
-    @property
-    def normal_diagonal(self) -> np.ndarray:
-        """Diagonal of M M^T, equal to |g0|^2 entrywise."""
-        return (np.conj(self.g0) * self.g0).real
-
-
-def build_measurement(g0) -> MeasurementMatrix:
-    """Measurement operator for one frequency from the direct arrivals."""
-    vals = g0.values if isinstance(g0, FieldVector) else np.asarray(g0, dtype=complex)
-    if vals.ndim != 1:
+    Row r reads Re[conj(g0_r) u_r] from the stacked real and imaginary
+    parts of a field u.
+    """
+    g0 = np.asarray(g0, dtype=complex)
+    if g0.ndim != 1:
         raise DataFormatError("g0 must be a vector")
-    zero = np.flatnonzero(vals == 0)
+    zero = np.flatnonzero(g0 == 0)
     if zero.size:
         raise SingularityError(
             f"rank-deficient measurement: zero direct arrival at receiver {zero[0]}"
         )
-    return MeasurementMatrix(vals)
+    return np.hstack([np.diag(g0.real), np.diag(g0.imag)])
 
 
-@dataclass(frozen=True)
-class RecoveredField:
-    """Closed-form recovery output with its diagnostics."""
-
-    ptilde: FieldVector
-    conditioning: float
-    residual_norm: float
-
-
-def recover_ptilde(g0, d_row, fhat_sq: float) -> RecoveredField:
-    """Minimum-norm recovery of the field projection at one frequency.
+def recover_ptilde(g0, d, illumination) -> np.ndarray:
+    """Minimum-norm recovery of the field projection over a band.
 
     Parameters
     ----------
-    g0 : FieldVector or complex array
+    g0 : complex array of shape (F, N)
         Direct arrivals, all entries nonzero.
-    d_row : real array
-        Phaseless data row at this frequency.
-    fhat_sq : float
-        Illumination divisor: |fhat|^2, or 2*pi*Fhat for stochastic data.
+    d : real array of shape (F, N)
+        Phaseless data rows.
+    illumination : real array of shape (F,)
+        Per-frequency divisor: |fhat|^2, or 2*pi*Fhat for stochastic data.
+
+    Returns
+    -------
+    The (F, N) complex projection ptilde.  Its data misfit is zero up to
+    roundoff by construction.
 
     Notes
     -----
-    Cost is a fixed number of length-N vector operations; no matrix is
-    formed.  The returned residual is the data misfit of the recovered
-    projection and is zero up to roundoff by construction.
+    Cost is a fixed number of elementwise operations on (F, N) arrays; no
+    matrix is formed.
     """
-    vals = g0.values if isinstance(g0, FieldVector) else np.asanyarray(g0)
-    d = np.asanyarray(d_row)
-    if vals.ndim != 1 or d.shape != vals.shape:
-        raise DataFormatError("d_row must match g0 in length")
-    if not (math.isfinite(fhat_sq) and fhat_sq > 0.0):
-        raise NumericError(f"illumination power must be positive, got {fhat_sq!r}")
-    if np.any(vals == 0):
+    g0, d, illumination = (np.asanyarray(a) for a in (g0, d, illumination))
+    if g0.ndim != 2 or d.shape != g0.shape or illumination.shape != g0.shape[:1]:
+        raise DataFormatError("data rows and illumination must match g0 in shape")
+    dark = np.flatnonzero(~(illumination > 0.0))
+    if dark.size:
+        raise NumericError(f"zero illumination at frequency {dark[0]}")
+    if np.any(g0 == 0):
         raise SingularityError("zero direct arrival; measurement is rank-deficient")
-
-    g_conj = np.conj(vals)
-    ptilde = d / (fhat_sq * g_conj) - vals
-    moduli = np.abs(vals)
-    conditioning = float(np.max(moduli) / np.min(moduli))
-    misfit = d - fhat_sq * ((g_conj * vals).real + (g_conj * ptilde).real)
-    residual_norm = float(np.linalg.norm(np.asarray(misfit)))
-    return RecoveredField(
-        FieldVector(np.asarray(ptilde), "recovered"), conditioning, residual_norm
-    )
+    return d / (illumination[:, None] * np.conj(g0)) - g0
 
 
 def recover_band(scene: Scene, data: IntensityData) -> np.ndarray:
     """Recover every frequency row of a data set; returns (F, N) complex.
 
     The data grid must match the scene band exactly (file round-trips are
-    bit-exact, so equality is literal).  Row i equals
-    ``recover_ptilde(g0_i, data.values[i], data.illumination[i]).ptilde``.
+    bit-exact, so equality is literal).  The rows are ``recover_ptilde`` of
+    the scene's direct arrivals, the data and its illumination.
     """
     omegas = scene.band.omegas
     if data.omegas.shape != omegas.shape or np.any(data.omegas != omegas):
         raise DataFormatError("data frequency grid does not match the scene band")
     if data.n_receivers != scene.n_receivers:
         raise DataFormatError("data receiver count does not match the scene")
-    dark = np.flatnonzero(~(data.illumination > 0.0))
-    if dark.size:
-        raise NumericError(f"zero illumination at frequency {dark[0]}")
-    g0 = direct_arrivals_band(scene)
-    if np.any(g0 == 0):
-        raise SingularityError("zero direct arrival; measurement is rank-deficient")
-    return data.values / (data.illumination[:, None] * np.conj(g0)) - g0
+    return recover_ptilde(direct_arrivals_band(scene), data.values, data.illumination)
 
 
-def dense_pseudoinverse_oracle(m: MeasurementMatrix, d_row) -> np.ndarray:
+def dense_pseudoinverse_oracle(g0, d_row) -> np.ndarray:
     """Minimum-norm solution by explicit dense linear algebra (test scale).
 
-    Returns the real stack z of length 2N with M z = d_row; the complex
-    reading is z[:N] + 1j z[N:].
+    Returns the real stack z of length 2N with M z = d_row, where M is
+    ``measurement_matrix(g0)``; the complex reading is z[:N] + 1j z[N:].
     """
-    mat = m.materialize()
+    mat = measurement_matrix(g0)
     d = np.asarray(d_row, dtype=float)
     normal = mat @ mat.T
     y = np.linalg.solve(normal, d)

@@ -294,20 +294,26 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _number(value, field_name: str, kind=float):
+    """The one numeric rule of a scene document.
+
+    A value must be a JSON number: booleans and strings are rejected, and
+    an integer field (``kind=int``) takes only an integer.
+    """
+    accepted = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        article = "an integer" if kind is int else "a number"
+        raise SceneParseError(f"{field_name} must be {article}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise SceneParseError(f"{field_name} is out of range") from None
+
+
 def _position(value, unit: float, field_name: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) not in (2, 3):
         raise SceneParseError(f"{field_name} must be a 2- or 3-vector")
-    try:
-        return tuple(float(v) * unit for v in value)
-    except (TypeError, ValueError):
-        raise SceneParseError(f"{field_name} must contain numbers") from None
-
-
-def _number(value, field_name: str, kind=float):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SceneParseError(f"{field_name} must be a number") from None
+    return tuple(_number(v, field_name) * unit for v in value)
 
 
 def parse_scene(text: str) -> Scene:
@@ -324,23 +330,16 @@ def parse_scene(text: str) -> Scene:
         raise SceneParseError(f"unit must be one of {sorted(_UNIT_FACTORS)}")
     unit = _UNIT_FACTORS[unit_name]
 
-    dimension = _require(doc, "dimension", "")
-    if not isinstance(dimension, int):
-        raise SceneParseError("dimension must be an integer")
-    c0 = _require(doc, "c0", "")
-    if not isinstance(c0, (int, float)):
-        raise SceneParseError("c0 must be a number")
+    dimension = _number(_require(doc, "dimension", ""), "dimension", int)
+    c0 = _number(_require(doc, "c0", ""), "c0")
 
     band_doc = _require(doc, "band", "")
     if not isinstance(band_doc, dict):
         raise SceneParseError("band must be an object")
-    count = _require(band_doc, "count", "band.")
-    if not isinstance(count, int):
-        raise SceneParseError("band.count must be an integer")
     band = FrequencyGrid(
         _number(_require(band_doc, "f_min_hz", "band."), "band.f_min_hz"),
         _number(_require(band_doc, "f_max_hz", "band."), "band.f_max_hz"),
-        count,
+        _number(_require(band_doc, "count", "band."), "band.count", int),
     )
 
     recv_doc = _require(doc, "receivers", "")
@@ -350,9 +349,14 @@ def parse_scene(text: str) -> Scene:
         lin = recv_doc["linear"]
         if not isinstance(lin, dict):
             raise SceneParseError("receivers.linear must be an object")
-        axis = _require(lin, "axis", "receivers.linear.")
+        center = _position(_require(lin, "center", "receivers.linear."), unit,
+                           "receivers.linear.center")
+        axis = _position(_require(lin, "axis", "receivers.linear."), 1.0,
+                         "receivers.linear.axis")
+        if len(axis) != len(center):
+            raise SceneParseError("receivers.linear.axis must match center in length")
         receivers = linear_array(
-            _position(_require(lin, "center", "receivers.linear."), unit, "receivers.linear.center"),
+            center,
             _number(_require(lin, "length", "receivers.linear."), "receivers.linear.length")
             * unit,
             _number(_require(lin, "count", "receivers.linear."), "receivers.linear.count", int),
@@ -379,19 +383,15 @@ def parse_scene(text: str) -> Scene:
         if not isinstance(s, dict):
             raise SceneParseError(f"scatterers[{i}] must be an object")
         pos = _position(_require(s, "pos", f"scatterers[{i}]."), unit, f"scatterers[{i}].pos")
-        rho = _require(s, "rho", f"scatterers[{i}].")
-        if not isinstance(rho, (int, float)):
-            raise SceneParseError(f"scatterers[{i}].rho must be a number")
-        scatterers.append(PointScatterer(pos, float(rho)))
+        rho = _number(_require(s, "rho", f"scatterers[{i}]."), f"scatterers[{i}].rho")
+        scatterers.append(PointScatterer(pos, rho))
 
     win_doc = _require(doc, "window", "")
     if not isinstance(win_doc, dict):
         raise SceneParseError("window must be an object")
     center = _position(_require(win_doc, "center", "window."), unit, "window.center")
-    half_extent = win_doc.get("half_extent", 25)
-    if not isinstance(half_extent, int):
-        raise SceneParseError("window.half_extent must be an integer")
-    lambda0 = float(c0) / band.f_center_hz
+    half_extent = _number(win_doc.get("half_extent", 25), "window.half_extent", int)
+    lambda0 = c0 / band.f_center_hz
     if "spacing" in win_doc and "spacing_lambda0" in win_doc:
         raise SceneParseError("window accepts only one of spacing/spacing_lambda0")
     if "spacing" in win_doc:
@@ -402,7 +402,7 @@ def parse_scene(text: str) -> Scene:
 
     return Scene(
         dimension=dimension,
-        c0=float(c0),
+        c0=c0,
         receivers=receivers,
         source=np.asarray(source),
         band=band,

@@ -96,7 +96,6 @@ class StochasticDraw:
     spectrum: PowerSpectrum
     omegas: np.ndarray
     fhat: np.ndarray
-    noise: np.ndarray | None = None
 
     def __post_init__(self):
         omegas = np.asarray(self.omegas, dtype=float)
@@ -180,11 +179,7 @@ def noisy_power_data(
         raise ValueError("noise_fraction must be a nonnegative number")
     _check_draw(scene, draw)
     signal = _signal_rows(scene, draw)
-    raw = draw.noise
-    if raw is None:
-        raw = sample_noise(draw.spectrum, scene.band, scene.n_receivers, seed)
-    elif raw.shape != (scene.n_receivers, draw.omegas.shape[0]):
-        raise ValueError("draw noise shape does not match scene")
+    raw = sample_noise(draw.spectrum, scene.band, scene.n_receivers, seed)
     sig_power = (np.abs(signal) ** 2).sum(axis=0)
     raw_power = (np.abs(raw) ** 2).sum(axis=1)
     bad = np.nonzero(sig_power == 0.0)[0]

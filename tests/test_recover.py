@@ -1,5 +1,6 @@
 """Closed-form recovery, its dense oracle, conditioning, geometry check."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,16 +10,15 @@ from ikmig.errors import DataFormatError, NumericError, SingularityError
 from ikmig.forward import (
     IntensityData,
     array_response_band,
-    direct_arrivals,
     direct_arrivals_band,
     intensity_data,
     linearization_residual,
 )
 from ikmig.recover import (
-    build_measurement,
     check_geometric_condition,
     condition_number,
     dense_pseudoinverse_oracle,
+    measurement_matrix,
     recover_band,
     recover_ptilde,
 )
@@ -40,40 +40,45 @@ QUADRATIC_TERM_POINT = 0.013296953867462154
 
 
 def random_fields(rng, n):
+    """One frequency's direct arrivals and response, as (1, n) rows."""
     g0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     g0 += np.sign(g0.real) + 1j * np.sign(g0.imag)
     p = 0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    return g0, p
+    return g0[None, :], p[None, :]
+
+
+ONE = np.array([1.0])
 
 
 class TestMeasurementMatrix:
     def test_materialize_layout(self):
         g0 = np.array([1 + 2j, 3 - 1j])
-        mat = build_measurement(g0).materialize()
+        mat = measurement_matrix(g0)
         assert mat.shape == (2, 4)
         want = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, -1.0]])
         assert np.array_equal(mat, want)
 
     def test_matrix_reads_real_projection(self):
         rng = np.random.default_rng(0)
-        g0, _ = random_fields(rng, 6)
+        g0 = random_fields(rng, 6)[0][0]
         u = rng.normal(size=6) + 1j * rng.normal(size=6)
         z = np.concatenate([u.real, u.imag])
-        got = build_measurement(g0).materialize() @ z
+        got = measurement_matrix(g0) @ z
         assert np.allclose(got, (np.conj(g0) * u).real, rtol=1e-14)
 
     def test_normal_diagonal(self):
-        g0 = np.array([3 + 4j, 1j, 2.0])
-        m = build_measurement(g0)
-        assert np.allclose(m.normal_diagonal, [25.0, 1.0, 4.0], rtol=1e-15)
+        # The normal matrix M M^T is diagonal with |g0|^2 on its diagonal,
+        # which is what makes the minimum-norm recovery closed-form.
+        m = measurement_matrix(np.array([3 + 4j, 1j, 2.0]))
+        assert np.array_equal(m @ m.T, np.diag([25.0, 1.0, 4.0]))
 
     def test_zero_entry_rejected(self):
         with pytest.raises(SingularityError, match="receiver 1"):
-            build_measurement(np.array([1.0, 0.0, 2.0]))
+            measurement_matrix(np.array([1.0, 0.0, 2.0]))
 
     def test_shape_rejected(self):
         with pytest.raises(DataFormatError):
-            build_measurement(np.ones((2, 2)))
+            measurement_matrix(np.ones((2, 2)))
 
 
 class TestRecoverPtilde:
@@ -83,16 +88,18 @@ class TestRecoverPtilde:
         rng = np.random.default_rng(1)
         g0, p = random_fields(rng, 8)
         d = np.abs(g0 + p) ** 2
-        out = recover_ptilde(g0, d, 1.0)
+        out = recover_ptilde(g0, d, ONE)
+        assert out.shape == (1, 8)
         want = p + g0 / np.conj(g0) * np.conj(p) + p * np.conj(p) / np.conj(g0)
-        assert np.allclose(out.ptilde.values, want, rtol=1e-12)
-        assert out.residual_norm <= 1e-12 * np.linalg.norm(d)
+        assert np.allclose(out, want, rtol=1e-12)
+        misfit = d - (np.abs(g0) ** 2 + (np.conj(g0) * out).real)
+        assert np.linalg.norm(misfit) <= 1e-12 * np.linalg.norm(d)
 
     def test_linearized_data_identity(self):
         rng = np.random.default_rng(2)
         g0, p = random_fields(rng, 8)
         d = np.abs(g0) ** 2 + 2.0 * (np.conj(g0) * p).real
-        out = recover_ptilde(g0, d, 1.0).ptilde.values
+        out = recover_ptilde(g0, d, ONE)
         mirror = g0 / np.conj(g0) * np.conj(p)
         assert np.allclose(out, p + mirror, rtol=1e-12)
         assert np.allclose(out, 2.0 * (np.conj(g0) * p).real / np.conj(g0), rtol=1e-12)
@@ -102,8 +109,8 @@ class TestRecoverPtilde:
         g0, p = random_fields(rng, 10)
         excess = 2.0 * (np.conj(g0) * p).real
         d = np.abs(g0) ** 2 + excess
-        fast = recover_ptilde(g0, d, 1.0).ptilde.values
-        z = dense_pseudoinverse_oracle(build_measurement(g0), excess)
+        fast = recover_ptilde(g0, d, ONE)[0]
+        z = dense_pseudoinverse_oracle(g0[0], excess[0])
         assert z.shape == (20,)
         slow = z[:10] + 1j * z[10:]
         assert np.allclose(fast, slow, rtol=1e-11)
@@ -112,31 +119,36 @@ class TestRecoverPtilde:
         rng = np.random.default_rng(4)
         g0, p = random_fields(rng, 5)
         d = np.abs(g0 + p) ** 2
-        base = recover_ptilde(g0, d, 1.0).ptilde.values
-        scaled = recover_ptilde(g0, 4.0 * d, 4.0).ptilde.values
+        base = recover_ptilde(g0, d, ONE)
+        scaled = recover_ptilde(g0, 4.0 * d, np.array([4.0]))
         assert np.allclose(scaled, base, rtol=1e-14)
 
     def test_conditioning_matches_svd(self):
-        rng = np.random.default_rng(5)
-        g0, p = random_fields(rng, 7)
-        d = np.abs(g0 + p) ** 2
-        out = recover_ptilde(g0, d, 1.0)
+        # The measurement matrix's spectral condition number is the ratio
+        # of extreme direct-arrival moduli, the closed form condition_number
+        # evaluates.
+        g0 = random_fields(np.random.default_rng(5), 7)[0][0]
         moduli = np.abs(g0)
-        assert out.conditioning == pytest.approx(moduli.max() / moduli.min(), rel=1e-14)
-        svd_cond = np.linalg.cond(build_measurement(g0).materialize())
-        assert out.conditioning == pytest.approx(svd_cond, rel=1e-12)
+        svd_cond = np.linalg.cond(measurement_matrix(g0))
+        assert svd_cond == pytest.approx(moduli.max() / moduli.min(), rel=1e-12)
 
     def test_errors(self):
-        g0 = np.array([1 + 1j, 2.0])
-        d = np.array([1.0, 1.0])
+        g0 = np.array([[1 + 1j, 2.0]])
+        d = np.array([[1.0, 1.0]])
         with pytest.raises(DataFormatError):
-            recover_ptilde(g0, np.ones(3), 1.0)
+            recover_ptilde(g0, np.ones((1, 3)), ONE)
+        with pytest.raises(DataFormatError):
+            recover_ptilde(g0[0], d[0], ONE)
+        with pytest.raises(DataFormatError):
+            recover_ptilde(g0, d, np.ones(2))
+        with pytest.raises(NumericError, match="zero illumination at frequency 0"):
+            recover_ptilde(g0, d, np.array([0.0]))
         with pytest.raises(NumericError):
-            recover_ptilde(g0, d, 0.0)
+            recover_ptilde(g0, d, np.array([-1.0]))
         with pytest.raises(NumericError):
-            recover_ptilde(g0, d, -1.0)
+            recover_ptilde(g0, d, np.array([math.nan]))
         with pytest.raises(SingularityError):
-            recover_ptilde(np.array([1.0, 0.0]), d, 1.0)
+            recover_ptilde(np.array([[1.0, 0.0]]), d, ONE)
 
     def test_cost_scales_linearly(self):
         # Count elementwise operations through the ufunc machinery; doubling
@@ -161,7 +173,7 @@ class TestRecoverPtilde:
             g0, p = random_fields(rng, n)
             d = np.abs(g0 + p) ** 2
             Counting.ops[0] = 0
-            recover_ptilde(g0.view(Counting), d.view(Counting), 1.0)
+            recover_ptilde(g0.view(Counting), d.view(Counting), ONE)
             return Counting.ops[0]
 
         small, large = count(64), count(128)
@@ -176,10 +188,10 @@ class TestRecoverBand:
         data = intensity_data(sc)
         out = recover_band(sc, data)
         assert out.shape == (3, 4)
-        for i, omega in enumerate(sc.band.omegas):
-            g0 = direct_arrivals(sc, float(omega))
-            row = recover_ptilde(g0, data.values[i], 1.0).ptilde.values
-            assert np.array_equal(out[i], row)
+        g0 = direct_arrivals_band(sc)
+        for i in range(3):
+            row = recover_ptilde(g0[i:i + 1], data.values[i:i + 1], data.illumination[i:i + 1])
+            assert np.array_equal(out[i:i + 1], row)
 
     def test_quadratic_term_is_the_exact_minus_linear_gap(self):
         sc = random_scene(np.random.default_rng(8), 3)
@@ -187,10 +199,7 @@ class TestRecoverBand:
         p = array_response_band(sc)
         exact = recover_band(sc, intensity_data(sc))
         lin_rows = np.abs(g0) ** 2 + 2.0 * (np.conj(g0) * p).real
-        lin = np.stack([
-            recover_ptilde(g0[i], lin_rows[i], 1.0).ptilde.values
-            for i in range(3)
-        ])
+        lin = recover_ptilde(g0, lin_rows, np.ones(3))
         gap = p * np.conj(p) / np.conj(g0)
         assert np.allclose(exact - lin, gap, rtol=1e-9)
 
@@ -255,9 +264,8 @@ class TestConditionNumber:
     def test_matches_materialized_svd(self):
         sc = random_scene(np.random.default_rng(14), 3)
         omega = float(sc.band.omegas[1])
-        m = build_measurement(direct_arrivals(sc, omega))
-        assert condition_number(sc, omega) == pytest.approx(
-            np.linalg.cond(m.materialize()), rel=1e-12)
+        m = measurement_matrix(direct_arrivals_band(sc)[1])
+        assert condition_number(sc, omega) == pytest.approx(np.linalg.cond(m), rel=1e-12)
 
     def test_d2_hankel_moduli_ratio(self):
         sc = random_scene(np.random.default_rng(15), 2)
@@ -271,9 +279,8 @@ class TestConditionNumber:
     def test_d2_matches_materialized_svd(self):
         sc = random_scene(np.random.default_rng(16), 2)
         omega = float(sc.band.omegas[2])
-        m = build_measurement(direct_arrivals(sc, omega))
-        assert condition_number(sc, omega) == pytest.approx(
-            np.linalg.cond(m.materialize()), rel=1e-12)
+        m = measurement_matrix(direct_arrivals_band(sc)[2])
+        assert condition_number(sc, omega) == pytest.approx(np.linalg.cond(m), rel=1e-12)
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_band_call_equals_per_frequency_calls(self, dimension):

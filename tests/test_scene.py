@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikmig.errors import SceneParseError, SceneValidationError
 from ikmig.scene import (
@@ -20,6 +22,35 @@ from ikmig.scene import (
     preset_scene,
     scene_digest,
 )
+
+
+_REAL = st.floats(-1e6, 1e6, allow_nan=False)
+_POSITIVE = st.floats(1e-9, 1e9)
+
+
+@st.composite
+def scenes(draw):
+    """Valid scenes of random shape: dimension 2 or 3, 2 or 3 coordinates,
+    single- and multi-sample bands, 0-3 scatterers, random windows."""
+    coords = draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[_REAL] * coords)
+    receivers = draw(st.lists(point, min_size=1, max_size=5, unique=True))
+    source = draw(point.filter(lambda s: s not in receivers))
+    count = draw(st.integers(1, 6))
+    f_min = draw(_POSITIVE)
+    f_max = f_min if count == 1 else draw(st.floats(f_min, 2e9))
+    scatterers = draw(st.lists(
+        st.builds(PointScatterer, point, _REAL.filter(bool)), max_size=3))
+    window = ImageWindowSpec(draw(point), draw(_POSITIVE), draw(st.integers(0, 40)))
+    return Scene(
+        dimension=draw(st.sampled_from([2, 3])),
+        c0=draw(_POSITIVE),
+        receivers=np.asarray(receivers),
+        source=np.asarray(source),
+        band=FrequencyGrid(f_min, f_max, count),
+        scatterers=tuple(scatterers),
+        window=window,
+    )
 
 
 def small_scene(**overrides):
@@ -339,12 +370,47 @@ class TestJsonInterface:
         (lambda d: d.update(window={"center": [50.0, 0.0], "spacing": {}}), "window.spacing"),
         (lambda d: d.update(receivers={"explicit": [[0.0, 1.0], [0.0, 1.0, 2.0]]}),
          "receivers.explicit"),
+        # One numeric rule: a JSON number, never a boolean or a string, and
+        # an integer wherever the field counts something.
+        pytest.param(lambda d: d.update(band={"f_min_hz": 1.0, "f_max_hz": 1.0, "count": True}),
+                     "band.count", id="bool-band.count"),
+        pytest.param(lambda d: d["window"].update(half_extent=True), "window.half_extent",
+                     id="bool-window.half_extent"),
+        pytest.param(lambda d: d.update(c0=True), "c0", id="bool-c0"),
+        pytest.param(lambda d: d.update(dimension=True), "dimension", id="bool-dimension"),
+        pytest.param(lambda d: d["scatterers"][0].update(rho=True), "rho", id="bool-rho"),
+        pytest.param(lambda d: d.update(source=[True, False]), "source", id="bool-source"),
+        pytest.param(lambda d: d["receivers"]["linear"].update(count=2.9),
+                     "receivers.linear.count", id="float-receivers.linear.count"),
+        pytest.param(lambda d: d["band"].update(f_min_hz="4.3e14"), "band.f_min_hz",
+                     id="str-band.f_min_hz"),
+        pytest.param(lambda d: d.update(window={"center": [50.0, 0.0], "spacing": "0.25"}),
+                     "window.spacing", id="str-window.spacing"),
+        pytest.param(lambda d: d["window"].update(center=["50", "0"]), "window.center",
+                     id="str-window.center"),
+        pytest.param(lambda d: d.update(c0="3e8"), "c0", id="str-c0"),
+        pytest.param(lambda d: d["receivers"]["linear"].update(axis=["a", "b"]),
+                     "receivers.linear.axis", id="str-receivers.linear.axis"),
+        pytest.param(lambda d: d["receivers"]["linear"].update(axis=[0.0, 1.0, 0.0]),
+                     "receivers.linear.axis", id="length-receivers.linear.axis"),
     ])
     def test_parse_errors_name_the_field(self, mutate, fragment):
         doc = json.loads(json.dumps(self.DOC))
         mutate(doc)
         with pytest.raises(SceneParseError, match=fragment):
             parse_scene(json.dumps(doc))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_emit_parse_emit_is_a_fixed_point(self, data):
+        sc = data.draw(scenes())
+        text = emit_scene(sc)
+        again = parse_scene(text)
+        assert emit_scene(again) == text
+        assert np.array_equal(again.receivers, sc.receivers)
+        assert again.band == sc.band
+        assert again.window == sc.window
+        assert again.scatterers == sc.scatterers
 
     def test_invalid_json(self):
         with pytest.raises(SceneParseError, match="invalid JSON"):

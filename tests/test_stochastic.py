@@ -220,25 +220,6 @@ class TestNoise:
             realized = (np.abs(added[:, r]) ** 2).sum() / (np.abs(signal[:, r]) ** 2).sum()
             assert realized == pytest.approx(fraction, rel=1e-12)
 
-    def test_supplied_noise_is_used(self):
-        sc = acoustic_scene()
-        ps = PowerSpectrum.for_band(BAND)
-        base = sample_illumination(ps, BAND, 11)
-        raw = sample_noise(ps, BAND, sc.n_receivers, 77)
-        draw = StochasticDraw(11, ps, BAND.omegas, base.fhat, noise=raw)
-        a = noisy_power_data(sc, draw, 0.1, 0)
-        b = noisy_power_data(sc, base, 0.1, 77)
-        assert np.array_equal(a.values, b.values)
-
-    def test_noise_shape_validation(self):
-        sc = acoustic_scene()
-        ps = PowerSpectrum.for_band(BAND)
-        base = sample_illumination(ps, BAND, 11)
-        draw = StochasticDraw(11, ps, BAND.omegas, base.fhat,
-                              noise=np.zeros((2, 3), dtype=complex))
-        with pytest.raises(ValueError, match="noise shape"):
-            noisy_power_data(sc, draw, 0.1, 0)
-
     def test_fraction_validation(self):
         sc = acoustic_scene()
         ps = PowerSpectrum.for_band(BAND)

@@ -78,10 +78,16 @@ def _distances(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points - ref, axis=-1)
 
 
+def _spreading_3d(r: np.ndarray) -> np.ndarray:
+    """4 pi r: the 3-D Green's function is e^{ikr} divided by this, so its
+    amplitude 1/(4 pi r) does not depend on k."""
+    return 4.0 * math.pi * r
+
+
 def _green_from_distance(r: np.ndarray, k, dimension: int) -> np.ndarray:
     """Green's function values for separations r at wavenumbers k (broadcast)."""
     if dimension == 3:
-        return np.exp(1j * k * r) / (4.0 * math.pi * r)
+        return np.exp(1j * k * r) / _spreading_3d(r)
     return 0.25j * hankel0_1(k * r)
 
 

@@ -86,7 +86,7 @@ def recover_ptilde(g0, d, illumination) -> np.ndarray:
         raise DataFormatError("data rows and illumination must match g0 in shape")
     dark = np.flatnonzero(~(illumination > 0.0))
     if dark.size:
-        raise NumericError(f"zero illumination at frequency {dark[0]}")
+        raise NumericError(f"illumination at frequency {dark[0]} is not positive")
     if np.any(g0 == 0):
         raise SingularityError("zero direct arrival; measurement is rank-deficient")
     return d / (illumination[:, None] * np.conj(g0)) - g0

@@ -360,20 +360,21 @@ class TestExperiment:
         assert (out / "image_true.pgm").exists()
 
     def test_spurious_term_builds_each_kernel_once(self, tmp_path, monkeypatch):
-        # Both images share one kernel build: every (cell, receiver)
-        # entry is built once per band frequency.
+        # Both images share one geometry build: every (cell, receiver)
+        # entry is built once for the whole band and both fields.
         entries = []
-        kernel = migrate_module._apply_kernel
+        geometry = migrate_module._geometry
 
-        def counting(d_recv, *args, **kwargs):
+        def counting(scene, cells, spacing):
+            d_recv, d_src, mask = geometry(scene, cells, spacing)
             entries.append(d_recv.size)
-            return kernel(d_recv, *args, **kwargs)
+            return d_recv, d_src, mask
 
-        monkeypatch.setattr(migrate_module, "_apply_kernel", counting)
+        monkeypatch.setattr(migrate_module, "_geometry", counting)
         assert main(["experiment", "--case", "spurious_term",
                      "--out", str(tmp_path / "out"), "--threads", "2"]) == 0
         sc = preset_scene("point")
-        assert sum(entries) == sc.window.cells_per_side ** 2 * sc.n_receivers * sc.band.count
+        assert sum(entries) == sc.window.cells_per_side ** 2 * sc.n_receivers
 
     def test_unknown_case(self, tmp_path):
         assert main(["experiment", "--case", "bogus",

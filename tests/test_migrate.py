@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ikmig import migrate as migrate_module
 from ikmig.errors import DataFormatError
 from ikmig.forward import array_response_band, direct_arrivals_band, intensity_data
 from ikmig.migrate import (
@@ -13,6 +14,7 @@ from ikmig.migrate import (
     image_metrics,
     _apply_kernel,
     _geometry,
+    _horner_kernel,
     magnitude_correlation,
     migrate_broadband_stack,
     read_image_csv,
@@ -110,14 +112,40 @@ class TestBroadband:
         assert np.allclose(img.values, sc.band.delta_omega * acc, rtol=1e-13)
 
     def test_single_sample_band_has_unit_weight(self):
-        sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
-        sc = sc.with_band(FrequencyGrid(600.0, 600.0, 1))
-        field = np.ones(5, dtype=complex)
-        (broad,) = migrate_broadband_stack(sc, field[None, :, None])
+        # The Horner sum in 3-D and the per-frequency kernel in 2-D.
+        for dimension in (2, 3):
+            sc = imaging_scene(dimension, n_receivers=5, count=3, half_extent=2)
+            sc = sc.with_band(FrequencyGrid(600.0, 600.0, 1))
+            field = np.ones(5, dtype=complex)
+            (broad,) = migrate_broadband_stack(sc, field[None, :, None])
+            cells = sc.window.cell_positions().reshape(25, 2)
+            geometry = _geometry(sc, cells, sc.window.spacing)
+            k = sc.band.omegas / sc.c0
+            if dimension == 3:
+                raw = _horner_kernel(*geometry, k, field[None, None, :])
+            else:
+                raw = _apply_kernel(*geometry, float(k[0]), sc.dimension, field[None, :])
+            assert np.array_equal(broad.values, raw.reshape(5, 5))
+
+    @pytest.mark.parametrize("band", [
+        FrequencyGrid(600.0, 600.0, 1),
+        FrequencyGrid(400.0, 800.0, 2),
+        FrequencyGrid(400.0, 800.0, 7),
+        FrequencyGrid(600.0, 600.0, 3),
+    ], ids=["F1", "F2", "F7", "zero-width"])
+    def test_horner_sum_matches_the_scalar_oracle(self, band):
+        sc = imaging_scene(n_receivers=5, half_extent=2).with_band(band)
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(band.count, 5, 2)) + 1j * rng.normal(size=(band.count, 5, 2))
         cells = sc.window.cell_positions().reshape(25, 2)
-        raw = _apply_kernel(*_geometry(sc, cells, sc.window.spacing),
-                            float(sc.band.omegas[0]) / sc.c0, sc.dimension, field[:, None])
-        assert np.array_equal(broad.values, raw.reshape(5, 5))
+        raw = _horner_kernel(*_geometry(sc, cells, sc.window.spacing),
+                             sc.band.omegas / sc.c0, np.ascontiguousarray(stack.transpose(2, 0, 1)))
+        images = migrate_broadband_stack(sc, stack)
+        for s, image in enumerate(images):
+            want = sum(brute_image(sc, stack[j, :, s], float(om), sc.window)
+                       for j, om in enumerate(sc.band.omegas))
+            assert np.max(np.abs(raw[:, s].reshape(5, 5) - want)) <= 1e-11 * np.max(np.abs(want))
+            assert np.array_equal(image.values, sc.band.delta_omega * raw[:, s].reshape(5, 5))
 
     def test_stack_shares_the_kernel_pass(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
@@ -129,13 +157,45 @@ class TestBroadband:
         assert np.array_equal(one.values, alone.values)
 
     def test_thread_count_does_not_change_bits(self):
-        # 81 cells fit in one block; 625 cells span three.
-        for half_extent in (4, 12):
-            sc = imaging_scene(n_receivers=9, count=6, half_extent=half_extent)
-            p = array_response_band(sc)
-            (serial,) = migrate_broadband_stack(sc, p[:, :, None], threads=1)
-            (pooled,) = migrate_broadband_stack(sc, p[:, :, None], threads=4)
-            assert np.array_equal(serial.values, pooled.values)
+        # 81 cells are 3 blocks at one thread and 4 at four threads.
+        for dimension in (2, 3):
+            for half_extent in (4, 12):
+                sc = imaging_scene(dimension, n_receivers=9, count=6, half_extent=half_extent)
+                p = array_response_band(sc)
+                (serial,) = migrate_broadband_stack(sc, p[:, :, None], threads=1)
+                (pooled,) = migrate_broadband_stack(sc, p[:, :, None], threads=4)
+                assert np.array_equal(serial.values, pooled.values)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_block_size_does_not_change_bits(self, dimension, monkeypatch):
+        sc = imaging_scene(dimension, n_receivers=9, count=6, half_extent=4)
+        p = array_response_band(sc)
+        (want,) = migrate_broadband_stack(sc, p[:, :, None])
+        for cap in (1, 7, sc.window.cells_per_side ** 2):
+            monkeypatch.setattr(migrate_module, "_BLOCK_CELLS", cap)
+            (got,) = migrate_broadband_stack(sc, p[:, :, None])
+            assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("half_extent", [2, 4])
+    def test_threads_split_a_window_under_the_cap(self, half_extent, monkeypatch):
+        # 25 cells fit in one block, 81 in three; either way each of four
+        # workers gets an equal share.
+        sc = imaging_scene(n_receivers=9, count=6, half_extent=half_extent)
+        n_cells = sc.window.cells_per_side ** 2
+        blocks = []
+        geometry = migrate_module._geometry
+
+        def counting(scene, cells, spacing):
+            blocks.append(cells.shape[0])
+            return geometry(scene, cells, spacing)
+
+        monkeypatch.setattr(migrate_module, "_geometry", counting)
+        migrate_broadband_stack(sc, array_response_band(sc)[:, :, None], threads=4)
+        assert len(blocks) >= 4
+        assert len(blocks) % 4 == 0
+        assert sum(blocks) == n_cells
+        assert max(blocks) - min(blocks) <= 1
+        assert max(blocks) <= migrate_module._BLOCK_CELLS
 
     def test_peak_memory_does_not_grow_with_the_window(self):
         # 6,561 cells: one (cells x N) complex array is 10.6 MB; the

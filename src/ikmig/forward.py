@@ -75,7 +75,18 @@ class IntensityData:
 
 
 def _distances(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(points - ref, axis=-1)
+    """Euclidean distances over the last axis, points and ref broadcast.
+
+    Summed coordinate by coordinate, in the order ``np.linalg.norm``
+    uses, so the result is the same to the bit without building the
+    (..., coords) difference array.
+    """
+    d = points[..., 0] - ref[..., 0]
+    sq = d * d
+    for j in range(1, points.shape[-1]):
+        d = points[..., j] - ref[..., j]
+        sq += d * d
+    return np.sqrt(sq, out=sq)
 
 
 def _spreading_3d(r: np.ndarray) -> np.ndarray:

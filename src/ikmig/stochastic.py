@@ -8,12 +8,18 @@ frequency without time-domain simulation.  A time-domain oracle is kept
 for validating that empirical autocorrelation spectra converge to their
 ensemble limit as the acquisition window grows; it is meant for
 scaled-down (acoustic-like) parameters only.
+
+Every random number comes from a counter-based Philox substream keyed
+by (seed, tag, a, b), so a sample depends only on its seed and indices,
+never on the order in which samples are evaluated.  Each call re-keys
+one generator per substream rather than building a generator for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -36,18 +42,48 @@ _TAG_NOISE = 2
 _TAG_ORACLE = 3
 
 
-def _substream(seed: int, tag: int, a: int = 0, b: int = 0) -> np.random.Generator:
-    """Counter-based generator for one (tag, a, b) substream of a seed.
-
-    Streams are independent of evaluation order, so sampling may be
-    parallelized without changing results.
-    """
+def _check_substreams(seed: int, streams: tuple[int, ...] = ()) -> None:
+    """Reject a seed or a substream grid that the key cannot address."""
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
-    if not (0 <= a < 2**28 and 0 <= b < 2**28):
+    if not all(0 <= n <= 2**28 for n in streams):
         raise ValueError("substream index out of range")
-    key = np.array([seed, (tag << 56) | (a << 28) | b], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _complex_normals(seed: int, tag: int, streams: tuple[int, ...] = (), pairs: int = 1) -> np.ndarray:
+    """Complex samples z0 + i z1 from standard normal pairs, per substream.
+
+    ``streams`` is the shape of the substream grid: () is the single
+    substream (0, 0), (A,) the substreams (a, 0) and (A, B) the
+    substreams (a, b).  Substream (tag, a, b) is the Philox stream with
+    key [seed, tag<<56 | a<<28 | b] and counter 0, and it draws ``pairs``
+    pairs of normals.  Returns shape ``streams + (pairs,)``.
+
+    One generator is re-keyed per substream, with a zero counter and an
+    empty buffer, so it draws exactly what a fresh
+    ``Generator(Philox(key=...))`` would: results do not depend on the
+    order in which substreams are evaluated.
+    """
+    _check_substreams(seed, streams)
+    out = np.empty(streams + (pairs, 2))
+    bit_gen = np.random.Philox(0)
+    gen = np.random.Generator(bit_gen)
+    key = [int(seed), 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    a_count, b_count = streams + (1,) * (2 - len(streams))
+    rows = out.reshape(-1, pairs, 2)
+    for (a, b), row in zip(product(range(a_count), range(b_count)), rows):
+        key[1] = (tag << 56) | (a << 28) | b
+        bit_gen.state = state
+        gen.standard_normal(out=row)
+    return out.view(complex)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -114,12 +150,9 @@ def sample_illumination(spectrum: PowerSpectrum, grid: FrequencyGrid, seed: int)
     Each frequency draws from its own counter-based substream, so a
     sample depends only on (seed, frequency index).
     """
+    z = _complex_normals(seed, _TAG_ILLUMINATION, (grid.count,))[:, 0]
     omegas = grid.omegas
-    scale = np.sqrt(math.pi * spectrum.value(omegas))
-    fhat = np.empty(omegas.shape[0], dtype=complex)
-    for i in range(omegas.shape[0]):
-        z = _substream(seed, _TAG_ILLUMINATION, i).standard_normal(2)
-        fhat[i] = scale[i] * complex(z[0], z[1])
+    fhat = np.sqrt(math.pi * spectrum.value(omegas)) * z
     return StochasticDraw(seed, spectrum, omegas, fhat)
 
 
@@ -129,14 +162,8 @@ def sample_noise(spectrum: PowerSpectrum, grid: FrequencyGrid, n_receivers: int,
     Returns an (N, F) array of independent complex Gaussians with
     E|eta|^2 = 2 pi Fhat, i.e. the same spectral shape as the source.
     """
-    omegas = grid.omegas
-    scale = np.sqrt(math.pi * spectrum.value(omegas))
-    out = np.empty((n_receivers, omegas.shape[0]), dtype=complex)
-    for r in range(n_receivers):
-        for i in range(omegas.shape[0]):
-            z = _substream(seed, _TAG_NOISE, r, i).standard_normal(2)
-            out[r, i] = scale[i] * complex(z[0], z[1])
-    return out
+    z = _complex_normals(seed, _TAG_NOISE, (n_receivers, grid.count))[..., 0]
+    return np.sqrt(math.pi * spectrum.value(grid.omegas)) * z
 
 
 def _check_draw(scene: Scene, draw: StochasticDraw) -> None:
@@ -214,6 +241,7 @@ def time_domain_autocorr_oracle(
 
     Returns an (N, F) complex array on the scene band.
     """
+    _check_substreams(seed)
     omega_max = scene.band.omegas[-1]
     if not dt * omega_max <= math.pi:
         raise ValueError("time step undersamples the band: aliasing")
@@ -231,9 +259,8 @@ def time_domain_autocorr_oracle(
     k = k[active]
     omega_k = omega_k[active]
 
-    rng = _substream(seed, _TAG_ORACLE)
-    z = rng.standard_normal((k.shape[0], 2))
-    coeff = np.sqrt(fhat_sq[active] / (2.0 * period)) * (z[:, 0] + 1j * z[:, 1])
+    z = _complex_normals(seed, _TAG_ORACLE, pairs=k.shape[0])
+    coeff = np.sqrt(fhat_sq[active] / (2.0 * period)) * z
 
     transfer = total_field(scene, omega_k).T
     spec = np.zeros((scene.n_receivers, m), dtype=complex)

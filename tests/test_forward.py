@@ -9,6 +9,7 @@ import pytest
 from ikmig.errors import DataFormatError, SingularityError
 from ikmig.forward import (
     IntensityData,
+    _distances,
     array_response_band,
     direct_arrivals_band,
     intensity_data,
@@ -69,6 +70,18 @@ def brute_response(scene, omega):
             )
         out.append(acc)
     return np.asarray(out)
+
+
+@pytest.mark.parametrize("coords", [2, 3])
+def test_distances_equal_norm_bit_for_bit(coords):
+    rng = np.random.default_rng(coords)
+    for p_shape, r_shape in [((9, coords), (coords,)),
+                             ((7, 1, coords), (1, 5, coords)),
+                             ((4, coords), (3, 1, coords))]:
+        points = rng.uniform(-3.0, 3.0, size=p_shape)
+        ref = rng.uniform(-3.0, 3.0, size=r_shape)
+        assert np.array_equal(_distances(points, ref),
+                              np.linalg.norm(points - ref, axis=-1))
 
 
 class TestDirectArrivals:

@@ -1,7 +1,8 @@
-"""Smoke test of the benchmark harness on its smallest workload.
+"""Smoke tests of the benchmark harness.
 
-One traced and one untraced ``small2d`` pass: the 2-D images must match
-the recorded references (rel 1e-8) and the traced Hankel and kernel
+One traced and one untraced pass each of ``small2d`` and
+``noisy_ingest``: the outputs must match the recorded references
+(``small2d`` images to rel 1e-8) and the traced Hankel and kernel
 counts must match the counts predicted from the problem sizes.
 """
 
@@ -13,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_small2d_pass_is_correct_and_counts_match():
+def run_pass(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "small2d", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
@@ -23,3 +24,11 @@ def test_small2d_pass_is_correct_and_counts_match():
     assert summary["correct"] is True, proc.stderr
     assert summary["failed"] == 0, proc.stderr
     assert summary["metrics"]["trace.count_mismatches"]["value"] == 0, proc.stderr
+
+
+def test_small2d_pass_is_correct_and_counts_match():
+    run_pass("small2d")
+
+
+def test_noisy_ingest_pass_is_correct_and_counts_match():
+    run_pass("noisy_ingest")

@@ -124,6 +124,74 @@ class TestIllumination:
             StochasticDraw(0, ps, BAND.omegas, np.zeros(2, dtype=complex))
 
 
+def fresh_substream(seed, tag, a=0, b=0):
+    """Generator and bit generator for one substream, built from scratch."""
+    key = np.array([seed, (tag << 56) | (a << 28) | b], dtype=np.uint64)
+    bit_gen = np.random.Philox(key=key)
+    return np.random.Generator(bit_gen), bit_gen
+
+
+class TestSubstreams:
+    """The samplers draw the documented Philox streams, bit for bit."""
+
+    SEEDS = (0, 12345, 2**64 - 1)
+    N = 2000
+
+    def test_noise_matches_fresh_generators(self):
+        # 2000 x 3 substreams of two normals each: enough that some
+        # normals take the ziggurat's slow path and draw extra words, so
+        # state leaking from one substream into the next would show.
+        ps = PowerSpectrum.for_band(BAND)
+        scale = np.sqrt(math.pi * ps.value(BAND.omegas))
+        for seed in self.SEEDS:
+            want = np.empty((self.N, BAND.count), dtype=complex)
+            slow = 0
+            for r in range(self.N):
+                for i in range(BAND.count):
+                    gen, bit_gen = fresh_substream(seed, 2, r, i)
+                    z = gen.standard_normal(2)
+                    want[r, i] = scale[i] * complex(z[0], z[1])
+                    state = bit_gen.state
+                    slow += (state["buffer_pos"], state["state"]["counter"][0]) != (2, 1)
+            assert slow > 0
+            assert np.array_equal(sample_noise(ps, BAND, self.N, seed), want)
+
+    def test_illumination_matches_fresh_generators(self):
+        grid = FrequencyGrid(100.0, 200.0, 3000)
+        ps = PowerSpectrum.for_band(grid)
+        scale = np.sqrt(math.pi * ps.value(grid.omegas))
+        for seed in self.SEEDS:
+            want = np.empty(grid.count, dtype=complex)
+            for i in range(grid.count):
+                z = fresh_substream(seed, 1, i)[0].standard_normal(2)
+                want[i] = scale[i] * complex(z[0], z[1])
+            assert np.array_equal(sample_illumination(ps, grid, seed).fhat, want)
+
+    def test_noise_rows_are_a_prefix(self):
+        ps = PowerSpectrum.for_band(BAND)
+        for seed in self.SEEDS:
+            short = sample_noise(ps, BAND, 7, seed)
+            assert np.array_equal(sample_noise(ps, BAND, 7 + 5, seed)[:7], short)
+
+    def test_range_is_checked_before_any_work(self):
+        # Each of these would otherwise allocate gigabytes or draw 2**28
+        # substreams before the out-of-range index is reached.
+        ps = PowerSpectrum.for_band(BAND)
+        with pytest.raises(ValueError, match="substream index"):
+            sample_noise(ps, BAND, 2**28 + 1, 0)
+        with pytest.raises(ValueError, match="substream index"):
+            sample_noise(ps, FrequencyGrid(100.0, 200.0, 2**28 + 1), 1, 0)
+        with pytest.raises(ValueError, match="substream index"):
+            sample_illumination(ps, FrequencyGrid(100.0, 200.0, 2**28 + 1), 0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                sample_noise(ps, BAND, 2**28, seed)
+            with pytest.raises(ValueError, match="seed"):
+                sample_illumination(ps, BAND, seed)
+            with pytest.raises(ValueError, match="seed"):
+                time_domain_autocorr_oracle(acoustic_scene(), ps, 0.5, 1.0 / 1500.0, seed)
+
+
 class TestCleanData:
     def test_rows_are_the_illuminated_power(self):
         sc = acoustic_scene()

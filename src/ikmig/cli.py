@@ -29,7 +29,7 @@ from .errors import (
     SingularityError,
 )
 from .forward import (
-    _write_columns,
+    _write_grid,
     array_response_band,
     intensity_data,
     linearization_residual,
@@ -206,11 +206,10 @@ def _read_field(path: str, scene, name: str):
 def _write_condition(out_dir: str, scenes: dict) -> str:
     """condition.csv: one column of condition numbers per named scene."""
     omegas = next(iter(scenes.values())).band.omegas
-    columns = [np.arange(omegas.shape[0]), omegas]
-    columns += [condition_number(scene, omegas) for scene in scenes.values()]
+    values = [condition_number(scene, omegas) for scene in scenes.values()]
     header = ",".join(["freq_index", "omega_rad_s", *scenes])
     cpath = os.path.join(out_dir, "condition.csv")
-    _atomic(cpath, lambda p: _write_columns(p, header, columns))
+    _atomic(cpath, lambda p: _write_grid(p, header, [np.arange(omegas.shape[0]), omegas], values))
     return cpath
 
 

@@ -213,18 +213,40 @@ _ILLUMINATION_HEADER = "freq_index,omega_rad_s,twopi_Fhat"
 _FIELD_HEADER = "freq_index,omega_rad_s,receiver_index,re,im"
 
 
-def _write_columns(path, header: str, columns) -> None:
-    """One row per index of equal-length 1-D arrays, under ``header``.
+def _text(column: np.ndarray) -> list[str]:
+    """Each entry of a key column as text: ``%d`` if integer, else ``%.17g``."""
+    fmt = "%d" if np.issubdtype(column.dtype, np.integer) else "%.17g"
+    return [fmt % x for x in column.ravel().tolist()]
+
+
+def _write_grid(path, header: str, keys, values) -> None:
+    """A (lines, positions) grid under ``header``, one row per cell, row-major.
+
+    The row's columns are ``keys`` then ``values``.  A key column is either
+    an (lines, 1) array, one entry per grid line, or a 1-D array, one entry
+    per position, repeated on every line; a value column is an array that
+    broadcasts to the grid.  A 1-D table is one line of positions.
 
     The contract every writer shares, and the inverse of ``_read_columns``:
     ``%d`` for an integer column, ``%.17g`` (round-trip exact) for a float
-    column.
+    column, so the bytes equal a ``%``-format of each row.  Each key entry
+    is formatted once, not once per row: the per-position keys into one
+    template per file, the per-line keys into one template per grid line,
+    and each line is written with one ``%`` on that template, which holds
+    only the value columns' ``%.17g``.
     """
-    fmt = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
-                   for c in columns) + "\n"
+    keys = [np.asarray(c) for c in keys]
+    shape = np.broadcast_shapes((1, 1), *(np.shape(c) for c in (*keys, *values)))
+    fields = [["%s"] * shape[1] if c.ndim == 2 else _text(c) for c in keys]
+    skeleton = "".join(",".join(row) + ",%%.17g" * len(values) + "\n"
+                       for row in zip(*fields, strict=True))
+    line_keys = list(zip(*(_text(c) for c in keys if c.ndim == 2))) or [()] * shape[0]
+    rows = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values],
+                    axis=-1).reshape(shape[0], -1).tolist()
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(fmt % row for row in zip(*(c.tolist() for c in columns), strict=True))
+        for text, row in zip(line_keys, rows, strict=True):
+            fh.write(skeleton % (text * shape[1]) % tuple(row))
 
 
 def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
@@ -275,10 +297,9 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_columns(omegas: np.ndarray, n: int) -> tuple:
-    """Frequency index, omega and receiver index columns of an (F, n) grid."""
-    f = omegas.shape[0]
-    return np.arange(f).repeat(n), omegas.repeat(n), np.tile(np.arange(n), f)
+def _band_keys(omegas: np.ndarray, n: int) -> list:
+    """Frequency index and omega per grid line, receiver index per position."""
+    return [np.arange(omegas.shape[0])[:, None], omegas[:, None], np.arange(n)]
 
 
 def _band_omegas(om: np.ndarray, shape, what: str) -> np.ndarray:
@@ -292,13 +313,13 @@ def _band_omegas(om: np.ndarray, shape, what: str) -> np.ndarray:
 
 def write_intensity_csv(data: IntensityData, path) -> None:
     """Rows sorted by (freq_index, receiver_index), 17 significant digits."""
-    _write_columns(path, _INTENSITY_HEADER,
-                   (*_band_columns(data.omegas, data.n_receivers), data.values.ravel()))
+    _write_grid(path, _INTENSITY_HEADER, _band_keys(data.omegas, data.n_receivers),
+                [data.values])
 
 
 def write_illumination_csv(data: IntensityData, path) -> None:
-    _write_columns(path, _ILLUMINATION_HEADER,
-                   (np.arange(data.omegas.shape[0]), data.omegas, data.illumination))
+    _write_grid(path, _ILLUMINATION_HEADER,
+                [np.arange(data.omegas.shape[0]), data.omegas], [data.illumination])
 
 
 def read_intensity_csv(path, illumination_path=None) -> IntensityData:
@@ -339,8 +360,8 @@ def write_field_csv(omegas, values, path) -> None:
     """Per-frequency complex receiver fields, same ordering as intensity."""
     values = np.asarray(values, dtype=complex)
     omegas = np.asarray(omegas, dtype=float)
-    _write_columns(path, _FIELD_HEADER, (*_band_columns(omegas, values.shape[1]),
-                                         values.real.ravel(), values.imag.ravel()))
+    _write_grid(path, _FIELD_HEADER, _band_keys(omegas, values.shape[1]),
+                [values.real, values.imag])
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ the source are flagged NaN and excluded from metrics.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .forward import (
     _grid_shape,
     _read_columns,
     _spreading_3d,
-    _write_columns,
+    _write_grid,
     array_response_band,
     direct_arrivals_band,
 )
@@ -170,9 +171,10 @@ def migrate_broadband_stack(
     (``_horner_kernel``); a 2-D scene sums the exact per-frequency kernel
     in ascending frequency.  The window's cells are split evenly into
     blocks of at most ``_BLOCK_CELLS``, a multiple of ``threads`` of them,
-    which ``threads`` workers migrate.  Memory stays bounded by the block
-    size, not the window, and neither the block size nor the thread count
-    changes a bit of the result.
+    which at most ``threads`` workers migrate (no more than the CPUs or
+    the blocks).  Memory stays bounded by the block size, not the window,
+    and neither the block size nor the thread count changes a bit of the
+    result.
     """
     window = window or scene.window
     omegas = scene.band.omegas
@@ -196,7 +198,10 @@ def migrate_broadband_stack(
         return total
 
     edges = _block_edges(cells.shape[0], threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # The split still follows ``threads``; workers beyond the CPUs or the
+    # blocks would only start OS threads that have nothing to run.
+    workers = min(threads, os.cpu_count() or 1, edges.shape[0] - 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(block, zip(edges[:-1], edges[1:])))
     total = np.concatenate(blocks)
     total *= scene.band.delta_omega
@@ -376,13 +381,11 @@ _IMAGE_HEADER = "ix,iy,x_m,y_m,re,im,abs"
 
 def write_image_csv(image: ImageGrid, path) -> None:
     """Row-major cell dump (first index slow) with 17 significant digits."""
-    n = image.window.cells_per_side
     cells = image.window.cell_offsets()
     pos = image.window.cell_positions()
-    v = image.values.ravel()
-    _write_columns(path, _IMAGE_HEADER, (
-        cells.repeat(n), np.tile(cells, n), pos[:, :, 0].ravel(), pos[:, :, 1].ravel(),
-        v.real, v.imag, np.hypot(v.real, v.imag)))
+    v = image.values
+    _write_grid(path, _IMAGE_HEADER, [cells[:, None], cells, pos[:, :1, 0], pos[0, :, 1]],
+                [v.real, v.imag, np.hypot(v.real, v.imag)])
 
 
 def read_image_csv(path) -> dict:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DataFormatError, NumericError, SingularityError
 from .forward import (
@@ -186,6 +185,9 @@ def _source_in_cone_2d(dirs: np.ndarray, s: np.ndarray, tol: float) -> bool:
 
 
 def _source_in_cone_3d(dirs: np.ndarray, s: np.ndarray, tol: float) -> bool:
+    # SciPy is loaded here, not at import, so windows of two coordinates never load it.
+    from scipy.optimize import nnls
+
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0.0):
         return True

@@ -3,7 +3,11 @@ and the free-space frequency-domain Green's function in two and three
 dimensions.
 
 The Bessel functions wrap SciPy's cephes ``j0``/``y0``; they take a scalar
-or an array and return a Python float/complex for a scalar.  The accuracy
+or an array and return a Python float/complex for a scalar.  ``scipy.special``
+is imported on first use, inside ``bessel_j0``, ``bessel_y0`` and
+``hankel0_1``.  The package loads SciPy only there, for 2-D Green's
+functions, and in ``recover`` for the cone test of three-coordinate
+windows (``nnls``), so importing the CLI does not load it.  The accuracy
 target, 1e-10 absolute for small arguments and 1e-10 relative to the
 envelope sqrt(2/(pi*t)) for large ones, is pinned by the arbitrary-precision
 oracle in ``tests/ref_bessel.py``.
@@ -15,7 +19,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import SingularityError
 
@@ -31,6 +34,8 @@ def _positive(t) -> np.ndarray:
 
 def bessel_j0(t):
     """Bessel function of the first kind, order zero, for t > 0."""
+    from scipy import special
+
     arr = _positive(t)
     out = special.j0(arr)
     return float(out) if arr.ndim == 0 else out
@@ -38,6 +43,8 @@ def bessel_j0(t):
 
 def bessel_y0(t):
     """Bessel function of the second kind, order zero, for t > 0."""
+    from scipy import special
+
     arr = _positive(t)
     out = special.y0(arr)
     return float(out) if arr.ndim == 0 else out
@@ -50,6 +57,8 @@ def hankel0_1(t):
     ``hankel1``, so it equals ``complex(bessel_j0(t), bessel_y0(t))``
     exactly.
     """
+    from scipy import special
+
     arr = _positive(t)
     out = special.j0(arr) + 1j * special.y0(arr)
     return complex(out) if arr.ndim == 0 else out

@@ -7,12 +7,15 @@ one row per index in the order the readers expect.
 """
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ikmig import cli
 from ikmig.cli import main
 from ikmig.forward import (
     IntensityData,
@@ -23,7 +26,7 @@ from ikmig.forward import (
     write_intensity_csv,
 )
 from ikmig.migrate import ImageGrid, read_image_csv, write_image_csv
-from ikmig.scene import FrequencyGrid, ImageWindowSpec, Scene, emit_scene
+from ikmig.scene import FrequencyGrid, ImageWindowSpec, Scene, emit_scene, preset_scene
 
 TINY = 5e-324  # smallest subnormal double
 
@@ -183,3 +186,95 @@ def test_image_round_trip(tmp_path_factory, image):
     v = image.values.ravel()
     assert same_bits(magnitude[~masked.ravel()], np.hypot(v.real, v.imag)[~masked.ravel()])
 
+
+# ---------------------------------------------------------------------------
+# byte identity with the per-row formatter
+# ---------------------------------------------------------------------------
+
+MAX = 1.7976931348623157e308
+EXTREME = st.one_of(st.sampled_from([0.0, -0.0, TINY, -TINY, MAX, -MAX]), FINITE)
+
+
+def per_row_text(header, columns) -> str:
+    """The reference writer: one ``%`` per row, ``%d`` for an integer column
+    and ``%.17g`` for a float column."""
+    fmt = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
+                   for c in columns) + "\n"
+    rows = zip(*(c.tolist() for c in columns), strict=True)
+    return header + "\n" + "".join(fmt % row for row in rows)
+
+
+def band_rows(omegas, n):
+    f = omegas.shape[0]
+    return np.arange(f).repeat(n), omegas.repeat(n), np.tile(np.arange(n), f)
+
+
+@st.composite
+def extreme_band(draw):
+    f = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    return (draw(hnp.arrays(float, f, elements=EXTREME)),
+            draw(hnp.arrays(float, (f, n), elements=EXTREME)),
+            draw(hnp.arrays(float, (f, n), elements=EXTREME)),
+            draw(hnp.arrays(float, f, elements=EXTREME)))
+
+
+BYTES = settings(max_examples=80, deadline=None)
+
+
+@BYTES
+@given(extreme_band())
+def test_band_writers_match_the_per_row_text(tmp_path_factory, band):
+    omegas, re, im, illum = band
+    d = tmp_path_factory.mktemp("bytes")
+    data = IntensityData(omegas, re, illum)
+    write_intensity_csv(data, d / "i.csv")
+    write_illumination_csv(data, d / "l.csv")
+    rows = band_rows(omegas, re.shape[1])
+    assert (d / "i.csv").read_bytes() == per_row_text(
+        "freq_index,omega_rad_s,receiver_index,value", (*rows, re.ravel())).encode()
+    assert (d / "l.csv").read_bytes() == per_row_text(
+        "freq_index,omega_rad_s,twopi_Fhat", (np.arange(omegas.shape[0]), omegas, illum)).encode()
+    field = np.empty(re.shape, dtype=complex)
+    field.real, field.imag = re, im
+    write_field_csv(omegas, field, d / "f.csv")
+    assert (d / "f.csv").read_bytes() == per_row_text(
+        "freq_index,omega_rad_s,receiver_index,re,im", (*rows, re.ravel(), im.ravel())).encode()
+
+
+@BYTES
+@given(extreme_band(), st.integers(1, 3))
+def test_condition_file_matches_the_per_row_text(tmp_path_factory, band, n_scenes):
+    omegas, values, _, _ = band
+    f = omegas.shape[0]
+    scene = preset_scene("point").with_band(FrequencyGrid(100.0, 100.0 if f == 1 else 200.0, f))
+    scenes = {f"cond_{j}": replace(scene, c0=343.0 + j) for j in range(n_scenes)}
+    columns = dict(zip(scenes.values(), np.resize(values, (n_scenes, f))))
+    d = tmp_path_factory.mktemp("cond")
+    with mock.patch.object(cli, "condition_number", lambda sc, om: columns[sc]):
+        cli._write_condition(str(d), scenes)
+    omegas = scene.band.omegas
+    assert (d / "condition.csv").read_bytes() == per_row_text(
+        ",".join(["freq_index", "omega_rad_s", *scenes]),
+        (np.arange(omegas.shape[0]), omegas, *columns.values())).encode()
+
+
+@BYTES
+@given(st.integers(0, 3), st.data())
+def test_image_file_matches_the_per_row_text(tmp_path_factory, half, data):
+    n = 2 * half + 1
+    center = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=3))
+    window = ImageWindowSpec(center, data.draw(st.floats(1e-300, 1e300)), half)
+    values = data.draw(hnp.arrays(float, (n, n), elements=EXTREME)).astype(complex)
+    values.imag = data.draw(hnp.arrays(float, (n, n), elements=EXTREME))
+    values[data.draw(hnp.arrays(bool, (n, n)))] = complex(math.nan, math.nan)
+    path = tmp_path_factory.mktemp("image") / "m.csv"
+    cells = window.cell_offsets()
+    v = values.ravel()
+    with np.errstate(over="ignore"):  # |MAX + MAX i| overflows to inf
+        write_image_csv(ImageGrid(window, values), path)
+        pos = window.cell_positions()
+        want = per_row_text("ix,iy,x_m,y_m,re,im,abs", (
+            cells.repeat(n), np.tile(cells, n), pos[:, :, 0].ravel(), pos[:, :, 1].ravel(),
+            v.real, v.imag, np.hypot(v.real, v.imag)))
+    assert path.read_bytes() == want.encode()

@@ -1,6 +1,7 @@
 """Migration kernels, broadband accumulation, metrics, image exports."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,38 @@ class TestBroadband:
         assert sum(blocks) == n_cells
         assert max(blocks) - min(blocks) <= 1
         assert max(blocks) <= migrate_module._BLOCK_CELLS
+
+    def test_pool_never_outnumbers_the_cpus(self, monkeypatch):
+        # 10,000 threads split 81 cells into 81 one-cell blocks, but the
+        # pool asks for no more workers than there are CPUs or blocks.
+        sc = imaging_scene(n_receivers=9, count=6, half_extent=4)
+        p = array_response_band(sc)
+        (want,) = migrate_broadband_stack(sc, p[:, :, None])
+        asked, blocks = [], []
+
+        class Serial:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                blocks.append(len(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(migrate_module, "ThreadPoolExecutor", Serial)
+        (got,) = migrate_broadband_stack(sc, p[:, :, None], threads=10_000)
+        assert asked == [min(os.cpu_count() or 1, 81)]
+        assert blocks == [81]
+        assert np.array_equal(got.values, want.values)
+        one_cell = ImageWindowSpec((5.0, 0.0), 0.2, 0)
+        migrate_broadband_stack(sc, p[:, :, None], one_cell, threads=10_000)
+        assert asked[-1] == 1
 
     def test_peak_memory_does_not_grow_with_the_window(self):
         # 6,561 cells: one (cells x N) complex array is 10.6 MB; the

@@ -1,7 +1,12 @@
 """Special-function tests against the arbitrary-precision series oracle."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,3 +137,31 @@ class TestGreen:
             green0((0.0, 0.0), (1.0, 0.0), -1.0, 3)
         with pytest.raises(ValueError):
             green0((0.0, 0.0), (1.0, 0.0), 0.0, 2)
+
+
+def test_scipy_is_imported_on_first_use(tmp_path):
+    """Importing the CLI and a 3-D experiment on a two-coordinate window load
+    no SciPy; the first Hankel call loads scipy.special."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import json, sys\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "from ikmig.cli import main\n"
+        "cold = scipy()\n"
+        f"assert main(['experiment', '--case', 'point', '--out', {str(tmp_path)!r}]) == 0\n"
+        "after_3d = scipy()\n"
+        "from ikmig.specfun import hankel0_1\n"
+        "h = hankel0_1(1.0)\n"
+        "print(json.dumps({'cold': cold, 'after_3d': after_3d,\n"
+        "                  'special': 'scipy.special' in sys.modules, 'h': [h.real, h.imag]}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["cold"] == []
+    assert got["after_3d"] == []
+    assert got["special"] is True
+    assert abs(complex(*got["h"]) - h0_ref(1.0)) <= envelope_tol(1.0)

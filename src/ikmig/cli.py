@@ -1,7 +1,8 @@
 """Command-line pipeline: synthesize, recover, migrate, diagnose.
 
 Exit codes: 0 success, 2 validation or format error, 3 numeric or
-singularity error, 4 I/O error.  Output files are written atomically
+singularity error, or a problem too large for memory (an array that
+cannot be allocated), 4 I/O error.  Output files are written atomically
 (temp file + rename) and every command leaves a manifest.json in its
 output directory recording inputs, outputs, and hashes.
 """
@@ -40,9 +41,9 @@ from .forward import (
     write_intensity_csv,
 )
 from .migrate import (
-    _spurious_images,
     image_metrics,
     migrate_broadband_stack,
+    spurious_term_image,
     write_image_csv,
     write_image_pgm,
 )
@@ -206,7 +207,7 @@ def _read_field(path: str, scene, name: str):
 def _write_condition(out_dir: str, scenes: dict) -> str:
     """condition.csv: one column of condition numbers per named scene."""
     omegas = next(iter(scenes.values())).band.omegas
-    values = [condition_number(scene, omegas) for scene in scenes.values()]
+    values = [condition_number(scene) for scene in scenes.values()]
     header = ",".join(["freq_index", "omega_rad_s", *scenes])
     cpath = os.path.join(out_dir, "condition.csv")
     _atomic(cpath, lambda p: _write_grid(p, header, [np.arange(omegas.shape[0]), omegas], values))
@@ -280,7 +281,7 @@ def cmd_recover(args) -> int:
     data = read_intensity_csv(args.data, illum)
     _, geometry, fpath = _recover(scene, data, args.out)
     rpath = os.path.join(args.out, "report.json")
-    _write_json({"conditioning": condition_number(scene, scene.band.omegas),
+    _write_json({"conditioning": condition_number(scene),
                  "geometry": asdict(geometry)}, rpath)
     inputs = {"data": args.data, **_scene_inputs(args.scene)}
     if illum is not None:
@@ -325,7 +326,7 @@ def _experiment_condition_study(out_dir: str) -> int:
 
 def _experiment_spurious(out_dir: str, threads: int) -> int:
     scene = preset_scene("point")
-    true_img, mirror, report = _spurious_images(scene, None, threads)
+    true_img, mirror, report = spurious_term_image(scene, threads)
     outputs = (_write_image_pair(out_dir, "image_mirror", mirror)
                + _write_image_pair(out_dir, "image_true", true_img))
     rpath = os.path.join(out_dir, "report.json")
@@ -358,7 +359,7 @@ def cmd_experiment(args) -> int:
         scene, {"image_true": array_response_band(scene), "image_recovered": ptilde},
         args.threads, args.out)
     recovered, true, shift = _compare(images["image_recovered"], images["image_true"], scene)
-    residual = float(np.max(linearization_residual(scene, scene.band.omegas)))
+    residual = float(np.max(linearization_residual(scene)))
     mpath = os.path.join(args.out, "metrics.json")
     _write_json({"true": true, "recovered": recovered, "peak_displacement_cells": shift,
                  "linearization_residual_max": residual, "geometry": asdict(geometry)}, mpath)
@@ -475,6 +476,9 @@ def main(argv=None) -> int:
         return 2
     except (SingularityError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

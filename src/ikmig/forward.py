@@ -3,6 +3,13 @@
 The array records, per frequency, the squared modulus of the total field at
 each receiver: direct arrival plus the weak scattered response.  Phases are
 discarded at this point; everything downstream works from these power rows.
+The model functions return (F, N) rows over a band, or one value per band
+frequency.
+
+The free-space Green's function is exp(ikr)/(4 pi r) in three dimensions
+and (i/4) H0(kr) in two, where H0 = J0 + i Y0 (``hankel0_1``) comes from
+SciPy's cephes ``j0``/``y0``.  ``scipy.special`` is imported on first use,
+so importing the CLI or running a 3-D scene does not load it.
 """
 
 from __future__ import annotations
@@ -15,10 +22,10 @@ import numpy as np
 
 from .errors import DataFormatError, SingularityError
 from .scene import Scene
-from .specfun import hankel0_1
 
 __all__ = [
     "IntensityData",
+    "hankel0_1",
     "direct_arrivals_band",
     "array_response_band",
     "total_field",
@@ -39,7 +46,8 @@ class IntensityData:
     """Phaseless data rows over the full band.
 
     ``illumination`` holds the per-frequency divisor used at recovery time:
-    |fhat|^2 for deterministic illumination, 2*pi*Fhat for stochastic runs.
+    |fhat|^2 for deterministic illumination (1 for ``intensity_data``),
+    2*pi*Fhat for stochastic runs.
     """
 
     omegas: np.ndarray
@@ -87,6 +95,21 @@ def _distances(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
         d = points[..., j] - ref[..., j]
         sq += d * d
     return np.sqrt(sq, out=sq)
+
+
+def hankel0_1(t: np.ndarray) -> np.ndarray:
+    """First-kind Hankel function of order zero, J0(t) + i Y0(t), for t > 0.
+
+    Composed from cephes ``j0`` and ``y0`` rather than taken from AMOS
+    ``hankel1``.  The argument is not checked: every caller passes k r
+    with k > 0 (``_wavenumbers``) and r > 0 (zero distances raise or are
+    masked first).  The accuracy target, 1e-10 absolute for small
+    arguments and 1e-10 relative to the envelope sqrt(2/(pi t)) for large
+    ones, is pinned by the arbitrary-precision oracle in the tests.
+    """
+    from scipy import special
+
+    return special.j0(t) + 1j * special.y0(t)
 
 
 def _spreading_3d(r: np.ndarray) -> np.ndarray:
@@ -166,42 +189,21 @@ def total_field_band(scene: Scene) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def intensity_data(scene: Scene, fhat_sq=None) -> IntensityData:
-    """Exact quadratic power data over the band.
-
-    Parameters
-    ----------
-    fhat_sq : array_like of shape (F,), optional
-        Per-frequency illumination power |fhat|^2; defaults to 1.
-
-    Returns
-    -------
-    IntensityData
-        Rows |fhat|^2 |g0 + p|^2; no linearization is applied.
-    """
+def intensity_data(scene: Scene) -> IntensityData:
+    """Exact quadratic power rows |g0 + p|^2 over the band, under unit
+    illumination; no linearization is applied."""
     omegas = scene.band.omegas
-    if fhat_sq is None:
-        fhat_sq = np.ones(omegas.shape[0])
-    fhat_sq = np.asarray(fhat_sq, dtype=float)
-    if fhat_sq.shape != omegas.shape:
-        raise DataFormatError("fhat_sq must hold one value per frequency")
-    if np.any(fhat_sq <= 0.0):
-        raise DataFormatError("illumination power must be positive")
     total = total_field_band(scene)
-    power = (np.conj(total) * total).real
-    return IntensityData(omegas, fhat_sq[:, None] * power, fhat_sq)
+    # Copied out, so the data do not keep the complex product alive.
+    power = (np.conj(total) * total).real.copy()
+    return IntensityData(omegas, power, np.ones(omegas.shape[0]))
 
 
-def linearization_residual(scene: Scene, omega):
-    """max_r |p_r| / |g0_r|, the size of the neglected quadratic term.
-
-    A scalar omega gives a float; an array of frequencies gives one value
-    per frequency.
-    """
-    omega = np.asarray(omega, dtype=float)
-    k = _wavenumbers(scene, omega.reshape(-1))
-    ratio = np.max(np.abs(_response_rows(scene, k)) / np.abs(_direct_rows(scene, k)), axis=1)
-    return float(ratio[0]) if omega.ndim == 0 else ratio.reshape(omega.shape)
+def linearization_residual(scene: Scene) -> np.ndarray:
+    """max_r |p_r| / |g0_r| per band frequency: the size of the neglected
+    quadratic term."""
+    ratio = np.abs(array_response_band(scene)) / np.abs(direct_arrivals_band(scene))
+    return np.max(ratio, axis=1)
 
 
 # ---------------------------------------------------------------------------

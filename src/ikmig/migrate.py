@@ -224,36 +224,27 @@ class SpuriousReport:
     geometry_ok: bool
 
 
-def _spurious_images(scene: Scene, window: ImageWindowSpec | None, threads: int):
-    """(true-response image, mirror image, report) from one kernel pass."""
-    geometry = check_geometric_condition(scene, window)
+def spurious_term_image(
+    scene: Scene, threads: int = 1
+) -> tuple[ImageGrid, ImageGrid, SpuriousReport]:
+    """Migrate the true response p and the mirror term (conj(g0))^-1 g0 conj(p)
+    over the band, in one kernel pass.
+
+    Returns (true image, mirror image, report); the report holds the
+    mirror's peak magnitude against the true image's.  The geometric
+    visibility check runs first; a failing check is reported, not raised.
+    """
+    geometry = check_geometric_condition(scene)
     g0 = direct_arrivals_band(scene)
     p = array_response_band(scene)
-    if not np.any(p):
-        spur = np.zeros_like(p)
-        degenerate = True
-    else:
-        spur = g0 / np.conj(g0) * np.conj(p)
-        degenerate = False
-    stack = np.stack([p, spur], axis=2)
-    image_p, image_s = migrate_broadband_stack(scene, stack, window, threads)
+    degenerate = not np.any(p)
+    spur = np.zeros_like(p) if degenerate else g0 / np.conj(g0) * np.conj(p)
+    image_p, image_s = migrate_broadband_stack(scene, np.stack([p, spur], axis=2),
+                                               threads=threads)
     peak_p = float(np.nanmax(np.abs(image_p.values)))
     peak_s = float(np.nanmax(np.abs(image_s.values)))
     ratio = 0.0 if degenerate else peak_s / peak_p
     return image_p, image_s, SpuriousReport(ratio, degenerate, geometry.ok)
-
-
-def spurious_term_image(
-    scene: Scene, window: ImageWindowSpec | None = None, threads: int = 1
-) -> tuple[ImageGrid, SpuriousReport]:
-    """Migrate the mirror term (conj(g0))^-1 g0 conj(p) over the band.
-
-    Returns the mirror image and a report with the peak-magnitude ratio
-    against the migrated true response.  The geometric visibility check
-    runs first; a failing check is reported, not raised.
-    """
-    _, image_s, report = _spurious_images(scene, window, threads)
-    return image_s, report
 
 
 # ---------------------------------------------------------------------------

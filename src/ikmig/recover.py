@@ -8,9 +8,9 @@ costs a handful of array operations over the whole band and yields
     ptilde = d / (|fhat|^2 conj(g0)) - g0,
 
 which equals p plus a conjugate-mirrored term; migration suppresses the
-mirror.  The module also provides a dense pseudo-inverse oracle for tests,
-the conditioning formula, and the geometric visibility check on the
-imaging window.
+mirror.  The module also provides a one-frequency dense pseudo-inverse
+oracle for tests, the condition number at every band frequency, and the
+geometric visibility check on the scene's imaging window.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NumericError, SingularityError
-from .forward import (
-    IntensityData,
-    _direct_rows,
-    _distances,
-    _wavenumbers,
-    direct_arrivals_band,
-)
+from .forward import IntensityData, _distances, direct_arrivals_band
 from .scene import ImageWindowSpec, Scene
 
 __all__ = [
@@ -119,23 +113,17 @@ def dense_pseudoinverse_oracle(g0, d_row) -> np.ndarray:
     return mat.T @ y
 
 
-def condition_number(scene: Scene, omega):
-    """Spectral condition number of the per-frequency measurement matrix.
+def condition_number(scene: Scene) -> np.ndarray:
+    """Spectral condition number of the measurement matrix, per band frequency.
 
     Equal to the ratio of extreme direct-arrival moduli: the distance ratio
     for three-dimensional propagation, the Hankel-envelope ratio in two.
-    A scalar omega gives a float; an array of frequencies gives one value
-    per frequency.
     """
-    omega = np.asarray(omega, dtype=float)
-    k = _wavenumbers(scene, omega.reshape(-1))
     if scene.dimension == 3:
         dists = _distances(scene.receivers, scene.source)
-        cond = np.full(k.shape, np.max(dists) / np.min(dists))
-    else:
-        moduli = np.abs(_direct_rows(scene, k))
-        cond = np.max(moduli, axis=1) / np.min(moduli, axis=1)
-    return float(cond[0]) if omega.ndim == 0 else cond.reshape(omega.shape)
+        return np.full(scene.band.count, np.max(dists) / np.min(dists))
+    moduli = np.abs(direct_arrivals_band(scene))
+    return np.max(moduli, axis=1) / np.min(moduli, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +187,15 @@ def _source_in_cone_3d(dirs: np.ndarray, s: np.ndarray, tol: float) -> bool:
     return rnorm <= 2.0 * math.sin(0.5 * tol) + 1e-12
 
 
-def check_geometric_condition(
-    scene: Scene, window: ImageWindowSpec | None = None, theta_tol: float = 1e-6
-) -> GeometryReport:
-    """Flag receivers whose window view cone contains the source direction.
+def check_geometric_condition(scene: Scene, theta_tol: float = 1e-6) -> GeometryReport:
+    """Flag receivers whose view cone of the scene window contains the
+    source direction.
 
     The window is convex, so the set of unit directions from a receiver to
     window points is spanned by the four corner directions; the check tests
     source-direction membership against that span within ``theta_tol``.
     """
-    if window is None:
-        window = scene.window
-    corners = _window_corners(window)
-    if corners.shape[1] != scene.coords:
-        raise DataFormatError("window coordinate length must match the scene")
+    corners = _window_corners(scene.window)
     in_cone = _source_in_cone_2d if scene.coords == 2 else _source_in_cone_3d
     flagged = []
     for r in range(scene.n_receivers):

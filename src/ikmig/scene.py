@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -228,10 +228,6 @@ class Scene:
     def standoff(self) -> float:
         """Distance from the array center to the window center."""
         return float(np.linalg.norm(np.asarray(self.window.center) - self.array_center))
-
-    def with_band(self, band: FrequencyGrid) -> "Scene":
-        """Same geometry on a different frequency grid."""
-        return replace(self, band=band)
 
 
 # ---------------------------------------------------------------------------

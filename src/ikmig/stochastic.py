@@ -41,6 +41,9 @@ _TAG_ILLUMINATION = 1
 _TAG_NOISE = 2
 _TAG_ORACLE = 3
 
+# Spectrum at the band edges, relative to its peak t_c.
+_EDGE_ATTENUATION = 1e-3
+
 
 def _check_substreams(seed: int, streams: tuple[int, ...] = ()) -> None:
     """Reject a seed or a substream grid that the key cannot address."""
@@ -110,17 +113,15 @@ class PowerSpectrum:
         return np.exp(-1j * self.omega0 * tau - math.pi * (tau / self.t_c) ** 2)
 
     @classmethod
-    def for_band(cls, band: FrequencyGrid, attenuation: float = 1e-3) -> "PowerSpectrum":
-        """Spectrum centered on the band, decayed to `attenuation * t_c`
+    def for_band(cls, band: FrequencyGrid) -> "PowerSpectrum":
+        """Spectrum centered on the band, decayed to ``_EDGE_ATTENUATION * t_c``
         at both band edges."""
-        if not 0.0 < attenuation < 1.0:
-            raise ValueError("attenuation must lie in (0, 1)")
         omegas = band.omegas
         omega0 = 0.5 * (omegas[0] + omegas[-1])
         half = 0.5 * (omegas[-1] - omegas[0])
         if half <= 0.0:
             raise ValueError("band must span a positive width")
-        t_c = math.sqrt(4.0 * math.pi * math.log(1.0 / attenuation)) / half
+        t_c = math.sqrt(4.0 * math.pi * math.log(1.0 / _EDGE_ATTENUATION)) / half
         return cls(omega0, t_c)
 
 
@@ -178,7 +179,7 @@ def _signal_rows(scene: Scene, draw: StochasticDraw) -> np.ndarray:
     return total_field_band(scene) * draw.fhat[:, None]
 
 
-def _power_data(scene: Scene, draw: StochasticDraw, rows: np.ndarray) -> IntensityData:
+def _power_data(draw: StochasticDraw, rows: np.ndarray) -> IntensityData:
     illumination = 2.0 * math.pi * draw.spectrum.value(draw.omegas)
     return IntensityData(draw.omegas, np.abs(rows) ** 2, illumination)
 
@@ -190,7 +191,7 @@ def clean_power_data(scene: Scene, draw: StochasticDraw) -> IntensityData:
     realized |fhat|^2: that is all a receiver could know.
     """
     _check_draw(scene, draw)
-    return _power_data(scene, draw, _signal_rows(scene, draw))
+    return _power_data(draw, _signal_rows(scene, draw))
 
 
 def noisy_power_data(
@@ -214,7 +215,7 @@ def noisy_power_data(
         raise NumericError(f"zero signal power at receiver {bad[0]}: cannot scale noise")
     scale = np.sqrt(noise_fraction * sig_power / raw_power)
     rows = signal + (scale[:, None] * raw).T
-    return _power_data(scene, draw, rows)
+    return _power_data(draw, rows)
 
 
 # ---------------------------------------------------------------------------

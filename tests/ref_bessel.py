@@ -3,8 +3,8 @@
 Evaluates the defining power series of J0 and Y0 with the ``decimal`` module
 at a working precision large enough to absorb the cancellation of the
 alternating series, so the oracle is valid for any argument the suite uses
-(up to t ~ 1e3).  Independent from the production code path, which sums in
-double precision and switches to the large-argument expansion.
+(up to t ~ 1e3).  Independent from the production code path, SciPy's
+double-precision cephes ``j0``/``y0``.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -438,7 +439,7 @@ class TestExitCodes:
 
     def test_stochastic_needs_a_band_of_positive_width(self, tmp_path, capsys):
         spath = tmp_path / "scene.json"
-        spath.write_text(emit_scene(small_scene().with_band(FrequencyGrid(600.0, 600.0, 1))))
+        spath.write_text(emit_scene(replace(small_scene(), band=FrequencyGrid(600.0, 600.0, 1))))
         rc = main(["simulate", "--scene", str(spath), "--stochastic", "--seed", "1",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -473,7 +474,7 @@ class TestExitCodes:
         spath.write_text(emit_scene(sc))
         assert main(["simulate", "--scene", str(spath), "--out", str(sim)]) == 0
         other = tmp_path / "other.json"
-        other.write_text(emit_scene(sc.with_band(FrequencyGrid(300.0, 900.0, 5))))
+        other.write_text(emit_scene(replace(sc, band=FrequencyGrid(300.0, 900.0, 5))))
         rc = main(["recover", "--scene", str(other),
                    "--data", str(sim / "intensity.csv"),
                    "--out", str(tmp_path / "o")])
@@ -515,6 +516,34 @@ class TestExitCodes:
                    "--illumination", str(illum),
                    "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    # Sizes past the 128 TiB user address space, so the allocation fails at
+    # once on any host.  A side of 6e6 cells asks for 524 TiB of cell
+    # coordinates after touching about 0.14 GB of per-side offsets; a side
+    # of 2e7 would touch 0.46 GB first.
+    def test_too_large_window_is_out_of_memory(self, small_files, tmp_path, capsys):
+        spath = tmp_path / "scene.json"
+        huge = ImageWindowSpec((5.0, 0.0), 0.2, 3 * 10**6)
+        spath.write_text(emit_scene(replace(small_scene(), window=huge)))
+        rc = main(["migrate", "--scene", str(spath),
+                   "--field", str(small_files / "recovered.csv"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert "Traceback" not in err
+
+    def test_too_many_receivers_is_out_of_memory(self, tmp_path, capsys):
+        doc = json.loads(emit_scene(small_scene()))
+        doc["receivers"] = {"linear": {"center": [0.0, 0.0], "length": 4.0,
+                                       "count": 10**15, "axis": [0.0, 1.0]}}
+        spath = tmp_path / "scene.json"
+        spath.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scene", str(spath), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert "Traceback" not in err
 
 
 def test_commands_close_their_files(tmp_path):

@@ -247,11 +247,12 @@ def test_band_writers_match_the_per_row_text(tmp_path_factory, band):
 def test_condition_file_matches_the_per_row_text(tmp_path_factory, band, n_scenes):
     omegas, values, _, _ = band
     f = omegas.shape[0]
-    scene = preset_scene("point").with_band(FrequencyGrid(100.0, 100.0 if f == 1 else 200.0, f))
+    scene = replace(preset_scene("point"),
+                    band=FrequencyGrid(100.0, 100.0 if f == 1 else 200.0, f))
     scenes = {f"cond_{j}": replace(scene, c0=343.0 + j) for j in range(n_scenes)}
     columns = dict(zip(scenes.values(), np.resize(values, (n_scenes, f))))
     d = tmp_path_factory.mktemp("cond")
-    with mock.patch.object(cli, "condition_number", lambda sc, om: columns[sc]):
+    with mock.patch.object(cli, "condition_number", lambda sc: columns[sc]):
         cli._write_condition(str(d), scenes)
     omegas = scene.band.omegas
     assert (d / "condition.csv").read_bytes() == per_row_text(

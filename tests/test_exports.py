@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 MODULES = ("ikmig", "ikmig.cli", "ikmig.errors", "ikmig.forward", "ikmig.migrate",
-           "ikmig.recover", "ikmig.scene", "ikmig.specfun", "ikmig.stochastic")
+           "ikmig.recover", "ikmig.scene", "ikmig.stochastic")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from ikmig.scene import (
     Scene,
     linear_array,
 )
-from ikmig.specfun import green0
+
+from ref_green import green0
 
 
 def imaging_scene(dimension=3, n_receivers=17, count=9, half_extent=8):
@@ -66,7 +68,7 @@ def brute_image(scene, field, omega, window):
 
 def single(scene, field, f_hz):
     """Single-frequency image: a one-sample band at f_hz has unit weight."""
-    sc = scene.with_band(FrequencyGrid(f_hz, f_hz, 1))
+    sc = replace(scene, band=FrequencyGrid(f_hz, f_hz, 1))
     (img,) = migrate_broadband_stack(sc, np.asarray(field, dtype=complex)[None, :, None])
     return img
 
@@ -116,7 +118,7 @@ class TestBroadband:
         # The Horner sum in 3-D and the per-frequency kernel in 2-D.
         for dimension in (2, 3):
             sc = imaging_scene(dimension, n_receivers=5, count=3, half_extent=2)
-            sc = sc.with_band(FrequencyGrid(600.0, 600.0, 1))
+            sc = replace(sc, band=FrequencyGrid(600.0, 600.0, 1))
             field = np.ones(5, dtype=complex)
             (broad,) = migrate_broadband_stack(sc, field[None, :, None])
             cells = sc.window.cell_positions().reshape(25, 2)
@@ -135,7 +137,7 @@ class TestBroadband:
         FrequencyGrid(600.0, 600.0, 3),
     ], ids=["F1", "F2", "F7", "zero-width"])
     def test_horner_sum_matches_the_scalar_oracle(self, band):
-        sc = imaging_scene(n_receivers=5, half_extent=2).with_band(band)
+        sc = replace(imaging_scene(n_receivers=5, half_extent=2), band=band)
         rng = np.random.default_rng(4)
         stack = rng.normal(size=(band.count, 5, 2)) + 1j * rng.normal(size=(band.count, 5, 2))
         cells = sc.window.cell_positions().reshape(25, 2)
@@ -299,7 +301,6 @@ class TestCollisions:
 
     def test_source_collision_masks_one_cell(self):
         sc = self.collision_scene()
-        from dataclasses import replace
         sc = replace(sc, receivers=np.array([[0.0, -1.0], [0.0, 1.0]]),
                      source=np.array([5.0, 0.2]))
         img = single(sc, np.ones(2, dtype=complex), 300.0)
@@ -461,18 +462,18 @@ class TestCorrelation:
 
 class TestSpurious:
     def test_no_scatterers_is_degenerate(self):
-        from dataclasses import replace
         sc = replace(imaging_scene(n_receivers=5, count=3, half_extent=2),
                      scatterers=())
-        img, report = spurious_term_image(sc)
+        true, img, report = spurious_term_image(sc)
         assert report.degenerate
         assert report.ratio == 0.0
         assert report.geometry_ok
         assert np.all(img.values[~np.isnan(img.values.real)] == 0.0)
+        assert np.all(true.values[~np.isnan(true.values.real)] == 0.0)
 
     def test_mirror_image_and_ratio(self):
         sc = imaging_scene(n_receivers=9, count=5, half_extent=4)
-        img, report = spurious_term_image(sc)
+        true, img, report = spurious_term_image(sc)
         assert not report.degenerate
         assert report.geometry_ok
         g0 = direct_arrivals_band(sc)
@@ -481,6 +482,7 @@ class TestSpurious:
         (want_mirror,) = migrate_broadband_stack(sc, mirror[:, :, None])
         assert np.allclose(img.values, want_mirror.values, rtol=1e-12)
         (want_true,) = migrate_broadband_stack(sc, p[:, :, None])
+        assert np.allclose(true.values, want_true.values, rtol=1e-12)
         want_ratio = np.nanmax(np.abs(want_mirror.values)) / np.nanmax(np.abs(want_true.values))
         assert report.ratio == pytest.approx(want_ratio, rel=1e-12)
         assert 0.0 < report.ratio < 1.0

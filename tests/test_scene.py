@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,9 +265,9 @@ class TestSceneValidation:
             small_scene()
         assert not caplog.records
 
-    def test_with_band_swaps_grid_only(self):
+    def test_replacing_the_band_swaps_the_grid_only(self):
         sc = small_scene()
-        other = sc.with_band(FrequencyGrid(500.0, 500.0, 1))
+        other = replace(sc, band=FrequencyGrid(500.0, 500.0, 1))
         assert other.band.count == 1
         assert np.array_equal(other.receivers, sc.receivers)
         assert other.scatterers == sc.scatterers
@@ -342,7 +343,7 @@ class TestJsonInterface:
         d1 = scene_digest(sc)
         assert d1 == scene_digest(parse_scene(emit_scene(sc)))
         assert len(d1) == 64
-        other = sc.with_band(FrequencyGrid(430e12, 750e12, 5))
+        other = replace(sc, band=FrequencyGrid(430e12, 750e12, 5))
         assert scene_digest(other) != d1
 
     @pytest.mark.parametrize("mutate, fragment", [

@@ -1,4 +1,9 @@
-"""Special-function tests against the arbitrary-precision series oracle."""
+"""Special-function tests against the arbitrary-precision series oracle.
+
+The Hankel function under test is ``ikmig.forward.hankel0_1``; its real and
+imaginary parts are J0 and Y0.  The scalar Green's function is the tests'
+own reference (``ref_green.py``).
+"""
 
 import cmath
 import json
@@ -12,9 +17,10 @@ import numpy as np
 import pytest
 
 from ikmig.errors import SingularityError
-from ikmig.specfun import bessel_j0, bessel_y0, green0, hankel0_1
+from ikmig.forward import hankel0_1
 
 from ref_bessel import h0_ref, j0_ref, y0_ref
+from ref_green import green0
 
 # Values frozen from the oracle (tests/ref_bessel.py).
 J0_AT_1 = 0.7651976865579666
@@ -32,39 +38,35 @@ def envelope_tol(t, tol=1e-10):
 
 class TestBesselValues:
     def test_frozen_points(self):
-        assert bessel_j0(1.0) == pytest.approx(J0_AT_1, abs=1e-12)
-        assert bessel_y0(1.0) == pytest.approx(Y0_AT_1, abs=1e-12)
-        assert bessel_j0(100.0) == pytest.approx(J0_AT_100, abs=1e-12)
-        assert bessel_y0(0.5) == pytest.approx(Y0_AT_05, abs=1e-12)
+        assert hankel0_1(1.0).real == pytest.approx(J0_AT_1, abs=1e-12)
+        assert hankel0_1(1.0).imag == pytest.approx(Y0_AT_1, abs=1e-12)
+        assert hankel0_1(100.0).real == pytest.approx(J0_AT_100, abs=1e-12)
+        assert hankel0_1(0.5).imag == pytest.approx(Y0_AT_05, abs=1e-12)
 
     def test_against_oracle_log_grid(self):
         for t in np.logspace(-3, 3, 50):
             t = float(t)
             tol = envelope_tol(t)
-            assert abs(bessel_j0(t) - j0_ref(t)) <= tol, f"J0 at t={t}"
-            assert abs(bessel_y0(t) - y0_ref(t)) <= tol, f"Y0 at t={t}"
+            assert abs(hankel0_1(t).real - j0_ref(t)) <= tol, f"J0 at t={t}"
+            assert abs(hankel0_1(t).imag - y0_ref(t)) <= tol, f"Y0 at t={t}"
 
     def test_crossover_continuity(self):
         # Both branches must agree near the internal switch point.
         for t in (11.5, 11.99, 12.0, 12.01, 12.5, 13.0):
-            assert abs(bessel_j0(t) - j0_ref(t)) <= envelope_tol(t)
-            assert abs(bessel_y0(t) - y0_ref(t)) <= envelope_tol(t)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                bessel_j0(bad)
-            with pytest.raises(ValueError):
-                bessel_y0(bad)
-            with pytest.raises(ValueError):
-                hankel0_1(bad)
+            assert abs(hankel0_1(t).real - j0_ref(t)) <= envelope_tol(t)
+            assert abs(hankel0_1(t).imag - y0_ref(t)) <= envelope_tol(t)
 
 
 class TestHankel:
     def test_composition(self):
-        for t in (0.01, 1.0, 7.3, 12.0, 40.0, 500.0):
-            h = hankel0_1(t)
-            assert h == complex(bessel_j0(t), bessel_y0(t))
+        # Built from cephes j0 and y0, not AMOS hankel1, on whole arrays.
+        from scipy import special
+
+        t = np.array([[0.01, 1.0, 7.3], [12.0, 40.0, 500.0]])
+        h = hankel0_1(t)
+        assert h.shape == t.shape
+        assert np.array_equal(h.real, special.j0(t))
+        assert np.array_equal(h.imag, special.y0(t))
 
     def test_oracle_complex(self):
         for t in np.logspace(-2, 3, 40):
@@ -92,9 +94,9 @@ class TestHankel:
         # J0 Y0' - J0' Y0 = 2/(pi t), derivatives by central differences.
         for t in (0.5, 1.0, 3.0, 8.0, 12.0, 50.0, 400.0):
             h = 2e-5
-            dj = (bessel_j0(t + h) - bessel_j0(t - h)) / (2 * h)
-            dy = (bessel_y0(t + h) - bessel_y0(t - h)) / (2 * h)
-            w = bessel_j0(t) * dy - dj * bessel_y0(t)
+            h0, ahead, behind = hankel0_1(np.array([t, t + h, t - h]))
+            dh = (ahead - behind) / (2 * h)
+            w = h0.real * dh.imag - dh.real * h0.imag
             assert abs(w - 2.0 / (math.pi * t)) < 1e-8
 
 
@@ -152,7 +154,7 @@ def test_scipy_is_imported_on_first_use(tmp_path):
         "cold = scipy()\n"
         f"assert main(['experiment', '--case', 'point', '--out', {str(tmp_path)!r}]) == 0\n"
         "after_3d = scipy()\n"
-        "from ikmig.specfun import hankel0_1\n"
+        "from ikmig.forward import hankel0_1\n"
         "h = hankel0_1(1.0)\n"
         "print(json.dumps({'cold': cold, 'after_3d': after_3d,\n"
         "                  'special': 'scipy.special' in sys.modules, 'h': [h.real, h.imag]}))\n"

@@ -315,8 +315,7 @@ def _experiment_condition_study(out_dir: str) -> int:
     scene3 = preset_scene("point")
     cpath = _write_condition(out_dir, {"cond_d3": scene3,
                                        "cond_d2": replace(scene3, dimension=2)})
-    dists = np.linalg.norm(scene3.receivers - scene3.source, axis=1)
-    ratio = float(dists.max() / dists.min())
+    ratio = float(condition_number(scene3)[0])
     lpath = os.path.join(out_dir, "limits.json")
     _write_json({"d3_distance_ratio": ratio, "d2_sqrt_limit": math.sqrt(ratio)}, lpath)
     _write_manifest(out_dir, "experiment", scene3, {"case": "condition_study"},

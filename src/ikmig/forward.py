@@ -28,7 +28,6 @@ __all__ = [
     "hankel0_1",
     "direct_arrivals_band",
     "array_response_band",
-    "total_field",
     "total_field_band",
     "intensity_data",
     "linearization_residual",
@@ -102,10 +101,11 @@ def hankel0_1(t: np.ndarray) -> np.ndarray:
 
     Composed from cephes ``j0`` and ``y0`` rather than taken from AMOS
     ``hankel1``.  The argument is not checked: every caller passes k r
-    with k > 0 (``_wavenumbers``) and r > 0 (zero distances raise or are
-    masked first).  The accuracy target, 1e-10 absolute for small
-    arguments and 1e-10 relative to the envelope sqrt(2/(pi t)) for large
-    ones, is pinned by the arbitrary-precision oracle in the tests.
+    with k > 0 (``FrequencyGrid`` rejects a band that does not start
+    above 0 Hz) and r > 0 (zero distances raise or are masked first).  The
+    accuracy target, 1e-10 absolute for small arguments and 1e-10 relative
+    to the envelope sqrt(2/(pi t)) for large ones, is pinned by the
+    arbitrary-precision oracle in the tests.
     """
     from scipy import special
 
@@ -125,11 +125,9 @@ def _green_from_distance(r: np.ndarray, k, dimension: int) -> np.ndarray:
     return 0.25j * hankel0_1(k * r)
 
 
-def _wavenumbers(scene: Scene, omegas) -> np.ndarray:
-    omegas = np.asarray(omegas, dtype=float)
-    if not np.all(omegas > 0.0):
-        raise ValueError("omega must be positive")
-    return omegas / scene.c0
+def _wavenumbers(scene: Scene) -> np.ndarray:
+    """Band wavenumbers omega / c0, ascending and positive."""
+    return scene.band.omegas / scene.c0
 
 
 def _direct_rows(scene: Scene, k: np.ndarray) -> np.ndarray:
@@ -165,23 +163,18 @@ def _response_rows(scene: Scene, k: np.ndarray) -> np.ndarray:
 
 def direct_arrivals_band(scene: Scene) -> np.ndarray:
     """Stacked g0 rows, shape (F, N), ascending frequency."""
-    return _direct_rows(scene, _wavenumbers(scene, scene.band.omegas))
+    return _direct_rows(scene, _wavenumbers(scene))
 
 
 def array_response_band(scene: Scene) -> np.ndarray:
     """Stacked p rows, shape (F, N), ascending frequency."""
-    return _response_rows(scene, _wavenumbers(scene, scene.band.omegas))
-
-
-def total_field(scene: Scene, omegas) -> np.ndarray:
-    """g0 + p at the receivers for any positive frequencies; shape (F, N)."""
-    k = _wavenumbers(scene, omegas)
-    return _direct_rows(scene, k) + _response_rows(scene, k)
+    return _response_rows(scene, _wavenumbers(scene))
 
 
 def total_field_band(scene: Scene) -> np.ndarray:
     """Stacked g0 + p rows, shape (F, N), ascending frequency."""
-    return total_field(scene, scene.band.omegas)
+    k = _wavenumbers(scene)
+    return _direct_rows(scene, k) + _response_rows(scene, k)
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +272,16 @@ def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
     return columns
 
 
-def _grid_shape(slow: np.ndarray, fast: np.ndarray, what: str, origin: int = 0):
+def _grid_shape(slow: np.ndarray, fast: np.ndarray, what: str):
     """(n_slow, n_fast) of index columns that enumerate a complete grid in
-    row-major order (first index slow), both indices counting from ``origin``.
+    row-major order (first index slow), both indices counting from 0.
     """
-    n_slow = int(slow.max()) - origin + 1
-    n_fast = int(fast.max()) - origin + 1
+    n_slow = int(slow.max()) + 1
+    n_fast = int(fast.max()) + 1
     if n_slow < 1 or n_fast < 1 or slow.shape[0] != n_slow * n_fast:
         raise DataFormatError(f"{what} rows do not fill the grid")
     k = np.arange(slow.shape[0])
-    if np.any(slow - origin != k // n_fast) or np.any(fast - origin != k % n_fast):
+    if np.any(slow != k // n_fast) or np.any(fast != k % n_fast):
         raise DataFormatError(f"{what} rows out of order")
     return n_slow, n_fast
 

@@ -21,11 +21,8 @@ import numpy as np
 
 from .errors import DataFormatError
 from .forward import (
-    _complex,
     _distances,
     _green_from_distance,
-    _grid_shape,
-    _read_columns,
     _spreading_3d,
     _write_grid,
     array_response_band,
@@ -44,7 +41,6 @@ __all__ = [
     "magnitude_correlation",
     "write_image_csv",
     "write_image_pgm",
-    "read_image_csv",
 ]
 
 # Cells closer to a receiver/source than this fraction of the cell spacing
@@ -377,18 +373,6 @@ def write_image_csv(image: ImageGrid, path) -> None:
     v = image.values
     _write_grid(path, _IMAGE_HEADER, [cells[:, None], cells, pos[:, :1, 0], pos[0, :, 1]],
                 [v.real, v.imag, np.hypot(v.real, v.imag)])
-
-
-def read_image_csv(path) -> dict:
-    """Read back a CSV image dump; returns cell indices and value arrays."""
-    ix, iy, xs, ys, re, im, _ = _read_columns(
-        path, _IMAGE_HEADER, (int, int, float, float, float, float, float), "image")
-    he = int(ix.max())
-    shape = _grid_shape(ix, iy, "image", origin=-he)
-    if shape[0] != shape[1]:
-        raise DataFormatError("image rows do not fill a square grid")
-    return {"values": _complex(re, im).reshape(shape), "x_m": xs.reshape(shape),
-            "y_m": ys.reshape(shape), "half_extent": he}
 
 
 def write_image_pgm(image: ImageGrid, path) -> None:

@@ -8,8 +8,9 @@ costs a handful of array operations over the whole band and yields
     ptilde = d / (|fhat|^2 conj(g0)) - g0,
 
 which equals p plus a conjugate-mirrored term; migration suppresses the
-mirror.  The module also provides a one-frequency dense pseudo-inverse
-oracle for tests, the condition number at every band frequency, and the
+mirror.  The tests check this formula against a dense pseudo-inverse of
+the explicit measurement matrix (``tests/ref_recover.py``).  The module
+also provides the condition number at every band frequency and the
 geometric visibility check on the scene's imaging window.
 """
 
@@ -26,30 +27,11 @@ from .scene import ImageWindowSpec, Scene
 
 __all__ = [
     "GeometryReport",
-    "measurement_matrix",
     "recover_ptilde",
     "recover_band",
-    "dense_pseudoinverse_oracle",
     "condition_number",
     "check_geometric_condition",
 ]
-
-
-def measurement_matrix(g0) -> np.ndarray:
-    """Dense (N, 2N) [diag(Re g0), diag(Im g0)] of one frequency (test scale).
-
-    Row r reads Re[conj(g0_r) u_r] from the stacked real and imaginary
-    parts of a field u.
-    """
-    g0 = np.asarray(g0, dtype=complex)
-    if g0.ndim != 1:
-        raise DataFormatError("g0 must be a vector")
-    zero = np.flatnonzero(g0 == 0)
-    if zero.size:
-        raise SingularityError(
-            f"rank-deficient measurement: zero direct arrival at receiver {zero[0]}"
-        )
-    return np.hstack([np.diag(g0.real), np.diag(g0.imag)])
 
 
 def recover_ptilde(g0, d, illumination) -> np.ndarray:
@@ -100,19 +82,6 @@ def recover_band(scene: Scene, data: IntensityData) -> np.ndarray:
     return recover_ptilde(direct_arrivals_band(scene), data.values, data.illumination)
 
 
-def dense_pseudoinverse_oracle(g0, d_row) -> np.ndarray:
-    """Minimum-norm solution by explicit dense linear algebra (test scale).
-
-    Returns the real stack z of length 2N with M z = d_row, where M is
-    ``measurement_matrix(g0)``; the complex reading is z[:N] + 1j z[N:].
-    """
-    mat = measurement_matrix(g0)
-    d = np.asarray(d_row, dtype=float)
-    normal = mat @ mat.T
-    y = np.linalg.solve(normal, d)
-    return mat.T @ y
-
-
 def condition_number(scene: Scene) -> np.ndarray:
     """Spectral condition number of the measurement matrix, per band frequency.
 
@@ -129,6 +98,10 @@ def condition_number(scene: Scene) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # geometric visibility check
 # ---------------------------------------------------------------------------
+
+# Angle (radians) by which the cone test widens each receiver's view cone
+# of the window: a source direction this close to the cone counts as inside.
+_THETA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -187,19 +160,19 @@ def _source_in_cone_3d(dirs: np.ndarray, s: np.ndarray, tol: float) -> bool:
     return rnorm <= 2.0 * math.sin(0.5 * tol) + 1e-12
 
 
-def check_geometric_condition(scene: Scene, theta_tol: float = 1e-6) -> GeometryReport:
+def check_geometric_condition(scene: Scene) -> GeometryReport:
     """Flag receivers whose view cone of the scene window contains the
     source direction.
 
     The window is convex, so the set of unit directions from a receiver to
     window points is spanned by the four corner directions; the check tests
-    source-direction membership against that span within ``theta_tol``.
+    source-direction membership against that span within ``_THETA_TOL``.
     """
     corners = _window_corners(scene.window)
     in_cone = _source_in_cone_2d if scene.coords == 2 else _source_in_cone_3d
     flagged = []
     for r in range(scene.n_receivers):
         x_r = scene.receivers[r]
-        if in_cone(corners - x_r, scene.source - x_r, theta_tol):
+        if in_cone(corners - x_r, scene.source - x_r, _THETA_TOL):
             flagged.append(r)
-    return GeometryReport(not flagged, tuple(flagged), theta_tol)
+    return GeometryReport(not flagged, tuple(flagged), _THETA_TOL)

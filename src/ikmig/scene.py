@@ -40,6 +40,16 @@ __all__ = [
 
 _UNIT_FACTORS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 
+# Most 8-byte elements one array can address.  NumPy refuses a longer
+# array with ValueError or IndexError, not MemoryError.
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 8
+
+
+def _check_size(elements: int, what: str) -> None:
+    """An array too long to address is out of memory, like one too big to hold."""
+    if elements > _MAX_ELEMENTS:
+        raise MemoryError(f"{what} of {elements} elements cannot be allocated")
+
 
 # ---------------------------------------------------------------------------
 # value types
@@ -67,6 +77,7 @@ class FrequencyGrid:
     @cached_property
     def omegas(self) -> np.ndarray:
         """Angular frequencies (rad/s), ascending."""
+        _check_size(self.count, "band")
         freqs = np.linspace(self.f_min_hz, self.f_max_hz, self.count)
         out = 2.0 * math.pi * freqs
         out.setflags(write=False)
@@ -134,8 +145,9 @@ class ImageWindowSpec:
 
     def cell_positions(self) -> np.ndarray:
         """Array (n, n, d) of cell center coordinates, indexed [ix, iy]."""
-        off = self.cell_offsets() * self.spacing
         n = self.cells_per_side
+        _check_size(n * n * len(self.center), "image window")
+        off = self.cell_offsets() * self.spacing
         pos = np.tile(np.asarray(self.center, dtype=float), (n, n, 1))
         pos[:, :, 0] += off[:, None]
         pos[:, :, 1] += off[None, :]
@@ -249,6 +261,7 @@ def linear_array(
     center = np.asarray(center, dtype=float)
     if count == 1:
         return center[None, :].copy()
+    _check_size(count * center.shape[0], "receiver array")
     offsets = np.linspace(-0.5 * length, 0.5 * length, count)
     return center[None, :] + offsets[:, None] * axis[None, :]
 

@@ -4,10 +4,10 @@ The source is a stationary mean-zero Gaussian process with a Gaussian
 power spectrum centered on the band.  Frequency samples of its transform
 are independent complex Gaussians whose second moment is 2 pi times the
 power spectrum, so power-spectrum data can be synthesized directly per
-frequency without time-domain simulation.  A time-domain oracle is kept
-for validating that empirical autocorrelation spectra converge to their
-ensemble limit as the acquisition window grows; it is meant for
-scaled-down (acoustic-like) parameters only.
+frequency without time-domain simulation.  The tests check this shortcut
+against a time-domain simulation (``tests/ref_autocorr.py``), whose
+empirical autocorrelation spectra converge to the ensemble limit as the
+acquisition window grows.
 
 Every random number comes from a counter-based Philox substream keyed
 by (seed, tag, a, b), so a sample depends only on its seed and indices,
@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .errors import NumericError
-from .forward import IntensityData, total_field, total_field_band
+from .forward import IntensityData, total_field_band
 from .scene import FrequencyGrid, Scene
 
 __all__ = [
@@ -34,18 +34,16 @@ __all__ = [
     "sample_noise",
     "clean_power_data",
     "noisy_power_data",
-    "time_domain_autocorr_oracle",
 ]
 
 _TAG_ILLUMINATION = 1
 _TAG_NOISE = 2
-_TAG_ORACLE = 3
 
 # Spectrum at the band edges, relative to its peak t_c.
 _EDGE_ATTENUATION = 1e-3
 
 
-def _check_substreams(seed: int, streams: tuple[int, ...] = ()) -> None:
+def _check_substreams(seed: int, streams: tuple[int, ...]) -> None:
     """Reject a seed or a substream grid that the key cannot address."""
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
@@ -53,14 +51,13 @@ def _check_substreams(seed: int, streams: tuple[int, ...] = ()) -> None:
         raise ValueError("substream index out of range")
 
 
-def _complex_normals(seed: int, tag: int, streams: tuple[int, ...] = (), pairs: int = 1) -> np.ndarray:
-    """Complex samples z0 + i z1 from standard normal pairs, per substream.
+def _complex_normals(seed: int, tag: int, streams: tuple[int, ...]) -> np.ndarray:
+    """Complex samples z0 + i z1 from a standard normal pair, per substream.
 
-    ``streams`` is the shape of the substream grid: () is the single
-    substream (0, 0), (A,) the substreams (a, 0) and (A, B) the
-    substreams (a, b).  Substream (tag, a, b) is the Philox stream with
-    key [seed, tag<<56 | a<<28 | b] and counter 0, and it draws ``pairs``
-    pairs of normals.  Returns shape ``streams + (pairs,)``.
+    ``streams`` is the shape of the substream grid: (A,) the substreams
+    (a, 0) and (A, B) the substreams (a, b).  Substream (tag, a, b) is the
+    Philox stream with key [seed, tag<<56 | a<<28 | b] and counter 0, and
+    it draws one pair of normals.  Returns shape ``streams``.
 
     One generator is re-keyed per substream, with a zero counter and an
     empty buffer, so it draws exactly what a fresh
@@ -68,7 +65,7 @@ def _complex_normals(seed: int, tag: int, streams: tuple[int, ...] = (), pairs: 
     order in which substreams are evaluated.
     """
     _check_substreams(seed, streams)
-    out = np.empty(streams + (pairs, 2))
+    out = np.empty(streams + (2,))
     bit_gen = np.random.Philox(0)
     gen = np.random.Generator(bit_gen)
     key = [int(seed), 0]
@@ -81,7 +78,7 @@ def _complex_normals(seed: int, tag: int, streams: tuple[int, ...] = (), pairs: 
         "uinteger": 0,
     }
     a_count, b_count = streams + (1,) * (2 - len(streams))
-    rows = out.reshape(-1, pairs, 2)
+    rows = out.reshape(-1, 2)
     for (a, b), row in zip(product(range(a_count), range(b_count)), rows):
         key[1] = (tag << 56) | (a << 28) | b
         bit_gen.state = state
@@ -106,11 +103,6 @@ class PowerSpectrum:
         omega = np.asarray(omega, dtype=float)
         arg = (omega - self.omega0) * self.t_c
         return self.t_c * np.exp(-arg * arg / (4.0 * math.pi))
-
-    def autocorrelation(self, tau):
-        """Inverse transform: exp(-i omega0 tau) exp(-pi tau^2 / t_c^2)."""
-        tau = np.asarray(tau, dtype=float)
-        return np.exp(-1j * self.omega0 * tau - math.pi * (tau / self.t_c) ** 2)
 
     @classmethod
     def for_band(cls, band: FrequencyGrid) -> "PowerSpectrum":
@@ -151,7 +143,7 @@ def sample_illumination(spectrum: PowerSpectrum, grid: FrequencyGrid, seed: int)
     Each frequency draws from its own counter-based substream, so a
     sample depends only on (seed, frequency index).
     """
-    z = _complex_normals(seed, _TAG_ILLUMINATION, (grid.count,))[:, 0]
+    z = _complex_normals(seed, _TAG_ILLUMINATION, (grid.count,))
     omegas = grid.omegas
     fhat = np.sqrt(math.pi * spectrum.value(omegas)) * z
     return StochasticDraw(seed, spectrum, omegas, fhat)
@@ -163,7 +155,7 @@ def sample_noise(spectrum: PowerSpectrum, grid: FrequencyGrid, n_receivers: int,
     Returns an (N, F) array of independent complex Gaussians with
     E|eta|^2 = 2 pi Fhat, i.e. the same spectral shape as the source.
     """
-    z = _complex_normals(seed, _TAG_NOISE, (n_receivers, grid.count))[..., 0]
+    z = _complex_normals(seed, _TAG_NOISE, (n_receivers, grid.count))
     return np.sqrt(math.pi * spectrum.value(grid.omegas)) * z
 
 
@@ -217,64 +209,3 @@ def noisy_power_data(
     rows = signal + (scale[:, None] * raw).T
     return _power_data(draw, rows)
 
-
-# ---------------------------------------------------------------------------
-# time-domain validation oracle
-# ---------------------------------------------------------------------------
-
-
-def time_domain_autocorr_oracle(
-    scene: Scene,
-    spectrum: PowerSpectrum,
-    T: float,
-    dt: float,
-    seed: int,
-    lag_factor: float = 4.0,
-) -> np.ndarray:
-    """Spectrum of the empirical trace autocorrelation, per receiver.
-
-    Synthesizes receiver traces of duration 2T by circular inverse
-    transform of (g0 + p) fhat on a fine grid, autocorrelates them, and
-    transforms lags |tau| <= lag_factor * t_c back to the scene band
-    frequencies under a triangular lag window.  Ensemble limit:
-    Fhat |g0 + p|^2.  Intended for acoustic-scale scenes; cost grows
-    linearly with T / dt.
-
-    Returns an (N, F) complex array on the scene band.
-    """
-    _check_substreams(seed)
-    omega_max = scene.band.omegas[-1]
-    if not dt * omega_max <= math.pi:
-        raise ValueError("time step undersamples the band: aliasing")
-    if not T >= 10.0 * spectrum.t_c:
-        raise ValueError("acquisition time too short against the correlation time")
-    period = 2.0 * T
-    m = int(round(period / dt))
-    period = m * dt
-    k = np.arange(1, m // 2)
-    omega_k = 2.0 * math.pi * k / period
-    fhat_sq = spectrum.value(omega_k)
-    active = np.nonzero(fhat_sq > 1e-12 * spectrum.t_c)[0]
-    if active.size == 0:
-        raise ValueError("grid resolves no energy of the spectrum")
-    k = k[active]
-    omega_k = omega_k[active]
-
-    z = _complex_normals(seed, _TAG_ORACLE, pairs=k.shape[0])
-    coeff = np.sqrt(fhat_sq[active] / (2.0 * period)) * z
-
-    transfer = total_field(scene, omega_k).T
-    spec = np.zeros((scene.n_receivers, m), dtype=complex)
-    spec[:, k] = transfer * coeff[None, :]
-    traces = np.fft.fft(spec, axis=1)
-
-    # circular autocorrelation: psi_m = (1/M) sum_j conj(u_j) u_{j+m}
-    psi = np.fft.ifft(np.abs(np.fft.fft(traces, axis=1)) ** 2, axis=1) / m
-
-    lag_max = lag_factor * spectrum.t_c
-    lags = min(int(lag_max / dt), m // 2 - 1)
-    idx = np.arange(-lags, lags + 1)
-    window = 1.0 - np.abs(idx) / (lags + 1.0)
-    tau = idx * dt
-    kernel = window[:, None] * np.exp(1j * np.outer(tau, scene.band.omegas))
-    return dt * (psi[:, idx % m] @ kernel)

@@ -23,7 +23,6 @@ from ikmig.migrate import image_metrics, migrate_broadband_stack, spurious_term_
 from ikmig.recover import (
     check_geometric_condition,
     condition_number,
-    dense_pseudoinverse_oracle,
     recover_band,
     recover_ptilde,
 )
@@ -40,10 +39,11 @@ from ikmig.stochastic import (
     clean_power_data,
     noisy_power_data,
     sample_illumination,
-    time_domain_autocorr_oracle,
 )
 
+from ref_autocorr import time_domain_autocorr_oracle
 from ref_bessel import h0_ref, j0_ref, y0_ref
+from ref_recover import dense_pseudoinverse_oracle
 from test_forward import RESIDUAL_POINT, random_scene
 
 # Condition number of the measurement on the `point` geometry in three

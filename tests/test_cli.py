@@ -23,7 +23,7 @@ from ikmig.forward import (
     write_field_csv,
     write_intensity_csv,
 )
-from ikmig.migrate import migrate_broadband_stack, read_image_csv
+from ikmig.migrate import migrate_broadband_stack, write_image_csv
 from ikmig.recover import recover_band
 from ikmig.scene import (
     FrequencyGrid,
@@ -213,8 +213,8 @@ class TestMigrate:
                    "--out", str(out)])
         assert rc == 0
         (want,) = migrate_broadband_stack(sc, ptilde[:, :, None])
-        got = read_image_csv(out / "image.csv")
-        assert np.array_equal(got["values"], want.values)
+        write_image_csv(want, tmp_path / "want.csv")
+        assert (out / "image.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert (out / "image.pgm").read_text().startswith("P2\n")
         metrics = json.loads((out / "metrics.json").read_text())
         assert "reference" not in metrics
@@ -285,16 +285,14 @@ class TestExperiment:
             assert digest == sha256(exp_point / name)
         assert_clean_dir(exp_point)
 
-    def test_point_images_match_in_process(self, exp_point):
+    def test_point_images_match_in_process(self, exp_point, tmp_path):
         sc = preset_scene("point")
         p = array_response_band(sc)
         ptilde = recover_band(sc, intensity_data(sc))
-        img_true, img_rec = migrate_broadband_stack(
-            sc, np.stack([p, ptilde], axis=2), threads=2)
-        got_true = read_image_csv(exp_point / "image_true.csv")
-        got_rec = read_image_csv(exp_point / "image_recovered.csv")
-        assert np.array_equal(got_true["values"], img_true.values)
-        assert np.array_equal(got_rec["values"], img_rec.values)
+        images = migrate_broadband_stack(sc, np.stack([p, ptilde], axis=2), threads=2)
+        for name, image in zip(("image_true.csv", "image_recovered.csv"), images):
+            write_image_csv(image, tmp_path / name)
+            assert (exp_point / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_equals_recover_then_migrate(self, exp_point, tmp_path):
         # The experiment runs the same stages as `recover` then `migrate --reference`.
@@ -528,6 +526,29 @@ class TestExitCodes:
         rc = main(["migrate", "--scene", str(spath),
                    "--field", str(small_files / "recovered.csv"),
                    "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert "Traceback" not in err
+
+    # Lengths past what a NumPy array can address: NumPy refuses these with
+    # ValueError before any allocation, so they must map to out of memory too.
+    @pytest.mark.parametrize("case", ["band", "window", "receivers"])
+    def test_sizes_past_the_address_range_are_out_of_memory(
+            self, small_files, tmp_path, capsys, case):
+        doc = json.loads(emit_scene(small_scene()))
+        argv = ["condition"]
+        if case == "band":
+            doc["band"]["count"] = 10**30
+        elif case == "window":
+            doc["window"]["half_extent"] = 10**30
+            argv = ["migrate", "--field", str(small_files / "recovered.csv")]
+        else:
+            doc["receivers"] = {"linear": {"center": [0.0, 0.0], "length": 4.0,
+                                           "count": 10**30, "axis": [0.0, 1.0]}}
+        spath = tmp_path / "scene.json"
+        spath.write_text(json.dumps(doc))
+        rc = main(argv + ["--scene", str(spath), "--out", str(tmp_path / "o")])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ")

@@ -20,7 +20,6 @@ from ikmig.forward import (
     read_field_csv,
     read_intensity_csv,
     read_illumination_csv,
-    total_field,
     total_field_band,
     write_field_csv,
     write_intensity_csv,
@@ -131,13 +130,6 @@ class TestDirectArrivals:
         got = direct_arrivals_band(sc)[0]
         want = [green0(tuple(r), tuple(sc.source), k, 2) for r in sc.receivers]
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
-
-    def test_omega_domain(self):
-        sc = random_scene(np.random.default_rng(3), 3)
-        with pytest.raises(ValueError):
-            total_field(sc, [0.0])
-        with pytest.raises(ValueError):
-            total_field(sc, [1000.0, -1.0])
 
 
 class TestArrayResponse:

@@ -19,7 +19,6 @@ from ikmig.migrate import (
     _horner_kernel,
     magnitude_correlation,
     migrate_broadband_stack,
-    read_image_csv,
     spurious_term_image,
     write_image_csv,
     write_image_pgm,
@@ -495,12 +494,14 @@ class TestExports:
         (img,) = migrate_broadband_stack(sc, p[:, :, None])
         path = tmp_path / "image.csv"
         write_image_csv(img, path)
-        back = read_image_csv(path)
-        assert back["half_extent"] == 2
-        assert np.array_equal(back["values"], img.values)
+        ix, iy, x, y, re, im, _ = np.loadtxt(path, delimiter=",", skiprows=1).T.reshape(7, 5, 5)
+        assert np.array_equal(ix[:, 0], [-2, -1, 0, 1, 2])
+        assert np.array_equal(iy[0], [-2, -1, 0, 1, 2])
+        assert np.array_equal(re, img.values.real)
+        assert np.array_equal(im, img.values.imag)
         pos = img.window.cell_positions()
-        assert np.allclose(back["x_m"], pos[:, :, 0], rtol=0, atol=0)
-        assert np.allclose(back["y_m"], pos[:, :, 1], rtol=0, atol=0)
+        assert np.array_equal(x, pos[:, :, 0])
+        assert np.array_equal(y, pos[:, :, 1])
 
     def test_csv_header_and_order(self, tmp_path):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
@@ -513,31 +514,6 @@ class TestExports:
         assert lines[1].startswith("-1,-1,")
         assert lines[2].startswith("-1,0,")
         assert len(lines) == 10
-
-    def test_csv_read_errors(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("nope\n")
-        with pytest.raises(DataFormatError, match="header"):
-            read_image_csv(path)
-        path.write_text("ix,iy,x_m,y_m,re,im,abs\n")
-        with pytest.raises(DataFormatError, match="no rows"):
-            read_image_csv(path)
-        path.write_text(
-            "ix,iy,x_m,y_m,re,im,abs\n"
-            "0,0,0,0,1,0,1\n0,1,0,1,1,0,1\n"
-        )
-        with pytest.raises(DataFormatError, match="square"):
-            read_image_csv(path)
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        img = ImageGrid(win, np.arange(9, dtype=complex).reshape(3, 3))
-        write_image_csv(img, path)
-        rows = path.read_text().splitlines()
-        assert rows[3].startswith("-1,1,")
-        # iy = -2 would wrap into column +2; iy = 0 repeats a cell and leaves one unwritten.
-        for bad in ("-1,-2,", "-1,0,"):
-            path.write_text("\n".join(rows[:3] + [bad + rows[3][5:]] + rows[4:]) + "\n")
-            with pytest.raises(DataFormatError, match="out of order"):
-                read_image_csv(path)
 
     def test_pgm_golden(self, tmp_path):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)

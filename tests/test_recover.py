@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ikmig import recover
 from ikmig.errors import DataFormatError, NumericError, SingularityError
 from ikmig.forward import (
     IntensityData,
@@ -19,8 +20,6 @@ from ikmig.forward import (
 from ikmig.recover import (
     check_geometric_condition,
     condition_number,
-    dense_pseudoinverse_oracle,
-    measurement_matrix,
     recover_band,
     recover_ptilde,
 )
@@ -33,6 +32,7 @@ from ikmig.scene import (
 )
 
 from ref_bessel import h0_ref
+from ref_recover import dense_pseudoinverse_oracle, measurement_matrix
 from test_forward import assert_band_equals_single_frequencies, band_scenes, random_scene
 
 # Recovery from exact preset data deviates from the linearized identity by
@@ -322,12 +322,16 @@ class TestGeometryCheck:
     def test_source_inside_window_is_flagged(self):
         assert not check_geometric_condition(flat_scene((5.0, 0.1))).ok
 
-    def test_tolerance_widens_the_cone(self):
+    def test_tolerance_widens_the_cone(self, monkeypatch):
         # Direction a bit outside the corner fan: caught only with a loose
         # angular tolerance.
         sc = flat_scene((5.0, 0.75), half_extent=1, spacing=0.25)
-        assert check_geometric_condition(sc, theta_tol=1e-6).ok
-        assert not check_geometric_condition(sc, theta_tol=0.2).ok
+        monkeypatch.setattr(recover, "_THETA_TOL", 1e-6)
+        assert check_geometric_condition(sc).ok
+        monkeypatch.setattr(recover, "_THETA_TOL", 0.2)
+        report = check_geometric_condition(sc)
+        assert not report.ok
+        assert report.theta_tol == 0.2
 
     def test_three_coordinate_branch(self):
         def scene3(source):

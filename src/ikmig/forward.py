@@ -360,8 +360,24 @@ def write_field_csv(omegas, values, path) -> None:
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of write_field_csv; returns (omegas, values (F, N))."""
+    """Inverse of write_field_csv; returns (omegas, values (F, N)).
+
+    Every omega and field value must be finite.
+    """
     freq, om, recv, re, im = _read_columns(
         path, _FIELD_HEADER, (int, float, int, float, float), "field")
+    if not all(np.isfinite(c).all() for c in (om, re, im)):
+        raise DataFormatError("field data must be finite")
     shape = _grid_shape(freq, recv, "field")
     return _band_omegas(om, shape, "field"), _complex(re, im).reshape(shape)
+
+
+def _check_band(scene: Scene, omegas: np.ndarray, n_receivers: int, what: str) -> None:
+    """DataFormatError unless a file's frequencies are exactly the scene band
+    and its receiver count is the scene's (file round trips are bit-exact,
+    so equality is literal)."""
+    band = scene.band.omegas
+    if omegas.shape != band.shape or np.any(omegas != band):
+        raise DataFormatError(f"{what} frequency grid does not match the scene band")
+    if n_receivers != scene.n_receivers:
+        raise DataFormatError(f"{what} receiver count does not match the scene")

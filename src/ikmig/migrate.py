@@ -1,13 +1,16 @@
 """Kirchhoff migration of per-frequency receiver fields onto an image grid.
 
-A single-frequency image backpropagates the field by conjugated travel-time
-kernels from every receiver and from the source; the broadband image is the
-uniform-weight frequency sum over the scene band.  In 3-D that sum is exact
-and cheap: the band is equally spaced, so the kernel's frequency dependence
-is a power of one phase factor per (cell, receiver), and Horner's rule
-costs one multiply-add per (cell, receiver, frequency).  In 2-D the Hankel
-kernel is evaluated per frequency.  Cells that collide with a receiver or
-the source are flagged NaN and excluded from metrics.
+An image is a plain (n, n) complex array on the scene's image window (the
+first index runs along the window's first coordinate); the metrics and
+the CSV writer take the window from the scene or as an argument.  A
+single-frequency image backpropagates the field by conjugated travel-time
+kernels from every receiver and from the source; the broadband image is
+the uniform-weight frequency sum over the scene band.  In 3-D that sum is
+exact and cheap: the band is equally spaced, so the kernel's frequency
+dependence is a power of one phase factor per (cell, receiver), and
+Horner's rule costs one multiply-add per (cell, receiver, frequency).  In
+2-D the Hankel kernel is evaluated per frequency.  Cells that collide with
+a receiver or the source are flagged NaN and excluded from metrics.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .forward import (
     _distances,
     _green_from_distance,
     _spreading_3d,
+    _wavenumbers,
     _write_grid,
     array_response_band,
     direct_arrivals_band,
@@ -32,7 +36,6 @@ from .recover import check_geometric_condition
 from .scene import ImageWindowSpec, Scene
 
 __all__ = [
-    "ImageGrid",
     "ImageMetrics",
     "SpuriousReport",
     "migrate_broadband_stack",
@@ -53,26 +56,6 @@ _COLLISION_FRACTION = 1e-9
 # fields at one thread (Xeon with AVX-512) took 0.75 s in blocks of 32,
 # 0.83 s in 64 and 1.10 s in 256, and its peak RSS was 92, 94 and 108 MB.
 _BLOCK_CELLS = 32
-
-
-@dataclass(frozen=True)
-class ImageGrid:
-    """Complex image on a square window grid."""
-
-    window: ImageWindowSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        n = self.window.cells_per_side
-        if vals.shape != (n, n):
-            raise DataFormatError("image shape must match the window grid")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +132,20 @@ def migrate_broadband_stack(
     stack: np.ndarray,
     window: ImageWindowSpec | None = None,
     threads: int = 1,
-) -> list[ImageGrid]:
+) -> list[np.ndarray]:
     """Broadband images of several field sets sharing one kernel pass.
 
     Parameters
     ----------
     stack : complex array (F, N, S)
         S field sets sampled on the scene band.
+    window : ImageWindowSpec, optional
+        The image window; the scene's when omitted.
 
     Returns
     -------
-    list of ImageGrid, one per field set.
+    list of S complex arrays of shape (n, n) on ``window``, one per field
+    set, with NaN at cells that collide with a receiver or the source.
 
     Notes
     -----
@@ -173,15 +159,14 @@ def migrate_broadband_stack(
     result.
     """
     window = window or scene.window
-    omegas = scene.band.omegas
+    k = _wavenumbers(scene)
     stack = np.asarray(stack, dtype=complex)
-    if stack.ndim != 3 or stack.shape[:2] != (omegas.shape[0], scene.n_receivers):
+    if stack.ndim != 3 or stack.shape[:2] != (k.shape[0], scene.n_receivers):
         raise DataFormatError("stack must have shape (F, N, S) on the scene band")
     pos = window.cell_positions()
     if pos.shape[2] != scene.coords:
         raise DataFormatError("window coordinate length must match the scene")
     cells = pos.reshape(-1, scene.coords)
-    k = omegas / scene.c0
     fields = np.ascontiguousarray(stack.transpose(2, 0, 1))
 
     def block(bounds) -> np.ndarray:
@@ -203,7 +188,7 @@ def migrate_broadband_stack(
     total *= scene.band.delta_omega
 
     n = window.cells_per_side
-    return [ImageGrid(window, total[:, s].reshape(n, n)) for s in range(stack.shape[2])]
+    return [total[:, s].reshape(n, n) for s in range(stack.shape[2])]
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +207,14 @@ class SpuriousReport:
 
 def spurious_term_image(
     scene: Scene, threads: int = 1
-) -> tuple[ImageGrid, ImageGrid, SpuriousReport]:
+) -> tuple[np.ndarray, np.ndarray, SpuriousReport]:
     """Migrate the true response p and the mirror term (conj(g0))^-1 g0 conj(p)
     over the band, in one kernel pass.
 
-    Returns (true image, mirror image, report); the report holds the
-    mirror's peak magnitude against the true image's.  The geometric
-    visibility check runs first; a failing check is reported, not raised.
+    Returns (true image, mirror image, report), the images on the scene's
+    window; the report holds the mirror's peak magnitude against the true
+    image's.  The geometric visibility check runs first; a failing check is
+    reported, not raised.
     """
     geometry = check_geometric_condition(scene)
     g0 = direct_arrivals_band(scene)
@@ -237,8 +223,8 @@ def spurious_term_image(
     spur = np.zeros_like(p) if degenerate else g0 / np.conj(g0) * np.conj(p)
     image_p, image_s = migrate_broadband_stack(scene, np.stack([p, spur], axis=2),
                                                threads=threads)
-    peak_p = float(np.nanmax(np.abs(image_p.values)))
-    peak_s = float(np.nanmax(np.abs(image_s.values)))
+    peak_p = float(np.nanmax(np.abs(image_p)))
+    peak_s = float(np.nanmax(np.abs(image_s)))
     ratio = 0.0 if degenerate else peak_s / peak_p
     return image_p, image_s, SpuriousReport(ratio, degenerate, geometry.ok)
 
@@ -251,7 +237,7 @@ def spurious_term_image(
 @dataclass(frozen=True)
 class ImageMetrics:
     peak_cell: tuple[int, int]
-    peak_position: tuple[float, ...]
+    peak_position_m: tuple[float, ...]
     peak_value: float
     range_axis: int
     range_fwhm_m: float
@@ -262,9 +248,9 @@ class ImageMetrics:
     flags: tuple[str, ...]
 
 
-def magnitude_correlation(a: ImageGrid, b: ImageGrid) -> float:
+def magnitude_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Normalized inner product of magnitude layers over co-valid cells."""
-    ma, mb = np.abs(a.values), np.abs(b.values)
+    ma, mb = np.abs(a), np.abs(b)
     if ma.shape != mb.shape:
         raise DataFormatError("images must share a grid")
     valid = ~(np.isnan(ma) | np.isnan(mb))
@@ -298,9 +284,14 @@ def _fwhm_profile(profile: np.ndarray, peak: int, spacing: float):
     return (edges[1] - edges[0]) * spacing, False
 
 
-def image_metrics(image: ImageGrid, scene: Scene, reference: ImageGrid | None = None) -> ImageMetrics:
-    """Peak location, widths, resolution estimates, optional correlation."""
-    mag = image.magnitude
+def image_metrics(image: np.ndarray, scene: Scene,
+                  reference: np.ndarray | None = None) -> ImageMetrics:
+    """Peak location, widths, resolution estimates and, given a reference
+    image, the magnitude correlation, of an image on the scene's window."""
+    window = scene.window
+    if np.shape(image) != (window.cells_per_side,) * 2:
+        raise DataFormatError("image shape must match the scene window")
+    mag = np.abs(image)
     flags = []
     valid = ~np.isnan(mag)
     if not valid.any() or np.nanmax(mag) == 0.0:
@@ -312,7 +303,6 @@ def image_metrics(image: ImageGrid, scene: Scene, reference: ImageGrid | None = 
         peak_idx = np.unravel_index(flat, mag.shape)
         peak_val = float(mag[peak_idx])
 
-    window = image.window
     he = window.half_extent
     cell = (int(peak_idx[0]) - he, int(peak_idx[1]) - he)
     center = np.asarray(window.center)
@@ -347,7 +337,7 @@ def image_metrics(image: ImageGrid, scene: Scene, reference: ImageGrid | None = 
 
     return ImageMetrics(
         peak_cell=cell,
-        peak_position=tuple(position.tolist()),
+        peak_position_m=tuple(position.tolist()),
         peak_value=peak_val,
         range_axis=range_axis,
         range_fwhm_m=fwhm[range_axis],
@@ -366,28 +356,28 @@ def image_metrics(image: ImageGrid, scene: Scene, reference: ImageGrid | None = 
 _IMAGE_HEADER = "ix,iy,x_m,y_m,re,im,abs"
 
 
-def write_image_csv(image: ImageGrid, path) -> None:
-    """Row-major cell dump (first index slow) with 17 significant digits."""
-    cells = image.window.cell_offsets()
-    pos = image.window.cell_positions()
-    v = image.values
+def write_image_csv(image: np.ndarray, window: ImageWindowSpec, path) -> None:
+    """Row-major cell dump (first index slow) of an image on ``window``,
+    with 17 significant digits."""
+    cells = window.cell_offsets()
+    pos = window.cell_positions()
     _write_grid(path, _IMAGE_HEADER, [cells[:, None], cells, pos[:, :1, 0], pos[0, :, 1]],
-                [v.real, v.imag, np.hypot(v.real, v.imag)])
+                [image.real, image.imag, np.hypot(image.real, image.imag)])
 
 
-def write_image_pgm(image: ImageGrid, path) -> None:
+def write_image_pgm(image: np.ndarray, path) -> None:
     """8-bit ASCII PGM preview of the magnitude layer.
 
     Min-max normalized; a flat image maps to 255 when nonzero, else 0.
     Masked cells render as 0.  The top pixel row is the maximum second
     (cross-range) coordinate.
     """
-    mag = image.magnitude
+    mag = np.abs(image)
     finite = np.nan_to_num(mag, nan=0.0)
     valid = ~np.isnan(mag)
     lo = float(finite[valid].min()) if valid.any() else 0.0
     hi = float(finite[valid].max()) if valid.any() else 0.0
-    n = image.window.cells_per_side
+    n = mag.shape[0]
     if hi > lo:
         scaled = np.clip((finite - lo) / (hi - lo) * 255.0, 0.0, 255.0)
         pixels = np.rint(scaled).astype(int)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -52,6 +53,13 @@ def exit_code(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def small_scene():
@@ -213,7 +221,7 @@ class TestMigrate:
                    "--out", str(out)])
         assert rc == 0
         (want,) = migrate_broadband_stack(sc, ptilde[:, :, None])
-        write_image_csv(want, tmp_path / "want.csv")
+        write_image_csv(want, sc.window, tmp_path / "want.csv")
         assert (out / "image.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert (out / "image.pgm").read_text().startswith("P2\n")
         metrics = json.loads((out / "metrics.json").read_text())
@@ -263,6 +271,22 @@ class TestMigrate:
         assert rc == 2
         assert "reference receiver count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--field", "--reference"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_field_is_a_format_error(self, prepared, tmp_path, capsys, flag, value):
+        _, spath, fpath, rpath, _, _ = prepared
+        bad = tmp_path / "bad.csv"
+        lines = (fpath if flag == "--field" else rpath).read_text().splitlines()
+        lines[7] = ",".join(lines[7].split(",")[:3] + [value, "0"])
+        bad.write_text("\n".join(lines) + "\n")
+        files = {"--field": fpath, "--reference": rpath, flag: bad}
+        rc = main(["migrate", "--scene", str(spath), "--field", str(files["--field"]),
+                   "--reference", str(files["--reference"]), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: field data must be finite\n"
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
 
 class TestExperiment:
     def test_point_metrics(self, exp_point):
@@ -291,7 +315,7 @@ class TestExperiment:
         ptilde = recover_band(sc, intensity_data(sc))
         images = migrate_broadband_stack(sc, np.stack([p, ptilde], axis=2), threads=2)
         for name, image in zip(("image_true.csv", "image_recovered.csv"), images):
-            write_image_csv(image, tmp_path / name)
+            write_image_csv(image, sc.window, tmp_path / name)
             assert (exp_point / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_equals_recover_then_migrate(self, exp_point, tmp_path):
@@ -413,6 +437,51 @@ class TestCheckGeometry:
         assert payload["ok"] is True
         saved = json.loads((out / "geometry.json").read_text())
         assert saved == payload
+
+
+class TestWarnings:
+    """Each warning reaches stderr once per call, as a "warning: " line,
+    and ``main`` leaves no handler behind."""
+
+    def assert_warns_once_per_call(self, capsys, argv, message):
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if "warning" in line] == [
+                f"warning: {message}"]
+            assert logging.getLogger("ikmig").handlers == []
+
+    def test_scatterer_outside_the_window(self, tmp_path, capsys):
+        spath = tmp_path / "scene.json"
+        outside = replace(small_scene(), scatterers=(PointScatterer((30.0, 0.0), 1e-3),))
+        spath.write_text(emit_scene(outside))
+        self.assert_warns_once_per_call(
+            capsys, ["simulate", "--scene", str(spath), "--out", str(tmp_path / "o")],
+            "scatterer 0 lies outside the image window")
+
+    def test_recover_geometry(self, tmp_path, capsys):
+        # The source sits in front of the middle receiver, inside its view cone.
+        sc = replace(small_scene(), source=np.array([0.5, 0.0]))
+        spath = tmp_path / "scene.json"
+        spath.write_text(emit_scene(sc))
+        write_intensity_csv(intensity_data(sc), tmp_path / "intensity.csv")
+        self.assert_warns_once_per_call(
+            capsys, ["recover", "--scene", str(spath), "--data", str(tmp_path / "intensity.csv"),
+                     "--out", str(tmp_path / "o")],
+            "geometric visibility violated at receivers [4]")
+
+    def test_check_geometry(self, capsys):
+        self.assert_warns_once_per_call(
+            capsys, ["check-geometry", "--scene", "preset:breakdown_d"],
+            "source lies inside a receiver view cone")
+
+    def test_run_as_a_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ikmig.cli", "check-geometry", "--scene", "preset:breakdown_d"],
+            capture_output=True, text=True, env=src_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: source lies inside a receiver view cone\n"
 
 
 class TestExitCodes:
@@ -569,9 +638,7 @@ class TestExitCodes:
 
 def test_commands_close_their_files(tmp_path):
     """Under -X dev an unclosed file prints a ResourceWarning to stderr."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = src_env()
     for args in (["condition", "--scene", "preset:point", "--out", str(tmp_path / "c")],
                  ["check-geometry", "--scene", "preset:point", "--out", str(tmp_path / "g")]):
         proc = subprocess.run(

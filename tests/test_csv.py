@@ -25,7 +25,7 @@ from ikmig.forward import (
     write_illumination_csv,
     write_intensity_csv,
 )
-from ikmig.migrate import ImageGrid, write_image_csv
+from ikmig.migrate import write_image_csv
 from ikmig.scene import FrequencyGrid, ImageWindowSpec, Scene, emit_scene, preset_scene
 
 TINY = 5e-324  # smallest subnormal double
@@ -69,8 +69,7 @@ class TestPinnedText:
             [1 / 3, complex(math.nan, math.nan), 3 + 4j],
             [0, -1j, 2e300 + 2e300j],
         ])
-        image = ImageGrid(ImageWindowSpec((0.1, 1 / 3), 0.1, 1), values)
-        write_image_csv(image, tmp_path / "m.csv")
+        write_image_csv(values, ImageWindowSpec((0.1, 1 / 3), 0.1, 1), tmp_path / "m.csv")
         assert (tmp_path / "m.csv").read_text() == (
             "ix,iy,x_m,y_m,re,im,abs\n"
             "-1,-1,0,0.23333333333333331,0.10000000000000001,0,0.10000000000000001\n"
@@ -165,30 +164,31 @@ def images(draw):
         allow_nan=False, allow_infinity=False)))
     masked = draw(hnp.arrays(bool, (n, n)))
     values[masked] = complex(math.nan, math.nan)
-    return ImageGrid(window, values)
+    return window, values
 
 
 @ROUND_TRIP
 @given(images())
 def test_image_round_trip(tmp_path_factory, image):
+    window, values = image
     path = tmp_path_factory.mktemp("image") / "m.csv"
-    write_image_csv(image, path)
-    n = image.window.cells_per_side
+    write_image_csv(values, window, path)
+    n = window.cells_per_side
     ix, iy, x, y, re, im, magnitude = np.loadtxt(
         path, delimiter=",", skiprows=1, ndmin=2).T.reshape(7, n, n)
-    cells = image.window.cell_offsets()
+    cells = window.cell_offsets()
     assert np.array_equal(ix, np.repeat(cells[:, None], n, axis=1))
     assert np.array_equal(iy, np.repeat(cells[None, :], n, axis=0))
-    masked = np.isnan(image.values)
+    masked = np.isnan(values)
     assert np.array_equal(np.isnan(re), masked)
     assert np.array_equal(np.isnan(im), masked)
-    assert same_bits(re[~masked], image.values.real[~masked])
-    assert same_bits(im[~masked], image.values.imag[~masked])
-    pos = image.window.cell_positions()
+    assert same_bits(re[~masked], values.real[~masked])
+    assert same_bits(im[~masked], values.imag[~masked])
+    pos = window.cell_positions()
     assert same_bits(x, pos[:, :, 0])
     assert same_bits(y, pos[:, :, 1])
     # abs is the correctly rounded hypot of the written parts
-    v = image.values[~masked]
+    v = values[~masked]
     assert same_bits(magnitude[~masked], np.hypot(v.real, v.imag))
 
 
@@ -278,7 +278,7 @@ def test_image_file_matches_the_per_row_text(tmp_path_factory, half, data):
     cells = window.cell_offsets()
     v = values.ravel()
     with np.errstate(over="ignore"):  # |MAX + MAX i| overflows to inf
-        write_image_csv(ImageGrid(window, values), path)
+        write_image_csv(values, window, path)
         pos = window.cell_positions()
         want = per_row_text("ix,iy,x_m,y_m,re,im,abs", (
             cells.repeat(n), np.tile(cells, n), pos[:, :, 0].ravel(), pos[:, :, 1].ravel(),

@@ -12,7 +12,6 @@ from ikmig import migrate as migrate_module
 from ikmig.errors import DataFormatError
 from ikmig.forward import array_response_band, direct_arrivals_band, intensity_data
 from ikmig.migrate import (
-    ImageGrid,
     image_metrics,
     _apply_kernel,
     _geometry,
@@ -80,7 +79,7 @@ class TestSingleFrequency:
         field = rng.normal(size=5) + 1j * rng.normal(size=5)
         got = single(sc, field, 600.0)
         want = brute_image(sc, field, float(sc.band.omegas[1]), sc.window)
-        assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_linearity(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
@@ -88,14 +87,14 @@ class TestSingleFrequency:
         f1 = rng.normal(size=5) + 1j * rng.normal(size=5)
         f2 = rng.normal(size=5) + 1j * rng.normal(size=5)
         f_hz = 3000.0 / (2.0 * math.pi)
-        combo = single(sc, 2.0 * f1 - 1j * f2, f_hz).values
-        parts = 2.0 * single(sc, f1, f_hz).values - 1j * single(sc, f2, f_hz).values
+        combo = single(sc, 2.0 * f1 - 1j * f2, f_hz)
+        parts = 2.0 * single(sc, f1, f_hz) - 1j * single(sc, f2, f_hz)
         assert np.allclose(combo, parts, rtol=1e-13)
 
     def test_metadata(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
         img = single(sc, np.ones(5, dtype=complex), 400.0)
-        assert img.values.shape == (5, 5)
+        assert img.shape == (5, 5)
 
     def test_field_length_checked(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
@@ -110,8 +109,8 @@ class TestBroadband:
         fields = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
         (img,) = migrate_broadband_stack(sc, fields[:, :, None])
         freqs = np.linspace(sc.band.f_min_hz, sc.band.f_max_hz, sc.band.count)
-        acc = sum(single(sc, fields[i], float(f)).values for i, f in enumerate(freqs))
-        assert np.allclose(img.values, sc.band.delta_omega * acc, rtol=1e-13)
+        acc = sum(single(sc, fields[i], float(f)) for i, f in enumerate(freqs))
+        assert np.allclose(img, sc.band.delta_omega * acc, rtol=1e-13)
 
     def test_single_sample_band_has_unit_weight(self):
         # The Horner sum in 3-D and the per-frequency kernel in 2-D.
@@ -127,7 +126,7 @@ class TestBroadband:
                 raw = _horner_kernel(*geometry, k, field[None, None, :])
             else:
                 raw = _apply_kernel(*geometry, float(k[0]), sc.dimension, field[None, :])
-            assert np.array_equal(broad.values, raw.reshape(5, 5))
+            assert np.array_equal(broad, raw.reshape(5, 5))
 
     @pytest.mark.parametrize("band", [
         FrequencyGrid(600.0, 600.0, 1),
@@ -147,16 +146,16 @@ class TestBroadband:
             want = sum(brute_image(sc, stack[j, :, s], float(om), sc.window)
                        for j, om in enumerate(sc.band.omegas))
             assert np.max(np.abs(raw[:, s].reshape(5, 5) - want)) <= 1e-11 * np.max(np.abs(want))
-            assert np.array_equal(image.values, sc.band.delta_omega * raw[:, s].reshape(5, 5))
+            assert np.array_equal(image, sc.band.delta_omega * raw[:, s].reshape(5, 5))
 
     def test_stack_shares_the_kernel_pass(self):
         sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
         rng = np.random.default_rng(3)
         f = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
         one, two = migrate_broadband_stack(sc, np.stack([f, 2.0 * f], axis=2))
-        assert np.allclose(two.values, 2.0 * one.values, rtol=1e-14)
+        assert np.allclose(two, 2.0 * one, rtol=1e-14)
         (alone,) = migrate_broadband_stack(sc, f[:, :, None])
-        assert np.array_equal(one.values, alone.values)
+        assert np.array_equal(one, alone)
 
     def test_thread_count_does_not_change_bits(self):
         # 81 cells are 3 blocks at one thread and 4 at four threads.
@@ -166,7 +165,7 @@ class TestBroadband:
                 p = array_response_band(sc)
                 (serial,) = migrate_broadband_stack(sc, p[:, :, None], threads=1)
                 (pooled,) = migrate_broadband_stack(sc, p[:, :, None], threads=4)
-                assert np.array_equal(serial.values, pooled.values)
+                assert np.array_equal(serial, pooled)
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_block_size_does_not_change_bits(self, dimension, monkeypatch):
@@ -176,7 +175,7 @@ class TestBroadband:
         for cap in (1, 7, sc.window.cells_per_side ** 2):
             monkeypatch.setattr(migrate_module, "_BLOCK_CELLS", cap)
             (got,) = migrate_broadband_stack(sc, p[:, :, None])
-            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("half_extent", [2, 4])
     def test_threads_split_a_window_under_the_cap(self, half_extent, monkeypatch):
@@ -226,7 +225,7 @@ class TestBroadband:
         (got,) = migrate_broadband_stack(sc, p[:, :, None], threads=10_000)
         assert asked == [min(os.cpu_count() or 1, 81)]
         assert blocks == [81]
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got, want)
         one_cell = ImageWindowSpec((5.0, 0.0), 0.2, 0)
         migrate_broadband_stack(sc, p[:, :, None], one_cell, threads=10_000)
         assert asked[-1] == 1
@@ -274,8 +273,8 @@ class TestBroadband:
         quad = p * np.conj(p) / np.conj(g0)
         stack = np.stack([ptilde, p, mirror, quad], axis=2)
         full, part_p, part_m, part_q = migrate_broadband_stack(sc, stack)
-        total = part_p.values + part_m.values + part_q.values
-        assert np.allclose(full.values, total, rtol=1e-10)
+        total = part_p + part_m + part_q
+        assert np.allclose(full, total, rtol=1e-10)
 
 
 class TestCollisions:
@@ -294,7 +293,7 @@ class TestCollisions:
     def test_receiver_collision_masks_one_cell(self):
         sc = self.collision_scene()
         img = single(sc, np.ones(3, dtype=complex), 300.0)
-        nan_mask = np.isnan(img.values.real)
+        nan_mask = np.isnan(img.real)
         assert nan_mask[1, 1]
         assert nan_mask.sum() == 1
 
@@ -303,7 +302,7 @@ class TestCollisions:
         sc = replace(sc, receivers=np.array([[0.0, -1.0], [0.0, 1.0]]),
                      source=np.array([5.0, 0.2]))
         img = single(sc, np.ones(2, dtype=complex), 300.0)
-        nan_mask = np.isnan(img.values.real)
+        nan_mask = np.isnan(img.real)
         assert nan_mask[1, 2]
         assert nan_mask.sum() == 1
 
@@ -315,30 +314,14 @@ class TestCollisions:
         assert metrics.peak_value > 0.0
 
 
-class TestImageGrid:
-    def test_shape_must_match_window(self):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        with pytest.raises(DataFormatError):
-            ImageGrid(win, np.zeros((2, 2), dtype=complex))
-
-    def test_values_read_only(self):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        img = ImageGrid(win, np.zeros((3, 3), dtype=complex))
-        with pytest.raises(ValueError):
-            img.values[0, 0] = 1.0
-
-    def test_magnitude(self):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 0)
-        img = ImageGrid(win, np.array([[3 + 4j]]))
-        assert img.magnitude[0, 0] == pytest.approx(5.0)
+GAUSSIAN_WINDOW = ImageWindowSpec((20.0, 0.0), 0.5, 10)
 
 
-def gaussian_image(sigma_x, sigma_y, spacing=0.5, half_extent=10, center=(20.0, 0.0)):
-    win = ImageWindowSpec(center, spacing, half_extent)
-    off = win.cell_offsets() * spacing
+def gaussian_image(sigma_x, sigma_y, window=GAUSSIAN_WINDOW):
+    off = window.cell_offsets() * window.spacing
     mag = np.exp(-off[:, None] ** 2 / (2 * sigma_x**2)
                  - off[None, :] ** 2 / (2 * sigma_y**2))
-    return ImageGrid(win, mag.astype(complex))
+    return mag.astype(complex)
 
 
 def metrics_scene(window):
@@ -357,7 +340,7 @@ class TestMetrics:
     def test_gaussian_widths(self):
         sigma_x, sigma_y = 1.2, 0.7
         img = gaussian_image(sigma_x, sigma_y)
-        sc = metrics_scene(img.window)
+        sc = metrics_scene(GAUSSIAN_WINDOW)
         m = image_metrics(img, sc)
         factor = 2.0 * math.sqrt(2.0 * math.log(2.0))
         # Array sits left of the window, so axis 0 is range.
@@ -365,28 +348,27 @@ class TestMetrics:
         assert m.range_fwhm_m == pytest.approx(factor * sigma_x, rel=0.01)
         assert m.crossrange_fwhm_m == pytest.approx(factor * sigma_y, rel=0.01)
         assert m.peak_cell == (0, 0)
-        assert m.peak_position == img.window.center
+        assert m.peak_position_m == GAUSSIAN_WINDOW.center
         assert m.peak_value == pytest.approx(1.0)
         assert m.flags == ()
 
     def test_wide_profile_sets_clipped_flags(self):
         img = gaussian_image(50.0, 0.7)
-        m = image_metrics(img, metrics_scene(img.window))
+        m = image_metrics(img, metrics_scene(GAUSSIAN_WINDOW))
         assert "range_fwhm_clipped" in m.flags
         assert math.isnan(m.range_fwhm_m)
         assert not math.isnan(m.crossrange_fwhm_m)
 
     def test_zero_image_is_degenerate(self):
         win = ImageWindowSpec((20.0, 0.0), 0.5, 3)
-        img = ImageGrid(win, np.zeros((7, 7), dtype=complex))
-        m = image_metrics(img, metrics_scene(win))
+        m = image_metrics(np.zeros((7, 7), dtype=complex), metrics_scene(win))
         assert "degenerate_zero_image" in m.flags
         assert m.peak_value == 0.0
         assert math.isnan(m.range_fwhm_m)
 
     def test_resolution_estimates(self):
         win = ImageWindowSpec((20.0, 0.0), 0.5, 3)
-        img = gaussian_image(1.0, 1.0, half_extent=3)
+        img = gaussian_image(1.0, 1.0, win)
         sc = metrics_scene(win)
         m = image_metrics(img, sc)
         assert m.range_estimate_m == pytest.approx(343.0 / 400.0, rel=1e-12)
@@ -405,17 +387,22 @@ class TestMetrics:
             scatterers=(),
             window=win,
         )
-        img = gaussian_image(1.0, 1.0, half_extent=3, center=(0.0, 20.0))
+        img = gaussian_image(1.0, 1.0, win)
         assert image_metrics(img, sc).range_axis == 1
 
     def test_off_center_peak_position(self):
         win = ImageWindowSpec((20.0, 0.0), 0.5, 3)
         vals = np.zeros((7, 7), dtype=complex)
         vals[5, 2] = 2.0
-        img = ImageGrid(win, vals)
-        m = image_metrics(img, metrics_scene(win))
+        m = image_metrics(vals, metrics_scene(win))
         assert m.peak_cell == (2, -1)
-        assert m.peak_position == (21.0, -0.5)
+        assert m.peak_position_m == (21.0, -0.5)
+
+    def test_shape_must_match_the_scene_window(self):
+        sc = metrics_scene(ImageWindowSpec((20.0, 0.0), 0.5, 1))
+        for shape in ((2, 2), (3, 4), (9,)):
+            with pytest.raises(DataFormatError):
+                image_metrics(np.zeros(shape, dtype=complex), sc)
 
 
 class TestCorrelation:
@@ -425,35 +412,31 @@ class TestCorrelation:
 
     def test_scale_invariant_in_magnitude(self):
         a = gaussian_image(1.0, 1.0)
-        b = ImageGrid(a.window, 3j * a.values)
+        b = 3j * a
         assert magnitude_correlation(a, b) == pytest.approx(1.0, rel=1e-14)
 
     def test_disjoint_supports(self):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         a = np.zeros((3, 3), dtype=complex)
         b = np.zeros((3, 3), dtype=complex)
         a[0, 0] = 1.0
         b[2, 2] = 1.0
-        ia = ImageGrid(win, a)
-        ib = ImageGrid(win, b)
-        assert magnitude_correlation(ia, ib) == 0.0
+        assert magnitude_correlation(a, b) == 0.0
 
     def test_zero_image_correlates_to_zero(self):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        z = ImageGrid(win, np.zeros((3, 3), dtype=complex))
-        g = gaussian_image(1.0, 1.0, half_extent=1, center=(0.0, 0.0))
+        z = np.zeros((3, 3), dtype=complex)
+        g = gaussian_image(1.0, 1.0, ImageWindowSpec((0.0, 0.0), 0.5, 1))
         assert magnitude_correlation(z, g) == 0.0
 
     def test_grid_mismatch(self):
-        a = gaussian_image(1.0, 1.0, half_extent=2)
-        b = gaussian_image(1.0, 1.0, half_extent=3)
+        a = gaussian_image(1.0, 1.0, ImageWindowSpec((20.0, 0.0), 0.5, 2))
+        b = gaussian_image(1.0, 1.0, ImageWindowSpec((20.0, 0.0), 0.5, 3))
         with pytest.raises(DataFormatError):
             magnitude_correlation(a, b)
 
     def test_metrics_carry_the_correlation(self):
         a = gaussian_image(1.0, 1.0)
         b = gaussian_image(1.1, 0.9)
-        sc = metrics_scene(a.window)
+        sc = metrics_scene(GAUSSIAN_WINDOW)
         m = image_metrics(a, sc, reference=b)
         assert m.correlation == pytest.approx(magnitude_correlation(a, b), rel=1e-14)
         assert image_metrics(a, sc).correlation is None
@@ -467,8 +450,8 @@ class TestSpurious:
         assert report.degenerate
         assert report.ratio == 0.0
         assert report.geometry_ok
-        assert np.all(img.values[~np.isnan(img.values.real)] == 0.0)
-        assert np.all(true.values[~np.isnan(true.values.real)] == 0.0)
+        assert np.all(img[~np.isnan(img.real)] == 0.0)
+        assert np.all(true[~np.isnan(true.real)] == 0.0)
 
     def test_mirror_image_and_ratio(self):
         sc = imaging_scene(n_receivers=9, count=5, half_extent=4)
@@ -479,10 +462,10 @@ class TestSpurious:
         p = array_response_band(sc)
         mirror = g0 / np.conj(g0) * np.conj(p)
         (want_mirror,) = migrate_broadband_stack(sc, mirror[:, :, None])
-        assert np.allclose(img.values, want_mirror.values, rtol=1e-12)
+        assert np.allclose(img, want_mirror, rtol=1e-12)
         (want_true,) = migrate_broadband_stack(sc, p[:, :, None])
-        assert np.allclose(true.values, want_true.values, rtol=1e-12)
-        want_ratio = np.nanmax(np.abs(want_mirror.values)) / np.nanmax(np.abs(want_true.values))
+        assert np.allclose(true, want_true, rtol=1e-12)
+        want_ratio = np.nanmax(np.abs(want_mirror)) / np.nanmax(np.abs(want_true))
         assert report.ratio == pytest.approx(want_ratio, rel=1e-12)
         assert 0.0 < report.ratio < 1.0
 
@@ -493,22 +476,21 @@ class TestExports:
         p = array_response_band(sc)
         (img,) = migrate_broadband_stack(sc, p[:, :, None])
         path = tmp_path / "image.csv"
-        write_image_csv(img, path)
+        write_image_csv(img, sc.window, path)
         ix, iy, x, y, re, im, _ = np.loadtxt(path, delimiter=",", skiprows=1).T.reshape(7, 5, 5)
         assert np.array_equal(ix[:, 0], [-2, -1, 0, 1, 2])
         assert np.array_equal(iy[0], [-2, -1, 0, 1, 2])
-        assert np.array_equal(re, img.values.real)
-        assert np.array_equal(im, img.values.imag)
-        pos = img.window.cell_positions()
+        assert np.array_equal(re, img.real)
+        assert np.array_equal(im, img.imag)
+        pos = sc.window.cell_positions()
         assert np.array_equal(x, pos[:, :, 0])
         assert np.array_equal(y, pos[:, :, 1])
 
     def test_csv_header_and_order(self, tmp_path):
         win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         vals = np.arange(9, dtype=complex).reshape(3, 3)
-        img = ImageGrid(win, vals)
         path = tmp_path / "image.csv"
-        write_image_csv(img, path)
+        write_image_csv(vals, win, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "ix,iy,x_m,y_m,re,im,abs"
         assert lines[1].startswith("-1,-1,")
@@ -516,11 +498,9 @@ class TestExports:
         assert len(lines) == 10
 
     def test_pgm_golden(self, tmp_path):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         vals = np.arange(9, dtype=float).reshape(3, 3)
-        img = ImageGrid(win, vals.astype(complex))
         path = tmp_path / "image.pgm"
-        write_image_pgm(img, path)
+        write_image_pgm(vals.astype(complex), path)
         assert path.read_text() == (
             "P2\n3 3\n255\n"
             "64 159 255\n"
@@ -529,37 +509,29 @@ class TestExports:
         )
 
     def test_pgm_orientation_top_row_is_max_crossrange(self, tmp_path):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         vals = np.zeros((3, 3), dtype=complex)
         vals[0, 2] = 1.0
-        img = ImageGrid(win, vals)
         path = tmp_path / "image.pgm"
-        write_image_pgm(img, path)
+        write_image_pgm(vals, path)
         rows = path.read_text().splitlines()[3:]
         assert rows[0] == "255 0 0"
         assert rows[1] == "0 0 0"
         assert rows[2] == "0 0 0"
 
     def test_pgm_flat_nonzero_is_white(self, tmp_path):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        img = ImageGrid(win, np.full((3, 3), 2.0, dtype=complex))
         path = tmp_path / "flat.pgm"
-        write_image_pgm(img, path)
+        write_image_pgm(np.full((3, 3), 2.0, dtype=complex), path)
         assert path.read_text().splitlines()[3:] == ["255 255 255"] * 3
 
     def test_pgm_zero_image_is_black(self, tmp_path):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
-        img = ImageGrid(win, np.zeros((3, 3), dtype=complex))
         path = tmp_path / "zero.pgm"
-        write_image_pgm(img, path)
+        write_image_pgm(np.zeros((3, 3), dtype=complex), path)
         assert path.read_text().splitlines()[3:] == ["0 0 0"] * 3
 
     def test_pgm_masked_cells_render_black(self, tmp_path):
-        win = ImageWindowSpec((0.0, 0.0), 1.0, 1)
         vals = np.full((3, 3), 5.0, dtype=complex)
         vals[1, 1] = complex(math.nan, math.nan)
-        img = ImageGrid(win, vals)
         path = tmp_path / "masked.pgm"
-        write_image_pgm(img, path)
+        write_image_pgm(vals, path)
         rows = path.read_text().splitlines()[3:]
         assert rows[1] == "255 0 255"

@@ -10,6 +10,11 @@ The free-space Green's function is exp(ikr)/(4 pi r) in three dimensions
 and (i/4) H0(kr) in two, where H0 = J0 + i Y0 (``hankel0_1``) comes from
 SciPy's cephes ``j0``/``y0``.  ``scipy.special`` is imported on first use,
 so importing the CLI or running a 3-D scene does not load it.
+
+The CSV band files (intensity, illumination, field) are read on the scene
+they serve, as images live on its window: one reader, ``_read_band``,
+accepts exactly the rows the writers emit for the scene's band and array
+and returns plain value arrays on that band.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ __all__ = [
     "write_intensity_csv",
     "read_intensity_csv",
     "write_illumination_csv",
-    "read_illumination_csv",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -272,20 +276,6 @@ def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
     return columns
 
 
-def _grid_shape(slow: np.ndarray, fast: np.ndarray, what: str):
-    """(n_slow, n_fast) of index columns that enumerate a complete grid in
-    row-major order (first index slow), both indices counting from 0.
-    """
-    n_slow = int(slow.max()) + 1
-    n_fast = int(fast.max()) + 1
-    if n_slow < 1 or n_fast < 1 or slow.shape[0] != n_slow * n_fast:
-        raise DataFormatError(f"{what} rows do not fill the grid")
-    k = np.arange(slow.shape[0])
-    if np.any(slow != k // n_fast) or np.any(fast != k % n_fast):
-        raise DataFormatError(f"{what} rows out of order")
-    return n_slow, n_fast
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
@@ -297,13 +287,35 @@ def _band_keys(omegas: np.ndarray, n: int) -> list:
     return [np.arange(omegas.shape[0])[:, None], omegas[:, None], np.arange(n)]
 
 
-def _band_omegas(om: np.ndarray, shape, what: str) -> np.ndarray:
-    """One omega per frequency; every row of a frequency must carry it."""
-    om = om.reshape(shape)
-    bad = np.flatnonzero(np.any(om != om[:, :1], axis=1))
+def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[np.ndarray]:
+    """The value columns of a band file written for ``scene``: (F, N) arrays
+    if ``n_keys`` is 3 (frequency index, omega, receiver index), (F,) if it
+    is 2 (no receiver column).
+
+    Every value must be finite, and the file must hold exactly the rows the
+    writers emit for the scene: its key columns equal ``_band_keys`` of the
+    scene's band and array, row for row (file round trips are bit-exact, so
+    equality is literal).  Errors name the file by ``what`` and give the
+    first data row that differs, or the row count the scene expects.
+    """
+    kinds = (int, float, int)[:n_keys] + (float,) * (header.count(",") + 1 - n_keys)
+    columns = _read_columns(path, header, kinds, what)
+    if not all(np.isfinite(c).all() for c in columns):
+        raise DataFormatError(f"{what} data must be finite")
+    keys = _band_keys(scene.band.omegas, scene.n_receivers)[:n_keys]
+    grid = np.broadcast_shapes(*(k.shape for k in keys))
+    n_rows = math.prod(grid)
+    if columns[0].size != n_rows:
+        raise DataFormatError(f"{what} file holds {columns[0].size} data rows; "
+                              f"the scene expects {n_rows}")
+    expected = [np.broadcast_to(k, grid).ravel() for k in keys]
+    bad = np.flatnonzero(np.any([c != e for c, e in zip(columns, expected)], axis=0))
     if bad.size:
-        raise DataFormatError(f"{what} omega mismatch at frequency {bad[0]}")
-    return om[:, 0]
+        row = bad[0]
+        text = ",".join(_text(e[row:row + 1])[0] for e in expected)
+        raise DataFormatError(f"{what} data row {row + 1} does not match the scene: "
+                              f"its keys should be {text}")
+    return [c.reshape(grid[:n_keys - 1]) for c in columns[n_keys:]]
 
 
 def write_intensity_csv(data: IntensityData, path) -> None:
@@ -317,40 +329,6 @@ def write_illumination_csv(data: IntensityData, path) -> None:
                 [np.arange(data.omegas.shape[0]), data.omegas], [data.illumination])
 
 
-def read_intensity_csv(path, illumination_path=None) -> IntensityData:
-    """Inverse of the writers; checks grid completeness and ordering."""
-    freq, om, recv, val = _read_columns(
-        path, _INTENSITY_HEADER, (int, float, int, float), "intensity")
-    shape = _grid_shape(freq, recv, "intensity")
-    omegas = _band_omegas(om, shape, "intensity")
-    if illumination_path is None:
-        illum = np.ones(shape[0])
-    else:
-        illum = read_illumination_csv(illumination_path, omegas)
-    return IntensityData(omegas, val.reshape(shape), illum)
-
-
-def read_illumination_csv(path, omegas) -> np.ndarray:
-    """Per-frequency illumination divisors on the given frequency grid."""
-    omegas = np.asarray(omegas, dtype=float)
-    idx, om, values = _read_columns(
-        path, _ILLUMINATION_HEADER, (int, float, float), "illumination")
-    outside = (idx < 0) | (idx >= omegas.shape[0])
-    if outside.any():
-        raise DataFormatError(f"illumination row {idx[outside][0]} outside the grid")
-    mismatch = om != omegas[idx]
-    if mismatch.any():
-        raise DataFormatError(f"illumination omega mismatch at row {idx[mismatch][0]}")
-    counts = np.bincount(idx, minlength=omegas.shape[0])
-    if np.any(counts > 1):
-        raise DataFormatError(f"repeated illumination row {np.argmax(counts > 1)}")
-    if np.any(counts == 0):
-        raise DataFormatError("illumination file misses frequencies")
-    illum = np.empty(omegas.shape[0])
-    illum[idx] = values
-    return illum
-
-
 def write_field_csv(omegas, values, path) -> None:
     """Per-frequency complex receiver fields, same ordering as intensity."""
     values = np.asarray(values, dtype=complex)
@@ -359,25 +337,20 @@ def write_field_csv(omegas, values, path) -> None:
                 [values.real, values.imag])
 
 
-def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of write_field_csv; returns (omegas, values (F, N)).
+def read_intensity_csv(path, scene: Scene, illumination_path=None) -> IntensityData:
+    """Intensity rows on the scene's band and array (``_read_band``), with
+    the illumination file's divisors, or 1 at every frequency without one."""
+    (values,) = _read_band(path, _INTENSITY_HEADER, 3, scene, "intensity")
+    if illumination_path is None:
+        illumination = np.ones(scene.band.count)
+    else:
+        (illumination,) = _read_band(illumination_path, _ILLUMINATION_HEADER, 2, scene,
+                                     "illumination")
+    return IntensityData(scene.band.omegas, values, illumination)
 
-    Every omega and field value must be finite.
-    """
-    freq, om, recv, re, im = _read_columns(
-        path, _FIELD_HEADER, (int, float, int, float, float), "field")
-    if not all(np.isfinite(c).all() for c in (om, re, im)):
-        raise DataFormatError("field data must be finite")
-    shape = _grid_shape(freq, recv, "field")
-    return _band_omegas(om, shape, "field"), _complex(re, im).reshape(shape)
 
-
-def _check_band(scene: Scene, omegas: np.ndarray, n_receivers: int, what: str) -> None:
-    """DataFormatError unless a file's frequencies are exactly the scene band
-    and its receiver count is the scene's (file round trips are bit-exact,
-    so equality is literal)."""
-    band = scene.band.omegas
-    if omegas.shape != band.shape or np.any(omegas != band):
-        raise DataFormatError(f"{what} frequency grid does not match the scene band")
-    if n_receivers != scene.n_receivers:
-        raise DataFormatError(f"{what} receiver count does not match the scene")
+def read_field_csv(path, scene: Scene, what: str = "field") -> np.ndarray:
+    """The (F, N) complex field of a file on the scene's band and array
+    (``_read_band``); errors name the file ``what``."""
+    re, im = _read_band(path, _FIELD_HEADER, 3, scene, what)
+    return _complex(re, im)

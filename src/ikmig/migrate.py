@@ -75,16 +75,16 @@ def _geometry(scene: Scene, cells: np.ndarray, spacing: float):
     return d_recv, d_src, mask
 
 
-def _apply_kernel(d_recv, d_src, mask, k: float, dimension: int, stack: np.ndarray):
-    """Migrate a (S, N) stack of fields at wavenumber k; returns (cells, S).
+def _apply_kernel(d_recv, d_src, mask, k: float, stack: np.ndarray):
+    """Migrate a (S, N) stack of fields at wavenumber k in 2-D; returns (cells, S).
 
-    Each image is the kernel conj(G(x, x_r) G(x, x_s)) times the field,
+    Each image is the Hankel kernel conj(G(x, x_r) G(x, x_s)) times the field,
     summed over the contiguous receiver axis: elementwise work on (cells,
     N) rows and a row sum, so a cell's bits depend neither on the other
     cells of its block nor on the other fields of the stack.
     """
-    g_src = _green_from_distance(d_src, k, dimension)
-    kernel = np.conj(_green_from_distance(d_recv, k, dimension) * g_src[:, None])
+    g_src = _green_from_distance(d_src, k, 2)
+    kernel = np.conj(_green_from_distance(d_recv, k, 2) * g_src[:, None])
     image = (kernel * stack[:, None, :]).sum(axis=-1).T
     image[mask, :] = complex(np.nan, np.nan)
     return image
@@ -173,9 +173,9 @@ def migrate_broadband_stack(
         geometry = _geometry(scene, cells[bounds[0]:bounds[1]], window.spacing)
         if scene.dimension == 3:
             return _horner_kernel(*geometry, k, fields)
-        total = _apply_kernel(*geometry, k[0], scene.dimension, fields[:, 0])
+        total = _apply_kernel(*geometry, k[0], fields[:, 0])
         for i in range(1, k.shape[0]):
-            total += _apply_kernel(*geometry, k[i], scene.dimension, fields[:, i])
+            total += _apply_kernel(*geometry, k[i], fields[:, i])
         return total
 
     edges = _block_edges(cells.shape[0], threads)
@@ -305,10 +305,7 @@ def image_metrics(image: np.ndarray, scene: Scene,
 
     he = window.half_extent
     cell = (int(peak_idx[0]) - he, int(peak_idx[1]) - he)
-    center = np.asarray(window.center)
-    position = center.copy()
-    position[0] += cell[0] * window.spacing
-    position[1] += cell[1] * window.spacing
+    position = window.cell_positions()[peak_idx]
 
     direction = np.asarray(window.center)[:2] - scene.array_center[:2]
     range_axis = 0 if abs(direction[0]) >= abs(direction[1]) else 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NumericError, SingularityError
-from .forward import IntensityData, _check_band, _distances, direct_arrivals_band
+from .forward import IntensityData, _distances, direct_arrivals_band
 from .scene import ImageWindowSpec, Scene
 
 __all__ = [
@@ -70,11 +70,16 @@ def recover_ptilde(g0, d, illumination) -> np.ndarray:
 def recover_band(scene: Scene, data: IntensityData) -> np.ndarray:
     """Recover every frequency row of a data set; returns (F, N) complex.
 
-    The data must lie on the scene band and array (``forward._check_band``).
-    The rows are ``recover_ptilde`` of the scene's direct arrivals, the data
-    and its illumination.
+    The data must lie on the scene band and array: ``read_intensity_csv``
+    ensures it for a file, and this check for data built in process for
+    another scene.  The rows are ``recover_ptilde`` of the scene's direct
+    arrivals, the data and its illumination.
     """
-    _check_band(scene, data.omegas, data.n_receivers, "data")
+    band = scene.band.omegas
+    if data.omegas.shape != band.shape or np.any(data.omegas != band):
+        raise DataFormatError("data frequency grid does not match the scene band")
+    if data.n_receivers != scene.n_receivers:
+        raise DataFormatError("data receiver count does not match the scene")
     return recover_ptilde(direct_arrivals_band(scene), data.values, data.illumination)
 
 

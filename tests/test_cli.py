@@ -22,6 +22,7 @@ from ikmig.forward import (
     intensity_data,
     read_field_csv,
     write_field_csv,
+    write_illumination_csv,
     write_intensity_csv,
 )
 from ikmig.migrate import migrate_broadband_stack, write_image_csv
@@ -92,11 +93,12 @@ def point_rec(tmp_path_factory, point_sim):
 
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
-    """scene.json, intensity.csv and recovered.csv of small_scene()."""
+    """scene.json, intensity.csv, illumination.csv and recovered.csv of small_scene()."""
     out = tmp_path_factory.mktemp("small")
     sc = small_scene()
     (out / "scene.json").write_text(emit_scene(sc))
     write_intensity_csv(intensity_data(sc), out / "intensity.csv")
+    write_illumination_csv(intensity_data(sc), out / "illumination.csv")
     write_field_csv(sc.band.omegas, recover_band(sc, intensity_data(sc)), out / "recovered.csv")
     return out
 
@@ -156,8 +158,7 @@ class TestRecover:
     def test_matches_in_process_recovery(self, point_rec):
         sc = preset_scene("point")
         want = recover_band(sc, intensity_data(sc))
-        omegas, got = read_field_csv(point_rec / "recovered.csv")
-        assert np.array_equal(omegas, sc.band.omegas)
+        got = read_field_csv(point_rec / "recovered.csv", sc)
         assert np.array_equal(got, want)
         assert_clean_dir(point_rec)
 
@@ -195,7 +196,7 @@ class TestRecover:
         assert main(["simulate", "--scene", str(spath), "--out", str(sim)]) == 0
         assert main(["recover", "--scene", str(spath),
                      "--data", str(sim / "intensity.csv"), "--out", str(rec)]) == 0
-        _, ptilde = read_field_csv(rec / "recovered.csv")
+        ptilde = read_field_csv(rec / "recovered.csv", sc)
         g0 = direct_arrivals_band(sc)
         assert np.max(np.abs(ptilde)) <= 1e-12 * np.max(np.abs(g0))
 
@@ -269,7 +270,8 @@ class TestMigrate:
         rc = main(["migrate", "--scene", str(spath), "--field", str(fpath),
                    "--reference", str(short), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "reference receiver count" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: reference file holds 40 data rows; the scene expects 45\n")
 
     @pytest.mark.parametrize("flag", ["--field", "--reference"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -284,8 +286,31 @@ class TestMigrate:
                    "--reference", str(files["--reference"]), "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == "error: field data must be finite\n"
+        assert err == f"error: {flag[2:]} data must be finite\n"
         assert not (tmp_path / "out" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("header", "error: unexpected reference header"),
+        ("row", "error: malformed reference row"),
+        ("inf", "error: reference data must be finite"),
+    ])
+    def test_reference_errors_name_the_reference(self, prepared, tmp_path, capsys,
+                                                 case, message):
+        _, spath, fpath, rpath, _, _ = prepared
+        lines = rpath.read_text().splitlines()
+        if case == "header":
+            lines[0] = "freq_index,omega_rad_s,receiver_index,re"
+        elif case == "row":
+            lines[3] = lines[3].rsplit(",", 1)[0]
+        else:
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",inf"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["migrate", "--scene", str(spath), "--field", str(fpath),
+                   "--reference", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 class TestExperiment:
@@ -684,15 +709,31 @@ _EDITS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(data_edits=_EDITS, scene_edits=_EDITS)
-def test_fuzzed_input_files_keep_the_exit_code_contract(small_files, data_edits, scene_edits):
+@given(data_edits=_EDITS, illumination_edits=_EDITS, field_edits=_EDITS, scene_edits=_EDITS)
+def test_fuzzed_input_files_keep_the_exit_code_contract(
+        small_files, data_edits, illumination_edits, field_edits, scene_edits):
     fuzz = small_files / "fuzz_files"
     fuzz.mkdir(exist_ok=True)
+    scene = str(small_files / "scene.json")
     data = fuzz / "intensity.csv"
     data.write_bytes(mutate((small_files / "intensity.csv").read_bytes(), data_edits))
-    rc = exit_code(["recover", "--scene", str(small_files / "scene.json"),
-                    "--data", str(data), "--out", str(fuzz / "rec")])
+    rc = exit_code(["recover", "--scene", scene, "--data", str(data), "--out", str(fuzz / "rec")])
     assert rc in {0, 2, 3, 4}
+    # Not named illumination.csv, which ``recover`` above would take as its sidecar.
+    illum = fuzz / "illum.csv"
+    illum.write_bytes(mutate((small_files / "illumination.csv").read_bytes(),
+                             illumination_edits))
+    rc = exit_code(["recover", "--scene", scene, "--data", str(small_files / "intensity.csv"),
+                    "--illumination", str(illum), "--out", str(fuzz / "rec")])
+    assert rc in {0, 2, 3, 4}
+    field = fuzz / "recovered.csv"
+    field.write_bytes(mutate((small_files / "recovered.csv").read_bytes(), field_edits))
+    for flag in ("--field", "--reference"):
+        files = {"--field": small_files / "recovered.csv",
+                 "--reference": small_files / "recovered.csv", flag: field}
+        rc = exit_code(["migrate", "--scene", scene, "--field", str(files["--field"]),
+                        "--reference", str(files["--reference"]), "--out", str(fuzz / "mig")])
+        assert rc in {0, 2, 3, 4}
     scene = fuzz / "scene.json"
     scene.write_bytes(mutate((small_files / "scene.json").read_bytes(), scene_edits))
     rc = exit_code(["simulate", "--scene", str(scene), "--out", str(fuzz / "sim")])

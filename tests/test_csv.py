@@ -113,45 +113,47 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
+# The round trips take their receivers from the `point` preset's array.
+BASE = preset_scene("point")
+
+
 @st.composite
-def band_arrays(draw, dtype=float):
-    f = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 5))
-    omegas = draw(hnp.arrays(float, f, elements=FINITE))
-    values = draw(hnp.arrays(float, (f, n), elements=FINITE))
-    if dtype is complex:
-        values = values.astype(complex)
-        values.imag = draw(hnp.arrays(float, (f, n), elements=FINITE))
-    return omegas, values
+def band_scenes(draw):
+    """The `point` scene on a random band of 1-4 frequencies with 1-5 receivers."""
+    lo, hi = sorted(draw(st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=2)))
+    count = draw(st.integers(1, 4))
+    band = FrequencyGrid(lo, lo if count == 1 else hi, count)
+    return replace(BASE, band=band, receivers=BASE.receivers[:draw(st.integers(1, 5))])
 
 
 ROUND_TRIP = settings(max_examples=60, deadline=None)
 
 
 @ROUND_TRIP
-@given(band_arrays(), st.data())
-def test_intensity_round_trip(tmp_path_factory, arrays, data):
-    omegas, values = arrays
-    illum = data.draw(hnp.arrays(float, omegas.shape, elements=FINITE))
-    written = IntensityData(omegas, values, illum)
+@given(band_scenes(), st.data())
+def test_intensity_round_trip(tmp_path_factory, scene, data):
+    shape = (scene.band.count, scene.n_receivers)
+    values = data.draw(hnp.arrays(float, shape, elements=FINITE))
+    illum = data.draw(hnp.arrays(float, shape[:1], elements=FINITE))
+    written = IntensityData(scene.band.omegas, values, illum)
     d = tmp_path_factory.mktemp("intensity")
     write_intensity_csv(written, d / "i.csv")
     write_illumination_csv(written, d / "l.csv")
-    back = read_intensity_csv(d / "i.csv", d / "l.csv")
+    back = read_intensity_csv(d / "i.csv", scene, d / "l.csv")
     assert same_bits(back.omegas, written.omegas)
     assert same_bits(back.values, written.values)
     assert same_bits(back.illumination, written.illumination)
 
 
 @ROUND_TRIP
-@given(band_arrays(complex))
-def test_field_round_trip(tmp_path_factory, arrays):
-    omegas, values = arrays
+@given(band_scenes(), st.data())
+def test_field_round_trip(tmp_path_factory, scene, data):
+    shape = (scene.band.count, scene.n_receivers)
+    values = data.draw(hnp.arrays(float, shape, elements=FINITE)).astype(complex)
+    values.imag = data.draw(hnp.arrays(float, shape, elements=FINITE))
     path = tmp_path_factory.mktemp("field") / "f.csv"
-    write_field_csv(omegas, values, path)
-    om_back, val_back = read_field_csv(path)
-    assert same_bits(om_back, omegas)
-    assert same_bits(val_back, values)
+    write_field_csv(scene.band.omegas, values, path)
+    assert same_bits(read_field_csv(path, scene), values)
 
 
 @st.composite

@@ -19,7 +19,6 @@ from ikmig.forward import (
     linearization_residual,
     read_field_csv,
     read_intensity_csv,
-    read_illumination_csv,
     total_field_band,
     write_field_csv,
     write_intensity_csv,
@@ -219,132 +218,167 @@ class TestLinearization:
         assert ratio == pytest.approx(np.full(sc.band.count, 1e-4), rel=1e-12)
 
 
+def rewrite(path, edit):
+    """Rewrite the text file at ``path`` as ``edit`` of its list of lines."""
+    lines = edit(path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+
+
+def with_omega(line, omega):
+    """A CSV row with its omega column replaced by the text ``omega``."""
+    index, _, rest = line.split(",", 2)
+    return ",".join([index, omega, rest])
+
+
 class TestIntensityCsv:
     def make_data(self, seed=30):
         sc = random_scene(np.random.default_rng(seed), 3)
         fhat_sq = np.array([1.5, 2.5, 0.75])
         data = intensity_data(sc)
-        return IntensityData(data.omegas, fhat_sq[:, None] * data.values, fhat_sq)
+        return sc, IntensityData(data.omegas, fhat_sq[:, None] * data.values, fhat_sq)
 
-    def test_round_trip_bit_exact(self, tmp_path):
-        data = self.make_data()
+    def written(self, tmp_path):
+        """(scene, intensity path, illumination path) of ``make_data``."""
+        sc, data = self.make_data()
         ipath = tmp_path / "intensity.csv"
         lpath = tmp_path / "illumination.csv"
         write_intensity_csv(data, ipath)
         write_illumination_csv(data, lpath)
-        back = read_intensity_csv(ipath, lpath)
+        return sc, ipath, lpath
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        sc, data = self.make_data()
+        ipath = tmp_path / "intensity.csv"
+        lpath = tmp_path / "illumination.csv"
+        write_intensity_csv(data, ipath)
+        write_illumination_csv(data, lpath)
+        back = read_intensity_csv(ipath, sc, lpath)
         assert np.array_equal(back.omegas, data.omegas)
         assert np.array_equal(back.values, data.values)
         assert np.array_equal(back.illumination, data.illumination)
 
     def test_read_without_illumination_defaults_to_one(self, tmp_path):
-        data = self.make_data()
-        ipath = tmp_path / "intensity.csv"
-        write_intensity_csv(data, ipath)
-        back = read_intensity_csv(ipath)
+        sc, ipath, _ = self.written(tmp_path)
+        back = read_intensity_csv(ipath, sc)
         assert np.array_equal(back.illumination, np.ones(3))
 
     def test_header_layout(self, tmp_path):
-        data = self.make_data()
-        ipath = tmp_path / "intensity.csv"
-        write_intensity_csv(data, ipath)
+        _, ipath, _ = self.written(tmp_path)
         lines = ipath.read_text().splitlines()
         assert lines[0] == "freq_index,omega_rad_s,receiver_index,value"
         assert len(lines) == 1 + 3 * 4
         assert lines[1].startswith("0,")
 
     def test_bad_header(self, tmp_path):
+        sc, _ = self.make_data()
         path = tmp_path / "x.csv"
         path.write_text("a,b,c,d\n0,1.0,0,2.0\n")
-        with pytest.raises(DataFormatError, match="header"):
-            read_intensity_csv(path)
+        with pytest.raises(DataFormatError, match="unexpected intensity header"):
+            read_intensity_csv(path, sc)
 
     def test_malformed_row(self, tmp_path):
+        sc, _ = self.make_data()
         path = tmp_path / "x.csv"
         path.write_text("freq_index,omega_rad_s,receiver_index,value\n0,1.0,0\n")
-        with pytest.raises(DataFormatError, match="malformed"):
-            read_intensity_csv(path)
+        with pytest.raises(DataFormatError, match="malformed intensity row"):
+            read_intensity_csv(path, sc)
         path.write_text("freq_index,omega_rad_s,receiver_index,value\nx,1.0,0,2.0\n")
         with pytest.raises(DataFormatError, match="malformed"):
-            read_intensity_csv(path)
+            read_intensity_csv(path, sc)
 
     def test_out_of_order_rows(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text(
-            "freq_index,omega_rad_s,receiver_index,value\n"
-            "0,1.0,1,2.0\n0,1.0,0,3.0\n"
-        )
-        with pytest.raises(DataFormatError, match="out of order"):
-            read_intensity_csv(path)
+        sc, ipath, _ = self.written(tmp_path)
+        rewrite(ipath, lambda lines: [lines[0], lines[2], lines[1], *lines[3:]])
+        with pytest.raises(DataFormatError, match="intensity data row 1 does not match the "
+                                                  "scene: its keys should be 0,1256.6"):
+            read_intensity_csv(ipath, sc)
 
     def test_incomplete_grid(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text(
-            "freq_index,omega_rad_s,receiver_index,value\n"
-            "0,1.0,0,2.0\n0,1.0,1,3.0\n1,2.0,0,4.0\n"
-        )
-        with pytest.raises(DataFormatError, match="grid"):
-            read_intensity_csv(path)
+        sc, ipath, _ = self.written(tmp_path)
+        rewrite(ipath, lambda lines: lines[:-1])
+        with pytest.raises(DataFormatError,
+                           match="intensity file holds 11 data rows; the scene expects 12"):
+            read_intensity_csv(ipath, sc)
+        # A band or an array other than the scene's is the same error.
+        for other in (replace(sc, band=FrequencyGrid(200.0, 400.0, 4)),
+                      replace(sc, receivers=sc.receivers[:3])):
+            with pytest.raises(DataFormatError, match="the scene expects"):
+                read_intensity_csv(ipath, other)
 
     def test_omega_mismatch_within_a_frequency(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text(
-            "freq_index,omega_rad_s,receiver_index,value\n"
-            "0,1.0,0,2.0\n0,99.0,1,3.0\n"
-        )
-        with pytest.raises(DataFormatError, match="omega mismatch"):
-            read_intensity_csv(path)
+        sc, ipath, _ = self.written(tmp_path)
+        # A file of the right shape on another band fails at its first row.
+        with pytest.raises(DataFormatError, match="intensity data row 1 does not match"):
+            read_intensity_csv(ipath, replace(sc, band=FrequencyGrid(250.0, 400.0, 3)))
+        rewrite(ipath, lambda lines: [*lines[:2], with_omega(lines[2], "99.0"), *lines[3:]])
+        with pytest.raises(DataFormatError, match="intensity data row 2 does not match"):
+            read_intensity_csv(ipath, sc)
 
     def test_empty_file(self, tmp_path):
+        sc, _ = self.make_data()
         path = tmp_path / "x.csv"
         path.write_text("freq_index,omega_rad_s,receiver_index,value\n")
-        with pytest.raises(DataFormatError, match="no rows"):
-            read_intensity_csv(path)
+        with pytest.raises(DataFormatError, match="intensity file holds no rows"):
+            read_intensity_csv(path, sc)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value(self, tmp_path, value):
+        sc, ipath, lpath = self.written(tmp_path)
+        rewrite(lpath, lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0] + "," + value])
+        with pytest.raises(DataFormatError, match="illumination data must be finite"):
+            read_intensity_csv(ipath, sc, lpath)
+        rewrite(ipath, lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0] + "," + value])
+        with pytest.raises(DataFormatError, match="intensity data must be finite"):
+            read_intensity_csv(ipath, sc)
 
     def test_illumination_omega_mismatch(self, tmp_path):
-        data = self.make_data()
-        ipath = tmp_path / "intensity.csv"
-        lpath = tmp_path / "illumination.csv"
-        write_intensity_csv(data, ipath)
+        sc, ipath, lpath = self.written(tmp_path)
         lines = ["freq_index,omega_rad_s,twopi_Fhat"]
-        for i, w in enumerate(data.omegas):
+        for i, w in enumerate(sc.band.omegas):
             lines.append(f"{i},{format(w + 1.0, '.17g')},1.0")
         lpath.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError, match="omega mismatch"):
-            read_intensity_csv(ipath, lpath)
+        with pytest.raises(DataFormatError, match="illumination data row 1 does not match"):
+            read_intensity_csv(ipath, sc, lpath)
 
     def test_illumination_missing_rows(self, tmp_path):
-        data = self.make_data()
-        lpath = tmp_path / "illumination.csv"
-        lines = ["freq_index,omega_rad_s,twopi_Fhat",
-                 f"0,{format(data.omegas[0], '.17g')},1.0"]
-        lpath.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError, match="misses"):
-            read_illumination_csv(lpath, data.omegas)
+        sc, ipath, lpath = self.written(tmp_path)
+        rewrite(lpath, lambda lines: lines[:2])
+        with pytest.raises(DataFormatError,
+                           match="illumination file holds 1 data rows; the scene expects 3"):
+            read_intensity_csv(ipath, sc, lpath)
 
     def test_illumination_row_outside_grid(self, tmp_path):
-        data = self.make_data()
-        lpath = tmp_path / "illumination.csv"
-        lines = ["freq_index,omega_rad_s,twopi_Fhat", "7,1.0,1.0"]
-        lpath.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError, match="outside"):
-            read_illumination_csv(lpath, data.omegas)
-        # A repeated frequency row is an index error too, not a last-one-wins.
-        lpath.write_text("freq_index,omega_rad_s,twopi_Fhat\n0,1,5.0\n0,1,7.0\n1,2,3.0\n")
-        with pytest.raises(DataFormatError, match="repeated illumination row 0"):
-            read_illumination_csv(lpath, np.array([1.0, 2.0]))
+        sc, ipath, lpath = self.written(tmp_path)
+        rewrite(lpath, lambda lines: [*lines[:-1], "7" + lines[-1][1:]])
+        with pytest.raises(DataFormatError, match="illumination data row 3 does not match"):
+            read_intensity_csv(ipath, sc, lpath)
+        # A repeated frequency row is a key error too, not a last-one-wins.
+        rewrite(lpath, lambda lines: [lines[0], lines[1], lines[1], lines[2]])
+        with pytest.raises(DataFormatError, match="illumination data row 2 does not match"):
+            read_intensity_csv(ipath, sc, lpath)
+
+    def test_illumination_rows_come_in_frequency_order(self, tmp_path):
+        sc, ipath, lpath = self.written(tmp_path)
+        rewrite(lpath, lambda lines: [lines[0], lines[2], lines[1], lines[3]])
+        with pytest.raises(DataFormatError, match="illumination data row 1 does not match "
+                                                  "the scene: its keys should be 0,1256.6"):
+            read_intensity_csv(ipath, sc, lpath)
 
 
 class TestFieldCsv:
-    def test_round_trip_bit_exact(self, tmp_path):
+    SCENE = random_scene(np.random.default_rng(40), 3, n_receivers=5)
+
+    def written(self, tmp_path):
+        """A field file of the scene, and its values."""
         rng = np.random.default_rng(40)
-        omegas = np.array([10.0, 20.0, 30.0])
         values = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
         path = tmp_path / "field.csv"
-        write_field_csv(omegas, values, path)
-        om_back, val_back = read_field_csv(path)
-        assert np.array_equal(om_back, omegas)
-        assert np.array_equal(val_back, values)
+        write_field_csv(self.SCENE.band.omegas, values, path)
+        return path, values
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        path, values = self.written(tmp_path)
+        assert np.array_equal(read_field_csv(path, self.SCENE), values)
 
     def test_header(self, tmp_path):
         path = tmp_path / "field.csv"
@@ -354,29 +388,35 @@ class TestFieldCsv:
         assert lines[1] == "0,1,0,1,2"
 
     def test_errors(self, tmp_path):
+        sc = self.SCENE
         path = tmp_path / "field.csv"
         path.write_text("bad\n")
-        with pytest.raises(DataFormatError, match="header"):
-            read_field_csv(path)
+        with pytest.raises(DataFormatError, match="unexpected field header"):
+            read_field_csv(path, sc)
         path.write_text("freq_index,omega_rad_s,receiver_index,re,im\n")
-        with pytest.raises(DataFormatError, match="no rows"):
-            read_field_csv(path)
+        with pytest.raises(DataFormatError, match="field file holds no rows"):
+            read_field_csv(path, sc)
         path.write_text("freq_index,omega_rad_s,receiver_index,re,im\n0,1.0,0,1.0\n")
-        with pytest.raises(DataFormatError, match="malformed"):
-            read_field_csv(path)
-        path.write_text(
-            "freq_index,omega_rad_s,receiver_index,re,im\n"
-            "0,1.0,1,1.0,0.0\n0,1.0,0,1.0,0.0\n"
-        )
-        with pytest.raises(DataFormatError, match="out of order"):
-            read_field_csv(path)
+        with pytest.raises(DataFormatError, match="malformed field row"):
+            read_field_csv(path, sc)
         path.write_text(
             "freq_index,omega_rad_s,receiver_index,re,im\n0,1.0,0.5,1.0,0.0\n")
         with pytest.raises(DataFormatError, match="malformed"):
-            read_field_csv(path)
+            read_field_csv(path, sc)
         path.write_text(
-            "freq_index,omega_rad_s,receiver_index,re,im\n"
-            "0,1.0,0,1.0,0.0\n0,99.0,1,1.0,0.0\n"
-        )
-        with pytest.raises(DataFormatError, match="omega mismatch"):
-            read_field_csv(path)
+            "freq_index,omega_rad_s,receiver_index,re,im\n0,1.0,0,inf,0.0\n")
+        with pytest.raises(DataFormatError, match="field data must be finite"):
+            read_field_csv(path, sc)
+        path.write_text(
+            "freq_index,omega_rad_s,receiver_index,re,im\n0,1.0,0,1.0,0.0\n")
+        with pytest.raises(DataFormatError, match="field file holds 1 data rows; "
+                                                  "the scene expects 15"):
+            read_field_csv(path, sc)
+        path, _ = self.written(tmp_path)
+        rewrite(path, lambda lines: [lines[0], lines[2], lines[1], *lines[3:]])
+        with pytest.raises(DataFormatError, match="field data row 1 does not match"):
+            read_field_csv(path, sc)
+        path, _ = self.written(tmp_path)
+        rewrite(path, lambda lines: [*lines[:7], with_omega(lines[7], "99.0"), *lines[8:]])
+        with pytest.raises(DataFormatError, match="field data row 7 does not match"):
+            read_field_csv(path, sc)

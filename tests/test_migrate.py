@@ -125,7 +125,7 @@ class TestBroadband:
             if dimension == 3:
                 raw = _horner_kernel(*geometry, k, field[None, None, :])
             else:
-                raw = _apply_kernel(*geometry, float(k[0]), sc.dimension, field[None, :])
+                raw = _apply_kernel(*geometry, float(k[0]), field[None, :])
             assert np.array_equal(broad, raw.reshape(5, 5))
 
     @pytest.mark.parametrize("band", [

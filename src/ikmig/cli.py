@@ -177,17 +177,17 @@ def _synthesize(scene, stochastic: bool, seed, noise_fraction):
         spectrum = PowerSpectrum.for_band(scene.band)
     except ValueError as exc:
         raise _UsageError(f"--stochastic: {exc}") from None
-    draw = sample_illumination(spectrum, scene.band, seed)
+    fhat = sample_illumination(spectrum, scene.band, seed)
     if noise_fraction:
-        return noisy_power_data(scene, draw, noise_fraction, seed)
-    return clean_power_data(scene, draw)
+        return noisy_power_data(scene, fhat, noise_fraction, seed)
+    return clean_power_data(scene, fhat)
 
 
-def _write_data(data, out_dir: str) -> list:
+def _write_data(scene, data, out_dir: str) -> list:
     ipath = os.path.join(out_dir, "intensity.csv")
     lpath = os.path.join(out_dir, "illumination.csv")
-    _atomic(ipath, lambda p: write_intensity_csv(data, p))
-    _atomic(lpath, lambda p: write_illumination_csv(data, p))
+    _atomic(ipath, lambda p: write_intensity_csv(scene.band.omegas, data, p))
+    _atomic(lpath, lambda p: write_illumination_csv(scene.band.omegas, data, p))
     return [ipath, lpath]
 
 
@@ -251,7 +251,7 @@ def _compare(image, reference, scene):
 def cmd_simulate(args) -> int:
     scene = _load_scene(args.scene)
     data = _synthesize(scene, args.stochastic, args.seed, args.noise_fraction)
-    outputs = _write_data(data, args.out)
+    outputs = _write_data(scene, data, args.out)
     _write_manifest(args.out, "simulate", scene,
                     {"scene": args.scene, "stochastic": args.stochastic,
                      "seed": args.seed, "noise_fraction": args.noise_fraction},
@@ -338,7 +338,7 @@ def cmd_experiment(args) -> int:
     data = _synthesize(scene, stochastic, args.seed, noise)
     spath = os.path.join(args.out, "scene.json")
     _write_text(spath, emit_scene(scene))
-    outputs = [spath] + _write_data(data, args.out)
+    outputs = [spath] + _write_data(scene, data, args.out)
 
     # `recover` then `migrate --reference` run these stages and write the same bytes.
     ptilde, geometry, fpath = _recover(scene, data, args.out)

@@ -11,10 +11,11 @@ and (i/4) H0(kr) in two, where H0 = J0 + i Y0 (``hankel0_1``) comes from
 SciPy's cephes ``j0``/``y0``.  ``scipy.special`` is imported on first use,
 so importing the CLI or running a 3-D scene does not load it.
 
-The CSV band files (intensity, illumination, field) are read on the scene
-they serve, as images live on its window: one reader, ``_read_band``,
-accepts exactly the rows the writers emit for the scene's band and array
-and returns plain value arrays on that band.
+Band data hold values only: the band and the array are the scene's.  The
+CSV band files (intensity, illumination, field) are written on a band's
+omegas and read on the scene they serve, as images live on its window:
+one reader, ``_read_band``, accepts exactly the rows the writers emit for
+the scene's band and array and returns plain value arrays on that band.
 """
 
 from __future__ import annotations
@@ -46,38 +47,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntensityData:
-    """Phaseless data rows over the full band.
+    """Phaseless data rows over a band: (F, N) power values and the (F,)
+    illumination divisors used at recovery time, |fhat|^2 for deterministic
+    illumination (1 for ``intensity_data``) or 2*pi*Fhat for stochastic runs.
 
-    ``illumination`` holds the per-frequency divisor used at recovery time:
-    |fhat|^2 for deterministic illumination (1 for ``intensity_data``),
-    2*pi*Fhat for stochastic runs.
+    The data hold values only; the band and the array they lie on are the
+    scene's.
     """
 
-    omegas: np.ndarray
     values: np.ndarray
     illumination: np.ndarray
 
     def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=float)
         vals = np.asarray(self.values, dtype=float)
         ill = np.asarray(self.illumination, dtype=float)
-        if om.ndim != 1 or vals.ndim != 2 or vals.shape[0] != om.shape[0]:
-            raise DataFormatError("intensity values must be (F, N) matching omegas")
-        if ill.shape != om.shape:
-            raise DataFormatError("illumination must hold one value per frequency")
-        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(vals))):
+        if vals.ndim != 2 or ill.shape != vals.shape[:1]:
+            raise DataFormatError("intensity values must be (F, N) with one "
+                                  "illumination value per frequency")
+        if not np.all(np.isfinite(vals)):
             raise DataFormatError("intensity data must be finite")
         if not np.all(np.isfinite(ill)):
             raise DataFormatError("illumination must be finite")
-        for arr in (om, vals, ill):
+        for arr in (vals, ill):
             arr.setflags(write=False)
-        object.__setattr__(self, "omegas", om)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "illumination", ill)
-
-    @property
-    def n_receivers(self) -> int:
-        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +183,10 @@ def total_field_band(scene: Scene) -> np.ndarray:
 def intensity_data(scene: Scene) -> IntensityData:
     """Exact quadratic power rows |g0 + p|^2 over the band, under unit
     illumination; no linearization is applied."""
-    omegas = scene.band.omegas
     total = total_field_band(scene)
     # Copied out, so the data do not keep the complex product alive.
     power = (np.conj(total) * total).real.copy()
-    return IntensityData(omegas, power, np.ones(omegas.shape[0]))
+    return IntensityData(power, np.ones(scene.band.count))
 
 
 def linearization_residual(scene: Scene) -> np.ndarray:
@@ -318,15 +311,17 @@ def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[
     return [c.reshape(grid[:n_keys - 1]) for c in columns[n_keys:]]
 
 
-def write_intensity_csv(data: IntensityData, path) -> None:
-    """Rows sorted by (freq_index, receiver_index), 17 significant digits."""
-    _write_grid(path, _INTENSITY_HEADER, _band_keys(data.omegas, data.n_receivers),
+def write_intensity_csv(omegas, data: IntensityData, path) -> None:
+    """Rows sorted by (freq_index, receiver_index) on the band ``omegas``,
+    17 significant digits."""
+    _write_grid(path, _INTENSITY_HEADER, _band_keys(omegas, data.values.shape[1]),
                 [data.values])
 
 
-def write_illumination_csv(data: IntensityData, path) -> None:
-    _write_grid(path, _ILLUMINATION_HEADER,
-                [np.arange(data.omegas.shape[0]), data.omegas], [data.illumination])
+def write_illumination_csv(omegas, data: IntensityData, path) -> None:
+    """One row per frequency of the band ``omegas``."""
+    _write_grid(path, _ILLUMINATION_HEADER, [np.arange(omegas.shape[0]), omegas],
+                [data.illumination])
 
 
 def write_field_csv(omegas, values, path) -> None:
@@ -346,7 +341,7 @@ def read_intensity_csv(path, scene: Scene, illumination_path=None) -> IntensityD
     else:
         (illumination,) = _read_band(illumination_path, _ILLUMINATION_HEADER, 2, scene,
                                      "illumination")
-    return IntensityData(scene.band.omegas, values, illumination)
+    return IntensityData(values, illumination)
 
 
 def read_field_csv(path, scene: Scene, what: str = "field") -> np.ndarray:

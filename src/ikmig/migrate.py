@@ -326,7 +326,8 @@ def image_metrics(image: np.ndarray, scene: Scene,
     band = scene.band
     bandwidth_hz = band.f_max_hz - band.f_min_hz
     range_estimate = math.inf if bandwidth_hz == 0.0 else scene.c0 / bandwidth_hz
-    rayleigh = scene.lambda0 * scene.standoff / scene.aperture
+    aperture = scene.aperture
+    rayleigh = math.inf if aperture == 0.0 else scene.lambda0 * scene.standoff / aperture
 
     correlation = None
     if reference is not None:

@@ -58,7 +58,8 @@ def recover_ptilde(g0, d, illumination) -> np.ndarray:
     """
     g0, d, illumination = (np.asanyarray(a) for a in (g0, d, illumination))
     if g0.ndim != 2 or d.shape != g0.shape or illumination.shape != g0.shape[:1]:
-        raise DataFormatError("data rows and illumination must match g0 in shape")
+        raise DataFormatError("data rows and illumination must lie on the scene's "
+                              "band and array")
     dark = np.flatnonzero(~(illumination > 0.0))
     if dark.size:
         raise NumericError(f"illumination at frequency {dark[0]} is not positive")
@@ -68,18 +69,14 @@ def recover_ptilde(g0, d, illumination) -> np.ndarray:
 
 
 def recover_band(scene: Scene, data: IntensityData) -> np.ndarray:
-    """Recover every frequency row of a data set; returns (F, N) complex.
+    """Recover every frequency row of a data set on the scene's band and
+    array; returns (F, N) complex.
 
-    The data must lie on the scene band and array: ``read_intensity_csv``
-    ensures it for a file, and this check for data built in process for
-    another scene.  The rows are ``recover_ptilde`` of the scene's direct
-    arrivals, the data and its illumination.
+    The rows are ``recover_ptilde`` of the scene's direct arrivals, the
+    data and its illumination.  Data of another shape are rejected there;
+    the data carry no band, so ``read_intensity_csv`` is what checks a
+    file's rows against the scene.
     """
-    band = scene.band.omegas
-    if data.omegas.shape != band.shape or np.any(data.omegas != band):
-        raise DataFormatError("data frequency grid does not match the scene band")
-    if data.n_receivers != scene.n_receivers:
-        raise DataFormatError("data receiver count does not match the scene")
     return recover_ptilde(direct_arrivals_band(scene), data.values, data.illumination)
 
 

@@ -335,7 +335,7 @@ def parse_scene(text: str) -> Scene:
         raise SceneParseError("scene document must be a JSON object")
 
     unit_name = doc.get("unit", "mm")
-    if unit_name not in _UNIT_FACTORS:
+    if not isinstance(unit_name, str) or unit_name not in _UNIT_FACTORS:
         raise SceneParseError(f"unit must be one of {sorted(_UNIT_FACTORS)}")
     unit = _UNIT_FACTORS[unit_name]
 

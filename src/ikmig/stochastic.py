@@ -9,6 +9,10 @@ against a time-domain simulation (``tests/ref_autocorr.py``), whose
 empirical autocorrelation spectra converge to the ensemble limit as the
 acquisition window grows.
 
+A draw is the plain (F,) array fhat on the scene's band.  The power data
+carry no band or spectrum of their own: they take the spectrum from the
+scene's band (``PowerSpectrum.for_band``).
+
 Every random number comes from a counter-based Philox substream keyed
 by (seed, tag, a, b), so a sample depends only on its seed and indices,
 never on the order in which samples are evaluated.  Each call re-keys
@@ -29,7 +33,6 @@ from .scene import FrequencyGrid, Scene
 
 __all__ = [
     "PowerSpectrum",
-    "StochasticDraw",
     "sample_illumination",
     "sample_noise",
     "clean_power_data",
@@ -117,36 +120,18 @@ class PowerSpectrum:
         return cls(omega0, t_c)
 
 
-@dataclass(frozen=True)
-class StochasticDraw:
-    """One seeded realization of the source transform on a frequency grid."""
-
-    seed: int
-    spectrum: PowerSpectrum
-    omegas: np.ndarray
-    fhat: np.ndarray
-
-    def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        fhat = np.asarray(self.fhat, dtype=complex)
-        if fhat.shape != omegas.shape:
-            raise ValueError("one sample per grid frequency required")
-        omegas.setflags(write=False)
-        fhat.setflags(write=False)
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "fhat", fhat)
-
-
-def sample_illumination(spectrum: PowerSpectrum, grid: FrequencyGrid, seed: int) -> StochasticDraw:
-    """Independent complex Gaussian samples with E|fhat|^2 = 2 pi Fhat.
+def sample_illumination(spectrum: PowerSpectrum, grid: FrequencyGrid, seed: int) -> np.ndarray:
+    """The (F,) source transform fhat on ``grid``: independent complex
+    Gaussian samples with E|fhat|^2 = 2 pi Fhat.
 
     Each frequency draws from its own counter-based substream, so a
-    sample depends only on (seed, frequency index).
+    sample depends only on (seed, frequency index).  The power-data
+    functions take the spectrum from the scene's band
+    (``PowerSpectrum.for_band``), so for their use ``spectrum`` must be
+    that band's and ``grid`` the band itself.
     """
     z = _complex_normals(seed, _TAG_ILLUMINATION, (grid.count,))
-    omegas = grid.omegas
-    fhat = np.sqrt(math.pi * spectrum.value(omegas)) * z
-    return StochasticDraw(seed, spectrum, omegas, fhat)
+    return np.sqrt(math.pi * spectrum.value(grid.omegas)) * z
 
 
 def sample_noise(spectrum: PowerSpectrum, grid: FrequencyGrid, n_receivers: int, seed: int) -> np.ndarray:
@@ -159,47 +144,44 @@ def sample_noise(spectrum: PowerSpectrum, grid: FrequencyGrid, n_receivers: int,
     return np.sqrt(math.pi * spectrum.value(grid.omegas)) * z
 
 
-def _check_draw(scene: Scene, draw: StochasticDraw) -> None:
-    if draw.omegas.shape != scene.band.omegas.shape or not np.array_equal(
-        draw.omegas, scene.band.omegas
-    ):
-        raise ValueError("draw was sampled on a different frequency grid")
-
-
-def _signal_rows(scene: Scene, draw: StochasticDraw) -> np.ndarray:
+def _signal_rows(scene: Scene, fhat: np.ndarray) -> np.ndarray:
     """(F, N) illuminated total field (g0 + p) fhat at the receivers."""
-    return total_field_band(scene) * draw.fhat[:, None]
+    # Checked, because a length-1 fhat would broadcast over the band.
+    if np.shape(fhat) != (scene.band.count,):
+        raise ValueError("one illumination sample per band frequency required")
+    return total_field_band(scene) * np.asarray(fhat)[:, None]
 
 
-def _power_data(draw: StochasticDraw, rows: np.ndarray) -> IntensityData:
-    illumination = 2.0 * math.pi * draw.spectrum.value(draw.omegas)
-    return IntensityData(draw.omegas, np.abs(rows) ** 2, illumination)
+def _power_data(scene: Scene, spectrum: PowerSpectrum, rows: np.ndarray) -> IntensityData:
+    illumination = 2.0 * math.pi * spectrum.value(scene.band.omegas)
+    return IntensityData(np.abs(rows) ** 2, illumination)
 
 
-def clean_power_data(scene: Scene, draw: StochasticDraw) -> IntensityData:
-    """Noise-free power-spectrum rows |(g0 + p) fhat|^2.
+def clean_power_data(scene: Scene, fhat: np.ndarray) -> IntensityData:
+    """Noise-free power-spectrum rows |(g0 + p) fhat|^2 for the (F,) source
+    transform ``fhat`` on the scene's band.
 
-    The illumination record stores the ensemble value 2 pi Fhat, not the
-    realized |fhat|^2: that is all a receiver could know.
+    The illumination record stores the ensemble value 2 pi Fhat of the
+    band's spectrum (``PowerSpectrum.for_band``), not the realized
+    |fhat|^2: that is all a receiver could know.
     """
-    _check_draw(scene, draw)
-    return _power_data(draw, _signal_rows(scene, draw))
+    return _power_data(scene, PowerSpectrum.for_band(scene.band), _signal_rows(scene, fhat))
 
 
 def noisy_power_data(
-    scene: Scene, draw: StochasticDraw, noise_fraction: float, seed: int
+    scene: Scene, fhat: np.ndarray, noise_fraction: float, seed: int
 ) -> IntensityData:
     """Power-spectrum rows with additive measurement noise.
 
-    The noise keeps the source spectral shape and is rescaled per
+    The noise keeps the band's spectral shape and is rescaled per
     receiver so that its realized total power is exactly
     ``noise_fraction`` times the realized signal power there.
     """
     if not (math.isfinite(noise_fraction) and noise_fraction >= 0.0):
         raise ValueError("noise_fraction must be a nonnegative number")
-    _check_draw(scene, draw)
-    signal = _signal_rows(scene, draw)
-    raw = sample_noise(draw.spectrum, scene.band, scene.n_receivers, seed)
+    spectrum = PowerSpectrum.for_band(scene.band)
+    signal = _signal_rows(scene, fhat)
+    raw = sample_noise(spectrum, scene.band, scene.n_receivers, seed)
     sig_power = (np.abs(signal) ** 2).sum(axis=0)
     raw_power = (np.abs(raw) ** 2).sum(axis=1)
     bad = np.nonzero(sig_power == 0.0)[0]
@@ -207,5 +189,4 @@ def noisy_power_data(
         raise NumericError(f"zero signal power at receiver {bad[0]}: cannot scale noise")
     scale = np.sqrt(noise_fraction * sig_power / raw_power)
     rows = signal + (scale[:, None] * raw).T
-    return _power_data(draw, rows)
-
+    return _power_data(scene, spectrum, rows)

@@ -192,15 +192,15 @@ def test_randomly_illuminated_data_image_the_reflector():
     (img_ref,) = migrate_broadband_stack(scene, p[:, :, None], threads=THREADS)
     ref_cell = image_metrics(img_ref, scene).peak_cell
 
-    draw = sample_illumination(spectrum, scene.band, 1)
-    ptilde = recover_band(scene, clean_power_data(scene, draw))
+    fhat = sample_illumination(spectrum, scene.band, 1)
+    ptilde = recover_band(scene, clean_power_data(scene, fhat))
     (img,) = migrate_broadband_stack(scene, ptilde[:, :, None], threads=THREADS)
     assert image_metrics(img, scene).peak_cell == ref_cell
 
     within_one = 0
     for seed in range(10):
-        draw = sample_illumination(spectrum, scene.band, seed)
-        data = noisy_power_data(scene, draw, 0.1, 1000 + seed)
+        fhat = sample_illumination(spectrum, scene.band, seed)
+        data = noisy_power_data(scene, fhat, 0.1, 1000 + seed)
         ptilde = recover_band(scene, data)
         (img,) = migrate_broadband_stack(scene, ptilde[:, :, None], threads=THREADS)
         cell = image_metrics(img, scene).peak_cell

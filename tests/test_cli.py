@@ -97,8 +97,8 @@ def small_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("small")
     sc = small_scene()
     (out / "scene.json").write_text(emit_scene(sc))
-    write_intensity_csv(intensity_data(sc), out / "intensity.csv")
-    write_illumination_csv(intensity_data(sc), out / "illumination.csv")
+    write_intensity_csv(sc.band.omegas, intensity_data(sc), out / "intensity.csv")
+    write_illumination_csv(sc.band.omegas, intensity_data(sc), out / "illumination.csv")
     write_field_csv(sc.band.omegas, recover_band(sc, intensity_data(sc)), out / "recovered.csv")
     return out
 
@@ -253,6 +253,22 @@ class TestMigrate:
         assert main(args + ["--reference", str(rpath), "--out", str(paired)]) == 0
         for name in ("image.csv", "image.pgm"):
             assert (alone / name).read_bytes() == (paired / name).read_bytes()
+
+    def test_one_receiver_scene_runs_through(self, tmp_path):
+        # A single receiver spans no aperture: metrics.json has no Rayleigh estimate.
+        doc = json.loads(emit_scene(small_scene()))
+        doc["receivers"] = {"explicit": [[0.0, 0.1]]}
+        spath = tmp_path / "scene.json"
+        spath.write_text(json.dumps(doc))
+        sim, rec, img = tmp_path / "sim", tmp_path / "rec", tmp_path / "img"
+        scene = ["--scene", str(spath)]
+        assert main(["simulate", *scene, "--out", str(sim)]) == 0
+        assert main(["recover", *scene, "--data", str(sim / "intensity.csv"),
+                     "--out", str(rec)]) == 0
+        assert main(["migrate", *scene, "--field", str(rec / "recovered.csv"),
+                     "--out", str(img)]) == 0
+        metrics = json.loads((img / "metrics.json").read_text())
+        assert metrics["image"]["rayleigh_estimate_m"] is None
 
     def test_band_mismatch_is_a_format_error(self, prepared, tmp_path):
         sc, spath, _, _, ptilde, _ = prepared
@@ -490,7 +506,7 @@ class TestWarnings:
         sc = replace(small_scene(), source=np.array([0.5, 0.0]))
         spath = tmp_path / "scene.json"
         spath.write_text(emit_scene(sc))
-        write_intensity_csv(intensity_data(sc), tmp_path / "intensity.csv")
+        write_intensity_csv(sc.band.omegas, intensity_data(sc), tmp_path / "intensity.csv")
         self.assert_warns_once_per_call(
             capsys, ["recover", "--scene", str(spath), "--data", str(tmp_path / "intensity.csv"),
                      "--out", str(tmp_path / "o")],

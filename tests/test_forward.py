@@ -178,18 +178,20 @@ class TestIntensity:
         assert np.allclose(data.values, np.abs(total) ** 2, rtol=1e-14)
         assert np.all(data.values >= 0.0)
         assert np.array_equal(data.illumination, np.ones(3))
-        assert np.array_equal(data.omegas, sc.band.omegas)
-        assert data.n_receivers == 4
+        assert data.values.shape == (3, 4)
 
     def test_container_validation(self):
-        om = np.array([1.0, 2.0])
         vals = np.ones((2, 3))
         with pytest.raises(DataFormatError):
-            IntensityData(om, np.ones((3, 2)), np.ones(2))
+            IntensityData(np.ones(3), np.ones(3))
         with pytest.raises(DataFormatError):
-            IntensityData(om, vals, np.ones(3))
+            IntensityData(vals, np.ones(3))
         with pytest.raises(DataFormatError):
-            IntensityData(om, vals * math.nan, np.ones(2))
+            IntensityData(vals * math.nan, np.ones(2))
+        with pytest.raises(DataFormatError):
+            IntensityData(vals, np.array([1.0, math.inf]))
+        data = IntensityData(vals, np.ones(2))
+        assert not (data.values.flags.writeable or data.illumination.flags.writeable)
 
 
 class TestLinearization:
@@ -235,25 +237,24 @@ class TestIntensityCsv:
         sc = random_scene(np.random.default_rng(seed), 3)
         fhat_sq = np.array([1.5, 2.5, 0.75])
         data = intensity_data(sc)
-        return sc, IntensityData(data.omegas, fhat_sq[:, None] * data.values, fhat_sq)
+        return sc, IntensityData(fhat_sq[:, None] * data.values, fhat_sq)
 
     def written(self, tmp_path):
         """(scene, intensity path, illumination path) of ``make_data``."""
         sc, data = self.make_data()
         ipath = tmp_path / "intensity.csv"
         lpath = tmp_path / "illumination.csv"
-        write_intensity_csv(data, ipath)
-        write_illumination_csv(data, lpath)
+        write_intensity_csv(sc.band.omegas, data, ipath)
+        write_illumination_csv(sc.band.omegas, data, lpath)
         return sc, ipath, lpath
 
     def test_round_trip_bit_exact(self, tmp_path):
         sc, data = self.make_data()
         ipath = tmp_path / "intensity.csv"
         lpath = tmp_path / "illumination.csv"
-        write_intensity_csv(data, ipath)
-        write_illumination_csv(data, lpath)
+        write_intensity_csv(sc.band.omegas, data, ipath)
+        write_illumination_csv(sc.band.omegas, data, lpath)
         back = read_intensity_csv(ipath, sc, lpath)
-        assert np.array_equal(back.omegas, data.omegas)
         assert np.array_equal(back.values, data.values)
         assert np.array_equal(back.illumination, data.illumination)
 

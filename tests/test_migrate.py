@@ -376,6 +376,13 @@ class TestMetrics:
         lambda0 = 343.0 / 600.0
         assert m.rayleigh_estimate_m == pytest.approx(lambda0 * 20.0 / 2.0, rel=1e-12)
 
+    def test_one_receiver_has_no_rayleigh_estimate(self):
+        # One receiver spans no aperture, as one frequency spans no bandwidth.
+        win = ImageWindowSpec((20.0, 0.0), 0.5, 3)
+        sc = replace(metrics_scene(win), receivers=np.array([[0.0, 0.0]]))
+        m = image_metrics(gaussian_image(1.0, 1.0, win), sc)
+        assert m.rayleigh_estimate_m == math.inf
+
     def test_range_axis_follows_the_array_direction(self):
         win = ImageWindowSpec((0.0, 20.0), 0.5, 3)
         sc = Scene(

@@ -354,6 +354,8 @@ class TestJsonInterface:
         (lambda d: d.pop("scatterers"), "scatterers"),
         (lambda d: d.pop("window"), "window"),
         (lambda d: d.update(unit="cm"), "unit"),
+        pytest.param(lambda d: d.update(unit=["m"]), "unit", id="list-unit"),
+        pytest.param(lambda d: d.update(unit={"m": 1}), "unit", id="dict-unit"),
         (lambda d: d.update(dimension="3"), "dimension"),
         (lambda d: d.update(receivers={}), "receivers"),
         (lambda d: d.update(receivers={"linear": {}, "explicit": []}), "receivers"),

@@ -10,7 +10,6 @@ from ikmig.forward import intensity_data, total_field_band
 from ikmig.scene import FrequencyGrid, ImageWindowSpec, PointScatterer, Scene
 from ikmig.stochastic import (
     PowerSpectrum,
-    StochasticDraw,
     clean_power_data,
     noisy_power_data,
     sample_illumination,
@@ -91,18 +90,17 @@ class TestIllumination:
         a = sample_illumination(ps, BAND, 42)
         b = sample_illumination(ps, BAND, 42)
         c = sample_illumination(ps, BAND, 43)
-        assert np.array_equal(a.fhat, b.fhat)
-        assert not np.array_equal(a.fhat, c.fhat)
-        assert a.seed == 42
-        assert np.array_equal(a.omegas, BAND.omegas)
+        assert a.shape == (BAND.count,)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_second_moment_is_the_spectrum(self):
         # One draw per frequency over a very wide grid: the sample mean of
         # |fhat|^2 / (2 pi Fhat) concentrates at 1.
         grid = FrequencyGrid(100.0, 200.0, 100000)
         ps = PowerSpectrum.for_band(grid)
-        draw = sample_illumination(ps, grid, 7)
-        ratio = np.abs(draw.fhat) ** 2 / (2 * math.pi * ps.value(grid.omegas))
+        fhat = sample_illumination(ps, grid, 7)
+        ratio = np.abs(fhat) ** 2 / (2 * math.pi * ps.value(grid.omegas))
         assert 0.99 <= ratio.mean() <= 1.01
 
     def test_seeds_are_uncorrelated(self):
@@ -110,14 +108,9 @@ class TestIllumination:
         grid = FrequencyGrid(100.0, 200.0, 100000)
         ps = PowerSpectrum.for_band(grid)
         envelope = 2 * math.pi * ps.value(grid.omegas)
-        a = np.abs(sample_illumination(ps, grid, 7).fhat) ** 2 / envelope
-        b = np.abs(sample_illumination(ps, grid, 8).fhat) ** 2 / envelope
+        a = np.abs(sample_illumination(ps, grid, 7)) ** 2 / envelope
+        b = np.abs(sample_illumination(ps, grid, 8)) ** 2 / envelope
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
-
-    def test_draw_shape_validation(self):
-        ps = PowerSpectrum.for_band(BAND)
-        with pytest.raises(ValueError):
-            StochasticDraw(0, ps, BAND.omegas, np.zeros(2, dtype=complex))
 
 
 def fresh_substream(seed, tag, a=0, b=0):
@@ -161,7 +154,7 @@ class TestSubstreams:
             for i in range(grid.count):
                 z = fresh_substream(seed, 1, i)[0].standard_normal(2)
                 want[i] = scale[i] * complex(z[0], z[1])
-            assert np.array_equal(sample_illumination(ps, grid, seed).fhat, want)
+            assert np.array_equal(sample_illumination(ps, grid, seed), want)
 
     def test_noise_rows_are_a_prefix(self):
         ps = PowerSpectrum.for_band(BAND)
@@ -192,9 +185,9 @@ class TestCleanData:
     def test_rows_are_the_illuminated_power(self):
         sc = acoustic_scene()
         ps = PowerSpectrum.for_band(BAND)
-        draw = sample_illumination(ps, BAND, 3)
-        data = clean_power_data(sc, draw)
-        want = np.abs(total_field_band(sc) * draw.fhat[:, None]) ** 2
+        fhat = sample_illumination(ps, BAND, 3)
+        data = clean_power_data(sc, fhat)
+        want = np.abs(total_field_band(sc) * fhat[:, None]) ** 2
         assert np.allclose(data.values, want, rtol=1e-14)
         assert np.allclose(data.illumination,
                            2 * math.pi * ps.value(BAND.omegas), rtol=1e-15)
@@ -202,26 +195,28 @@ class TestCleanData:
     def test_factorizes_over_the_deterministic_rows(self):
         sc = acoustic_scene()
         ps = PowerSpectrum.for_band(BAND)
-        draw = sample_illumination(ps, BAND, 4)
-        got = clean_power_data(sc, draw).values
+        fhat = sample_illumination(ps, BAND, 4)
+        got = clean_power_data(sc, fhat).values
         base = intensity_data(sc).values
-        assert np.allclose(got, np.abs(draw.fhat[:, None]) ** 2 * base, rtol=1e-13)
+        assert np.allclose(got, np.abs(fhat[:, None]) ** 2 * base, rtol=1e-13)
 
     def test_zero_draw_gives_zero_rows(self):
         sc = acoustic_scene()
-        ps = PowerSpectrum.for_band(BAND)
-        draw = StochasticDraw(0, ps, BAND.omegas, np.zeros(3, dtype=complex))
-        data = clean_power_data(sc, draw)
+        data = clean_power_data(sc, np.zeros(3, dtype=complex))
         assert np.all(data.values == 0.0)
         assert np.all(data.illumination > 0.0)
 
     def test_grid_mismatch(self):
+        # A 4-sample draw on the 3-frequency scene, and a length-1 draw,
+        # which would otherwise broadcast over the band.
         sc = acoustic_scene()
         other = FrequencyGrid(430.0, 750.0, 4)
-        ps = PowerSpectrum.for_band(other)
-        draw = sample_illumination(ps, other, 0)
-        with pytest.raises(ValueError, match="frequency grid"):
-            clean_power_data(sc, draw)
+        longer = sample_illumination(PowerSpectrum.for_band(other), other, 0)
+        for fhat in (longer, np.ones(1, dtype=complex)):
+            with pytest.raises(ValueError, match="per band frequency"):
+                clean_power_data(sc, fhat)
+            with pytest.raises(ValueError, match="per band frequency"):
+                noisy_power_data(sc, fhat, 0.1, 0)
 
     def test_ensemble_mean_reaches_the_record(self):
         # Averaged over draws, the rows converge to illumination * |g0+p|^2,
@@ -262,19 +257,19 @@ class TestNoise:
     def test_zero_fraction_is_the_clean_data(self):
         sc = acoustic_scene()
         ps = PowerSpectrum.for_band(BAND)
-        draw = sample_illumination(ps, BAND, 11)
-        clean = clean_power_data(sc, draw)
-        noisy = noisy_power_data(sc, draw, 0.0, 99)
+        fhat = sample_illumination(ps, BAND, 11)
+        clean = clean_power_data(sc, fhat)
+        noisy = noisy_power_data(sc, fhat, 0.0, 99)
         assert np.array_equal(noisy.values, clean.values)
         assert np.array_equal(noisy.illumination, clean.illumination)
 
     def test_realized_power_ratio_is_exact(self):
         sc = acoustic_scene()
         ps = PowerSpectrum.for_band(BAND)
-        draw = sample_illumination(ps, BAND, 11)
+        fhat = sample_illumination(ps, BAND, 11)
         fraction, noise_seed = 0.1, 77
-        noisy = noisy_power_data(sc, draw, fraction, noise_seed)
-        signal = total_field_band(sc) * draw.fhat[:, None]
+        noisy = noisy_power_data(sc, fhat, fraction, noise_seed)
+        signal = total_field_band(sc) * fhat[:, None]
         raw = sample_noise(ps, BAND, sc.n_receivers, noise_seed)
         scale = np.sqrt(fraction * (np.abs(signal) ** 2).sum(axis=0)
                         / (np.abs(raw) ** 2).sum(axis=1))
@@ -287,18 +282,16 @@ class TestNoise:
     def test_fraction_validation(self):
         sc = acoustic_scene()
         ps = PowerSpectrum.for_band(BAND)
-        draw = sample_illumination(ps, BAND, 11)
+        fhat = sample_illumination(ps, BAND, 11)
         with pytest.raises(ValueError):
-            noisy_power_data(sc, draw, -0.1, 0)
+            noisy_power_data(sc, fhat, -0.1, 0)
         with pytest.raises(ValueError):
-            noisy_power_data(sc, draw, math.nan, 0)
+            noisy_power_data(sc, fhat, math.nan, 0)
 
     def test_zero_signal_cannot_be_scaled(self):
         sc = acoustic_scene()
-        ps = PowerSpectrum.for_band(BAND)
-        draw = StochasticDraw(0, ps, BAND.omegas, np.zeros(3, dtype=complex))
         with pytest.raises(NumericError, match="zero signal power at receiver 0"):
-            noisy_power_data(sc, draw, 0.1, 0)
+            noisy_power_data(sc, np.zeros(3, dtype=complex), 0.1, 0)
 
 
 class TestAutocorrOracle:

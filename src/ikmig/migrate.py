@@ -8,9 +8,14 @@ kernels from every receiver and from the source; the broadband image is
 the uniform-weight frequency sum over the scene band.  In 3-D that sum is
 exact and cheap: the band is equally spaced, so the kernel's frequency
 dependence is a power of one phase factor per (cell, receiver), and
-Horner's rule costs one multiply-add per (cell, receiver, frequency).  In
-2-D the Hankel kernel is evaluated per frequency.  Cells that collide with
-a receiver or the source are flagged NaN and excluded from metrics.
+Horner's rule costs one multiply-add per (cell, receiver, frequency),
+after two phase factors e^{-i theta} per (cell, receiver).  Their phases
+reach 1e6 rad and more, where the float64 cosine and sine are slow, so
+``_phase`` first reduces theta by whole turns of 2 pi (Cody-Waite); the
+factors are as accurate as ``np.exp``'s, about ulp(theta), theta's own
+rounding.  In 2-D the Hankel kernel is evaluated per frequency.  Cells
+that collide with a receiver or the source are flagged NaN and excluded
+from metrics.
 """
 
 from __future__ import annotations
@@ -52,9 +57,12 @@ _COLLISION_FRACTION = 1e-9
 
 # Most cells in one migration block, and so the bound on a block's
 # (S, cells, N) temporaries: 0.5 MB for two fields of 501 receivers, which
-# stays in a core's 2 MB L2 cache.  Migrating the `point` experiment's two
-# fields at one thread (Xeon with AVX-512) took 0.75 s in blocks of 32,
-# 0.83 s in 64 and 1.10 s in 256, and its peak RSS was 92, 94 and 108 MB.
+# stays in a core's 2 MB L2 cache.  Migrating two fields at one thread on
+# a 2-vCPU Xeon (medians of 11 fresh processes) took, in blocks of 16, 32
+# and 64 cells, 0.75, 0.65 and 0.72 s on the `point` window (2601 cells,
+# 100 frequencies) and 0.78, 1.09 and 1.15 s on the 14,641-cell window of
+# 6 frequencies that the benchmark's `wide3d` migrates.  No size wins on
+# both; the processes peaked at 40-48 MB RSS.
 _BLOCK_CELLS = 32
 
 
@@ -90,28 +98,65 @@ def _apply_kernel(d_recv, d_src, mask, k: float, stack: np.ndarray):
     return image
 
 
+# 2 pi in three parts of at most 30 significant bits (Cody-Waite), so
+# n * part is exact for |n| < 2**23 turns; they sum to 2 pi within 5e-28.
+_TWO_PI_PARTS = (float.fromhex("0x1.921fb548p+2"), float.fromhex("-0x1.de973dc8p-29"),
+                 float.fromhex("-0x1.9d9cceb8p-60"))
+
+
+def _phase(theta: np.ndarray, amp: np.ndarray | None = None) -> np.ndarray:
+    """amp e^{-i theta} for real theta >= 0 and a real amplitude (1 if omitted).
+
+    The float64 cos and sin are fast only for arguments within pi/4, and
+    the phases here reach 1e6 rad and more.  So theta is reduced by
+    n = rint(theta / 2 pi) turns of ``_TWO_PI_PARTS``, which is exact below
+    2**23 turns, and e^{-i r/4}, its angle within pi/4, is squared twice.
+    The error is a few ulp of 1 below 2**23 turns and about ulp(theta)
+    past them, as small as theta's own rounding.  Elementwise, so an
+    element's bits depend on nothing else in the array.
+    """
+    n = np.rint(theta * (0.5 / math.pi))
+    r = theta - n * _TWO_PI_PARTS[0]
+    r -= n * _TWO_PI_PARTS[1]
+    r -= n * _TWO_PI_PARTS[2]
+    r *= -0.25
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(r, out=z.real)
+    np.sin(r, out=z.imag)
+    z *= z
+    z *= z
+    if amp is not None:
+        z.real *= amp
+        z.imag *= amp
+    return z
+
+
 def _horner_kernel(d_recv, d_src, mask, k: np.ndarray, stack: np.ndarray):
     """Unweighted 3-D band sum of a (S, F, N) stack; returns (cells, S).
 
     The band is equally spaced, k_j = k_0 + j dk, and the conjugated 3-D
-    kernel is a e^{-i k_j tau}, with tau = d_r + d_s and a the product of
-    the two legs' amplitudes, which do not depend on k.  So a cell's image
-    is sum_r a_r e^{-i k_0 tau_r} P_r(w_r), with w_r = e^{-i dk tau_r} and
-    P_r(w) = sum_j f_jr w^j, which Horner's rule evaluates with one
-    multiply-add per frequency.  Like ``_apply_kernel`` it is elementwise
-    work and a sum over the contiguous receiver axis, so a cell's bits do
-    not depend on its block.
+    kernel is a e^{-i k_j tau}, with tau = d_r + d_s and a = 1/(16 pi^2 d_r
+    d_s) the product of the two legs' amplitudes, which do not depend on
+    k.  So a cell's image is sum_r a_r e^{-i k_0 tau_r} P_r(w_r), with
+    w_r = e^{-i dk tau_r} and P_r(w) = sum_j f_jr w^j, which Horner's rule
+    evaluates with one multiply-add per frequency.  The two phase factors
+    per (cell, receiver) come from ``_phase``, accurate to about ulp of
+    their phase, as ``np.exp`` is.  Like ``_apply_kernel`` it is
+    elementwise work and a sum over the contiguous receiver axis, so a
+    cell's bits do not depend on its block.
     """
     tau = d_recv + d_src[:, None]
     # dk from the band ends; k[1] - k[0] alone moved the `point` image by 8.1e-9.
     dk = (k[-1] - k[0]) / max(k.shape[0] - 1, 1)
-    w = np.exp(-1j * dk * tau)
-    acc = np.empty((stack.shape[0], *tau.shape), dtype=complex)
-    acc[:] = stack[:, -1, None, :]
+    w = _phase(dk * tau)
+    # One band sample (dk = 0) makes w exactly 1, so the seed is f_0 itself.
+    acc = stack[:, -1, None, :] * w
     for j in range(k.shape[0] - 2, -1, -1):
-        acc *= w
         acc += stack[:, j, None, :]
-    acc *= np.exp(-1j * k[0] * tau) / (_spreading_3d(d_recv) * _spreading_3d(d_src)[:, None])
+        if j:
+            acc *= w
+    del w  # a block's peak memory then holds one phase factor at a time
+    acc *= _phase(k[0] * tau, 1.0 / (_spreading_3d(d_recv) * _spreading_3d(d_src)[:, None]))
     image = acc.sum(axis=-1).T
     image[mask, :] = complex(np.nan, np.nan)
     return image
@@ -150,11 +195,13 @@ def migrate_broadband_stack(
     Notes
     -----
     A 3-D scene sums the band exactly by Horner's rule
-    (``_horner_kernel``); a 2-D scene sums the exact per-frequency kernel
-    in ascending frequency.  The window's cells are split evenly into
-    blocks of at most ``_BLOCK_CELLS``, a multiple of ``threads`` of them,
-    which at most ``threads`` workers migrate (no more than the CPUs or
-    the blocks).  Memory stays bounded by the block size, not the window,
+    (``_horner_kernel``), with its phase factors e^{-i theta} from a
+    reduction of theta by whole turns of 2 pi (``_phase``), accurate to
+    about ulp(theta), as ``np.exp`` is; a 2-D scene sums the exact
+    per-frequency kernel in ascending frequency.  The window's cells are
+    split evenly into blocks of at most ``_BLOCK_CELLS``, a multiple of
+    ``threads`` of them, which at most ``threads`` workers migrate (no
+    more than the CPUs or the blocks).  Memory stays bounded by the block size, not the window,
     and neither the block size nor the thread count changes a bit of the
     result.
     """
@@ -385,7 +432,6 @@ def write_image_pgm(image: np.ndarray, path) -> None:
         pixels = np.zeros(mag.shape, dtype=int)
     pixels[~valid] = 0
     lines = ["P2", f"{n} {n}", "255"]
-    for j in range(n - 1, -1, -1):
-        lines.append(" ".join(str(int(pixels[i, j])) for i in range(n)))
+    lines += (" ".join(map(str, row)) for row in pixels.T[::-1].tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

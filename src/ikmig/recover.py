@@ -122,25 +122,28 @@ def _window_corners(window: ImageWindowSpec) -> np.ndarray:
     return np.asarray(corners)
 
 
-def _source_in_cone_2d(dirs: np.ndarray, s: np.ndarray, tol: float) -> bool:
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(norms == 0.0):
-        return True
-    units = dirs / norms[:, None]
-    mean = units.mean(axis=0)
-    mn = np.linalg.norm(mean)
-    if mn < 1e-12:
-        return True
-    u = mean / mn
-    ang = np.arctan2(units[:, 0] * u[1] - units[:, 1] * u[0], units @ u)
-    if ang.max() - ang.min() >= math.pi:
-        return True
-    sn = np.linalg.norm(s)
-    if sn == 0.0:
-        return True
-    s = s / sn
-    ang_s = math.atan2(s[0] * u[1] - s[1] * u[0], float(s @ u))
-    return ang.min() - tol <= ang_s <= ang.max() + tol
+def _source_in_cone_2d(dirs: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
+    """Per receiver, whether the source direction s (N, 2) lies within tol of
+    the fan of its four corner directions dirs (N, 4, 2).  A zero direction,
+    corners that cancel, or a fan of pi or more counts as inside."""
+    norms = np.linalg.norm(dirs, axis=2)
+    sn = np.linalg.norm(s, axis=1)
+    units = dirs / np.where(norms == 0.0, 1.0, norms)[:, :, None]
+    mean = units.mean(axis=1)
+    mn = np.linalg.norm(mean, axis=1)
+    degenerate = (norms == 0.0).any(axis=1) | (mn < 1e-12) | (sn == 0.0)
+    u = mean / np.where(mn < 1e-12, 1.0, mn)[:, None]
+    s = s / np.where(sn == 0.0, 1.0, sn)[:, None]
+
+    def angle(v, ref):
+        """Signed angle from ref to v, both over the last axis."""
+        return np.arctan2(v[..., 0] * ref[..., 1] - v[..., 1] * ref[..., 0],
+                          v[..., 0] * ref[..., 0] + v[..., 1] * ref[..., 1])
+
+    ang = angle(units, u[:, None, :])
+    lo, hi = ang.min(axis=1), ang.max(axis=1)
+    ang_s = angle(s, u)
+    return degenerate | (hi - lo >= math.pi) | ((lo - tol <= ang_s) & (ang_s <= hi + tol))
 
 
 def _source_in_cone_3d(dirs: np.ndarray, s: np.ndarray, tol: float) -> bool:
@@ -167,10 +170,10 @@ def check_geometric_condition(scene: Scene) -> GeometryReport:
     source-direction membership against that span within ``_THETA_TOL``.
     """
     corners = _window_corners(scene.window)
-    in_cone = _source_in_cone_2d if scene.coords == 2 else _source_in_cone_3d
-    flagged = []
-    for r in range(scene.n_receivers):
-        x_r = scene.receivers[r]
-        if in_cone(corners - x_r, scene.source - x_r, _THETA_TOL):
-            flagged.append(r)
-    return GeometryReport(not flagged, tuple(flagged), _THETA_TOL)
+    recv = scene.receivers
+    if scene.coords == 2:
+        inside = _source_in_cone_2d(corners - recv[:, None], scene.source - recv, _THETA_TOL)
+    else:
+        inside = [_source_in_cone_3d(corners - x, scene.source - x, _THETA_TOL) for x in recv]
+    flagged = tuple(np.flatnonzero(inside).tolist())
+    return GeometryReport(not flagged, flagged, _THETA_TOL)

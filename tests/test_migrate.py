@@ -5,6 +5,7 @@ import os
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from ikmig.migrate import (
     _apply_kernel,
     _geometry,
     _horner_kernel,
+    _phase,
     magnitude_correlation,
     migrate_broadband_stack,
     spurious_term_image,
@@ -29,6 +31,7 @@ from ikmig.scene import (
     PointScatterer,
     Scene,
     linear_array,
+    preset_scene,
 )
 
 from ref_green import green0
@@ -275,6 +278,65 @@ class TestBroadband:
         full, part_p, part_m, part_q = migrate_broadband_stack(sc, stack)
         total = part_p + part_m + part_q
         assert np.allclose(full, total, rtol=1e-10)
+
+
+def phase_error(got: complex, theta: float) -> float:
+    """|got - e^{-i theta}| at the double theta, with mpmath at 200 bits."""
+    with mpmath.workprec(200):
+        return float(abs(mpmath.mpc(got) - mpmath.expj(-mpmath.mpf(theta))))
+
+
+class TestPhase:
+    TOP = 2.0**23 * 2.0 * math.pi  # the exact range of the reduction
+    THETAS = np.concatenate([
+        [0.0, 1e-300, 1e-9, 0.5, 1.0, TOP, np.nextafter(TOP, 0.0)],
+        np.arange(1, 41) * (math.pi / 2.0),
+        (2.0**20 + np.arange(40)) * (math.pi / 2.0),
+        np.random.default_rng(6).uniform(1e6, 2e6, 200),  # `point`'s k tau
+        np.exp(np.random.default_rng(7).uniform(math.log(1e-3), math.log(TOP), 300)),
+    ])
+
+    def test_within_a_few_ulp_of_the_phase(self):
+        bound = 4.0 * np.spacing(np.maximum(self.THETAS, 1.0))
+        for theta, got, ref, ulps in zip(self.THETAS, _phase(self.THETAS),
+                                         np.exp(-1j * self.THETAS), bound):
+            assert phase_error(got, theta) <= ulps
+            assert phase_error(ref, theta) <= ulps
+            # Below 2**23 turns the reduction is exact: a few ulp of 1.
+            assert phase_error(got, theta) <= 8.0 * np.spacing(1.0)
+
+    def test_past_the_exact_range_within_a_few_ulp(self):
+        thetas = np.array([2.0 * self.TOP, 1e9, 1e12, 1e15])
+        for theta, got in zip(thetas, _phase(thetas)):
+            assert phase_error(got, theta) <= 4.0 * np.spacing(theta)
+
+    def test_zero_phase_is_exactly_one(self):
+        assert np.array_equal(_phase(np.zeros(3)), np.ones(3, dtype=complex))
+
+    def test_amplitude_scales_both_parts(self):
+        amp = np.random.default_rng(8).uniform(1e-6, 1e3, self.THETAS.shape)
+        assert np.array_equal(_phase(self.THETAS, amp), _phase(self.THETAS) * amp)
+
+    def test_horner_kernel_matches_a_per_frequency_sum_at_optical_phases(self):
+        # `point` phases k tau reach 1.5e6 rad, 2.4e5 turns.  The sum takes
+        # the wavenumbers the recurrence stands for, k_0 + j dk; the band's
+        # own omega_j / c0 round differently, which moves these cells by
+        # 1.5e-11 of the peak.  A reduction by one double of 2 pi moves
+        # them by 4.8e-11.
+        sc = preset_scene("point")
+        n = sc.window.cells_per_side
+        ix, iy = [n // 2, 0, n // 2, n - 1, n // 2 + 1], [n // 2, 0, 0, n // 3, n // 2]
+        cells = sc.window.cell_positions()[ix, iy]
+        d_recv, d_src, mask = geometry = _geometry(sc, cells, sc.window.spacing)
+        k = sc.band.omegas / sc.c0
+        p = array_response_band(sc)
+        got = _horner_kernel(*geometry, k, p[None])[:, 0]
+        tau = d_recv + d_src[:, None]
+        dk = (k[-1] - k[0]) / (k.shape[0] - 1)
+        amp = 1.0 / (16.0 * math.pi**2 * d_recv * d_src[:, None])
+        want = sum(amp * np.exp(-1j * (k[0] * tau + j * (dk * tau))) @ p[j]
+                   for j in range(k.shape[0]))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestCollisions:

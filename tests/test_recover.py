@@ -24,6 +24,7 @@ from ikmig.recover import (
     recover_ptilde,
 )
 from ikmig.scene import (
+    PRESET_CASES,
     FrequencyGrid,
     ImageWindowSpec,
     PointScatterer,
@@ -305,7 +306,63 @@ def flat_scene(source, window_center=(5.0, 0.0), half_extent=2, spacing=0.25):
     )
 
 
+def cone_2d_one_receiver(dirs, s, tol):
+    """The 2-D cone test of one receiver, as a scalar reference for the
+    vectorised ``recover._source_in_cone_2d``: dirs (4, 2) corner
+    directions and s (2,) the source direction."""
+    norms = np.linalg.norm(dirs, axis=1)
+    if np.any(norms == 0.0):
+        return True
+    units = dirs / norms[:, None]
+    mean = units.mean(axis=0)
+    mn = np.linalg.norm(mean)
+    if mn < 1e-12:
+        return True
+    u = mean / mn
+    ang = np.arctan2(units[:, 0] * u[1] - units[:, 1] * u[0], units @ u)
+    if ang.max() - ang.min() >= math.pi:
+        return True
+    sn = np.linalg.norm(s)
+    if sn == 0.0:
+        return True
+    s = s / sn
+    ang_s = math.atan2(s[0] * u[1] - s[1] * u[0], float(s @ u))
+    return ang.min() - tol <= ang_s <= ang.max() + tol
+
+
+def flags_one_receiver_at_a_time(scene):
+    corners = recover._window_corners(scene.window)
+    return tuple(r for r, x in enumerate(scene.receivers)
+                 if cone_2d_one_receiver(corners - x, scene.source - x, recover._THETA_TOL))
+
+
+@st.composite
+def cone_scenes(draw):
+    """Two-coordinate scenes with 1-8 receivers, the source and the window
+    anywhere in one box, one receiver optionally on a window corner."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = ImageWindowSpec(tuple(rng.uniform(-2.0, 6.0, 2)), draw(st.floats(0.05, 0.5)),
+                             draw(st.integers(0, 4)))
+    receivers = rng.uniform(-3.0, 6.0, size=(draw(st.integers(1, 8)), 2))
+    if draw(st.booleans()):
+        receivers[0] = recover._window_corners(window)[draw(st.integers(0, 3))]
+    return Scene(dimension=3, c0=343.0, receivers=receivers, source=rng.uniform(-3.0, 6.0, 2),
+                 band=FrequencyGrid(300.0, 300.0, 1), scatterers=(), window=window)
+
+
 class TestGeometryCheck:
+    @pytest.mark.parametrize("case", PRESET_CASES)
+    def test_preset_flags_match_one_receiver_at_a_time(self, case):
+        sc = preset_scene(case)
+        flagged = check_geometric_condition(sc).violating_receivers
+        assert flagged == flags_one_receiver_at_a_time(sc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cone_scenes())
+    def test_flags_match_one_receiver_at_a_time(self, sc):
+        flagged = check_geometric_condition(sc).violating_receivers
+        assert flagged == flags_one_receiver_at_a_time(sc)
+
     def test_source_behind_array_is_ok(self):
         report = check_geometric_condition(flat_scene((-5.0, 0.0)))
         assert report.ok

@@ -79,18 +79,21 @@ class IntensityData:
 # ---------------------------------------------------------------------------
 
 
-def _distances(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
+def _distances(points: np.ndarray, ref: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Euclidean distances over the last axis, points and ref broadcast.
 
     Summed coordinate by coordinate, in the order ``np.linalg.norm``
     uses, so the result is the same to the bit without building the
-    (..., coords) difference array.
+    (..., coords) difference array.  Arrays of the broadcast shape given
+    as ``out`` and ``scratch`` take the distances and each coordinate's
+    difference instead of fresh ones.
     """
-    d = points[..., 0] - ref[..., 0]
-    sq = d * d
+    sq = np.subtract(points[..., 0], ref[..., 0], out=out)
+    sq *= sq
     for j in range(1, points.shape[-1]):
-        d = points[..., j] - ref[..., j]
-        sq += d * d
+        d = np.subtract(points[..., j], ref[..., j], out=scratch)
+        d *= d
+        sq += d
     return np.sqrt(sq, out=sq)
 
 
@@ -110,10 +113,10 @@ def hankel0_1(t: np.ndarray) -> np.ndarray:
     return special.j0(t) + 1j * special.y0(t)
 
 
-def _spreading_3d(r: np.ndarray) -> np.ndarray:
+def _spreading_3d(r: np.ndarray, out=None) -> np.ndarray:
     """4 pi r: the 3-D Green's function is e^{ikr} divided by this, so its
     amplitude 1/(4 pi r) does not depend on k."""
-    return 4.0 * math.pi * r
+    return np.multiply(4.0 * math.pi, r, out=out)
 
 
 def _green_from_distance(r: np.ndarray, k, dimension: int) -> np.ndarray:

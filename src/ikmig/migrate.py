@@ -13,15 +13,20 @@ after two phase factors e^{-i theta} per (cell, receiver).  Their phases
 reach 1e6 rad and more, where the float64 cosine and sine are slow, so
 ``_phase`` first reduces theta by whole turns of 2 pi (Cody-Waite); the
 factors are as accurate as ``np.exp``'s, about ulp(theta), theta's own
-rounding.  In 2-D the Hankel kernel is evaluated per frequency.  Cells
-that collide with a receiver or the source are flagged NaN and excluded
-from metrics.
+rounding.  In 2-D the Hankel kernel is evaluated per frequency.  The
+window is migrated in blocks of cells by a pool of workers, each of which
+writes every (cells, receivers)-sized intermediate into one workspace of
+its own (``_Workspace``) that it reuses for all its blocks, so memory is
+workers x one workspace and the images are the same to the bit as with
+fresh arrays.  Cells that collide with a receiver or the source are
+flagged NaN and excluded from metrics.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -55,14 +60,15 @@ __all__ = [
 # are treated as collisions.
 _COLLISION_FRACTION = 1e-9
 
-# Most cells in one migration block, and so the bound on a block's
-# (S, cells, N) temporaries: 0.5 MB for two fields of 501 receivers, which
-# stays in a core's 2 MB L2 cache.  Migrating two fields at one thread on
-# a 2-vCPU Xeon (medians of 11 fresh processes) took, in blocks of 16, 32
-# and 64 cells, 0.75, 0.65 and 0.72 s on the `point` window (2601 cells,
-# 100 frequencies) and 0.78, 1.09 and 1.15 s on the 14,641-cell window of
-# 6 frequencies that the benchmark's `wide3d` migrates.  No size wins on
-# both; the processes peaked at 40-48 MB RSS.
+# Most cells in one migration block, and so the size of each worker's
+# workspace: 1.5 MB for two fields of 501 receivers, 0.5 MB of it the
+# (S, cells, N) accumulator.  Migrating two fields at one thread on a
+# 2-vCPU Xeon (medians of 11 fresh processes, two rounds) took, in blocks
+# of 16, 32 and 64 cells, 0.85/0.84, 0.73/0.71 and 0.79/0.76 s on the
+# `point` window (2601 cells, 100 frequencies), and 1.09/1.00, 0.91/0.89
+# and 0.89/0.92 s on the 14,641-cell window of 6 frequencies that the
+# benchmark's `wide3d` migrates: 32 is fastest on the first and level
+# with 64 on the second.
 _BLOCK_CELLS = 32
 
 
@@ -71,10 +77,35 @@ _BLOCK_CELLS = 32
 # ---------------------------------------------------------------------------
 
 
-def _geometry(scene: Scene, cells: np.ndarray, spacing: float):
+class _Workspace:
+    """One pool worker's buffers, reused by every block it migrates.
+
+    Flat arrays of up to ``cells`` x ``receivers`` entries: six real ones
+    (distances, travel times, reduced phases, turn counts, reduction
+    products, amplitudes), one complex phase factor, and the accumulator
+    of ``fields`` fields.  ``_view`` shapes a buffer's leading part to a
+    block.
+    """
+
+    def __init__(self, cells: int, receivers: int, fields: int):
+        size = cells * receivers
+        self.d_recv, self.tau, self.r, self.n, self.prod, self.amp = np.empty((6, size))
+        self.z = np.empty(size, dtype=complex)
+        self.acc = np.empty(fields * size, dtype=complex)
+
+
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading part of a flat workspace buffer as a C-ordered ``shape`` array."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _geometry(scene: Scene, cells: np.ndarray, spacing: float, ws: _Workspace):
     """Distances from each of the (B, coords) cells to the receivers and to
-    the source, and the mask of cells that collide with either."""
-    d_recv = _distances(cells[:, None, :], scene.receivers[None, :, :])
+    the source, and the mask of cells that collide with either.  The (B, N)
+    receiver distances are a view of ``ws.d_recv``."""
+    shape = (cells.shape[0], scene.n_receivers)
+    d_recv = _distances(cells[:, None, :], scene.receivers[None, :, :],
+                        out=_view(ws.d_recv, shape), scratch=_view(ws.tau, shape))
     d_src = _distances(cells, scene.source)
     eps = _COLLISION_FRACTION * spacing
     mask = (d_recv < eps).any(axis=1) | (d_src < eps)
@@ -104,8 +135,9 @@ _TWO_PI_PARTS = (float.fromhex("0x1.921fb548p+2"), float.fromhex("-0x1.de973dc8p
                  float.fromhex("-0x1.9d9cceb8p-60"))
 
 
-def _phase(theta: np.ndarray, amp: np.ndarray | None = None) -> np.ndarray:
-    """amp e^{-i theta} for real theta >= 0 and a real amplitude (1 if omitted).
+def _phase(theta: np.ndarray, ws: _Workspace, amp: np.ndarray | None = None) -> np.ndarray:
+    """amp e^{-i theta} for real theta >= 0 and a real amplitude (1 if omitted),
+    as a view of ``ws.z``.
 
     The float64 cos and sin are fast only for arguments within pi/4, and
     the phases here reach 1e6 rad and more.  So theta is reduced by
@@ -113,14 +145,17 @@ def _phase(theta: np.ndarray, amp: np.ndarray | None = None) -> np.ndarray:
     2**23 turns, and e^{-i r/4}, its angle within pi/4, is squared twice.
     The error is a few ulp of 1 below 2**23 turns and about ulp(theta)
     past them, as small as theta's own rounding.  Elementwise, so an
-    element's bits depend on nothing else in the array.
+    element's bits depend on nothing else in the array.  Its temporaries
+    are views of ``ws.n``, ``ws.prod`` and ``ws.r``; theta may be the last.
     """
-    n = np.rint(theta * (0.5 / math.pi))
-    r = theta - n * _TWO_PI_PARTS[0]
-    r -= n * _TWO_PI_PARTS[1]
-    r -= n * _TWO_PI_PARTS[2]
+    n = np.multiply(theta, 0.5 / math.pi, out=_view(ws.n, theta.shape))
+    np.rint(n, out=n)
+    prod = np.multiply(n, _TWO_PI_PARTS[0], out=_view(ws.prod, theta.shape))
+    r = np.subtract(theta, prod, out=_view(ws.r, theta.shape))
+    for part in _TWO_PI_PARTS[1:]:
+        r -= np.multiply(n, part, out=prod)
     r *= -0.25
-    z = np.empty(theta.shape, dtype=complex)
+    z = _view(ws.z, theta.shape)
     np.cos(r, out=z.real)
     np.sin(r, out=z.imag)
     z *= z
@@ -131,7 +166,7 @@ def _phase(theta: np.ndarray, amp: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _horner_kernel(d_recv, d_src, mask, k: np.ndarray, stack: np.ndarray):
+def _horner_kernel(d_recv, d_src, mask, k: np.ndarray, stack: np.ndarray, ws: _Workspace):
     """Unweighted 3-D band sum of a (S, F, N) stack; returns (cells, S).
 
     The band is equally spaced, k_j = k_0 + j dk, and the conjugated 3-D
@@ -143,23 +178,36 @@ def _horner_kernel(d_recv, d_src, mask, k: np.ndarray, stack: np.ndarray):
     per (cell, receiver) come from ``_phase``, accurate to about ulp of
     their phase, as ``np.exp`` is.  Like ``_apply_kernel`` it is
     elementwise work and a sum over the contiguous receiver axis, so a
-    cell's bits do not depend on its block.
+    cell's bits do not depend on its block.  Its (cells, N) temporaries
+    are views of ``ws``; it writes every buffer but ``ws.d_recv``, which
+    may hold d_recv.
     """
-    tau = d_recv + d_src[:, None]
+    shape = d_recv.shape
+    tau = np.add(d_recv, d_src[:, None], out=_view(ws.tau, shape))
     # dk from the band ends; k[1] - k[0] alone moved the `point` image by 8.1e-9.
     dk = (k[-1] - k[0]) / max(k.shape[0] - 1, 1)
-    w = _phase(dk * tau)
+    w = _phase(np.multiply(dk, tau, out=_view(ws.r, shape)), ws)
     # One band sample (dk = 0) makes w exactly 1, so the seed is f_0 itself.
-    acc = stack[:, -1, None, :] * w
+    acc = np.multiply(stack[:, -1, None, :], w, out=_view(ws.acc, (stack.shape[0],) + shape))
     for j in range(k.shape[0] - 2, -1, -1):
         acc += stack[:, j, None, :]
         if j:
             acc *= w
-    del w  # a block's peak memory then holds one phase factor at a time
-    acc *= _phase(k[0] * tau, 1.0 / (_spreading_3d(d_recv) * _spreading_3d(d_src)[:, None]))
+    # The recurrence is done with w, so the second factor takes its buffer.
+    amp = _spreading_3d(d_recv, out=_view(ws.amp, shape))
+    amp *= _spreading_3d(d_src)[:, None]
+    np.divide(1.0, amp, out=amp)
+    acc *= _phase(np.multiply(k[0], tau, out=_view(ws.r, shape)), ws, amp)
     image = acc.sum(axis=-1).T
     image[mask, :] = complex(np.nan, np.nan)
     return image
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _block_edges(n_cells: int, threads: int) -> np.ndarray:
@@ -201,9 +249,15 @@ def migrate_broadband_stack(
     per-frequency kernel in ascending frequency.  The window's cells are
     split evenly into blocks of at most ``_BLOCK_CELLS``, a multiple of
     ``threads`` of them, which at most ``threads`` workers migrate (no
-    more than the CPUs or the blocks).  Memory stays bounded by the block size, not the window,
-    and neither the block size nor the thread count changes a bit of the
-    result.
+    more than the CPUs the process may use, or the blocks).  Each worker
+    takes one workspace, built once per call, and reuses it for every
+    block it migrates: B N (6 * 8 + 16 + S * 16) bytes for blocks of at
+    most B cells, N receivers and S fields, 1.5 MB on the `point` preset
+    (32 cells, 501 receivers, two fields).  Memory is bounded by workers
+    x one workspace plus the output, not by the window; the 2-D kernel
+    adds its per-frequency temporaries of one block.  Writing into the
+    workspace keeps every operation and its order, so it changes no bit
+    of the result, nor do the block size and the thread count.
     """
     window = window or scene.window
     k = _wavenumbers(scene)
@@ -216,19 +270,29 @@ def migrate_broadband_stack(
     cells = pos.reshape(-1, scene.coords)
     fields = np.ascontiguousarray(stack.transpose(2, 0, 1))
 
-    def block(bounds) -> np.ndarray:
-        geometry = _geometry(scene, cells[bounds[0]:bounds[1]], window.spacing)
-        if scene.dimension == 3:
-            return _horner_kernel(*geometry, k, fields)
-        total = _apply_kernel(*geometry, k[0], fields[:, 0])
-        for i in range(1, k.shape[0]):
-            total += _apply_kernel(*geometry, k[i], fields[:, i])
-        return total
-
     edges = _block_edges(cells.shape[0], threads)
-    # The split still follows ``threads``; workers beyond the CPUs or the
-    # blocks would only start OS threads that have nothing to run.
-    workers = min(threads, os.cpu_count() or 1, edges.shape[0] - 1)
+    # The split still follows ``threads``; workers beyond the usable CPUs or
+    # the blocks would only start OS threads that have nothing to run.
+    workers = min(threads, _usable_cpus(), edges.shape[0] - 1)
+    # One workspace per worker: a block takes a spare one and returns it.
+    spare = queue.SimpleQueue()
+    largest = int(np.diff(edges).max())
+    for _ in range(workers):
+        spare.put(_Workspace(largest, scene.n_receivers, fields.shape[0]))
+
+    def block(bounds) -> np.ndarray:
+        ws = spare.get()
+        try:
+            geometry = _geometry(scene, cells[bounds[0]:bounds[1]], window.spacing, ws)
+            if scene.dimension == 3:
+                return _horner_kernel(*geometry, k, fields, ws)
+            total = _apply_kernel(*geometry, k[0], fields[:, 0])
+            for i in range(1, k.shape[0]):
+                total += _apply_kernel(*geometry, k[i], fields[:, i])
+            return total
+        finally:
+            spare.put(ws)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(block, zip(edges[:-1], edges[1:])))
     total = np.concatenate(blocks)

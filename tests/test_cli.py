@@ -429,8 +429,8 @@ class TestExperiment:
         entries = []
         geometry = migrate_module._geometry
 
-        def counting(scene, cells, spacing):
-            d_recv, d_src, mask = geometry(scene, cells, spacing)
+        def counting(scene, cells, spacing, ws):
+            d_recv, d_src, mask = geometry(scene, cells, spacing, ws)
             entries.append(d_recv.size)
             return d_recv, d_src, mask
 

@@ -1,9 +1,15 @@
 """Migration kernels, broadband accumulation, metrics, image exports."""
 
+import importlib.util
 import math
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,6 +19,7 @@ from ikmig import migrate as migrate_module
 from ikmig.errors import DataFormatError
 from ikmig.forward import array_response_band, direct_arrivals_band, intensity_data
 from ikmig.migrate import (
+    _Workspace,
     image_metrics,
     _apply_kernel,
     _geometry,
@@ -123,10 +130,11 @@ class TestBroadband:
             field = np.ones(5, dtype=complex)
             (broad,) = migrate_broadband_stack(sc, field[None, :, None])
             cells = sc.window.cell_positions().reshape(25, 2)
-            geometry = _geometry(sc, cells, sc.window.spacing)
+            ws = _Workspace(25, 5, 1)
+            geometry = _geometry(sc, cells, sc.window.spacing, ws)
             k = sc.band.omegas / sc.c0
             if dimension == 3:
-                raw = _horner_kernel(*geometry, k, field[None, None, :])
+                raw = _horner_kernel(*geometry, k, field[None, None, :], ws)
             else:
                 raw = _apply_kernel(*geometry, float(k[0]), field[None, :])
             assert np.array_equal(broad, raw.reshape(5, 5))
@@ -142,8 +150,10 @@ class TestBroadband:
         rng = np.random.default_rng(4)
         stack = rng.normal(size=(band.count, 5, 2)) + 1j * rng.normal(size=(band.count, 5, 2))
         cells = sc.window.cell_positions().reshape(25, 2)
-        raw = _horner_kernel(*_geometry(sc, cells, sc.window.spacing),
-                             sc.band.omegas / sc.c0, np.ascontiguousarray(stack.transpose(2, 0, 1)))
+        ws = _Workspace(25, 5, 2)
+        raw = _horner_kernel(*_geometry(sc, cells, sc.window.spacing, ws),
+                             sc.band.omegas / sc.c0, np.ascontiguousarray(stack.transpose(2, 0, 1)),
+                             ws)
         images = migrate_broadband_stack(sc, stack)
         for s, image in enumerate(images):
             want = sum(brute_image(sc, stack[j, :, s], float(om), sc.window)
@@ -189,9 +199,9 @@ class TestBroadband:
         blocks = []
         geometry = migrate_module._geometry
 
-        def counting(scene, cells, spacing):
+        def counting(scene, cells, spacing, ws):
             blocks.append(cells.shape[0])
-            return geometry(scene, cells, spacing)
+            return geometry(scene, cells, spacing, ws)
 
         monkeypatch.setattr(migrate_module, "_geometry", counting)
         migrate_broadband_stack(sc, array_response_band(sc)[:, :, None], threads=4)
@@ -203,7 +213,8 @@ class TestBroadband:
 
     def test_pool_never_outnumbers_the_cpus(self, monkeypatch):
         # 10,000 threads split 81 cells into 81 one-cell blocks, but the
-        # pool asks for no more workers than there are CPUs or blocks.
+        # pool asks for no more workers than the CPUs the process may use,
+        # or the blocks.
         sc = imaging_scene(n_receivers=9, count=6, half_extent=4)
         p = array_response_band(sc)
         (want,) = migrate_broadband_stack(sc, p[:, :, None])
@@ -226,12 +237,20 @@ class TestBroadband:
 
         monkeypatch.setattr(migrate_module, "ThreadPoolExecutor", Serial)
         (got,) = migrate_broadband_stack(sc, p[:, :, None], threads=10_000)
-        assert asked == [min(os.cpu_count() or 1, 81)]
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        assert asked == [min(cpus, 81)]
         assert blocks == [81]
         assert np.array_equal(got, want)
         one_cell = ImageWindowSpec((5.0, 0.0), 0.2, 0)
         migrate_broadband_stack(sc, p[:, :, None], one_cell, threads=10_000)
         assert asked[-1] == 1
+        # Pinned to one CPU, four threads still split the window four ways.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        (got,) = migrate_broadband_stack(sc, p[:, :, None], threads=4)
+        assert asked[-1] == 1
+        assert blocks[-1] == 4
+        assert np.array_equal(got, want)
 
     def test_peak_memory_does_not_grow_with_the_window(self):
         # 6,561 cells: one (cells x N) complex array is 10.6 MB; the
@@ -280,6 +299,105 @@ class TestBroadband:
         assert np.allclose(full, total, rtol=1e-10)
 
 
+class TestWorkspace:
+    def test_each_pool_worker_builds_one_workspace(self, monkeypatch):
+        # 625 cells in blocks of at most 7 at four threads, with four usable
+        # CPUs whatever the host has: 92 blocks share as many workspaces as
+        # the pool has workers, and no two running blocks share one.
+        sc = imaging_scene(n_receivers=9, count=6, half_extent=12)
+        p = array_response_band(sc)
+        stack = np.stack([p, np.conj(p)], axis=2)
+        want = migrate_broadband_stack(sc, stack, threads=1)
+        monkeypatch.setattr(migrate_module, "_BLOCK_CELLS", 7)
+        monkeypatch.setattr(migrate_module, "_usable_cpus", lambda: 4)
+        runs, lock = [], threading.Lock()
+        kernel = migrate_module._horner_kernel
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                runs[-1]["workers"] = max_workers
+                super().__init__(max_workers=max_workers)
+
+        class Counting(migrate_module._Workspace):
+            def __init__(self, *args):
+                runs[-1]["built"].append(args)
+                super().__init__(*args)
+
+        def exclusive(*args):
+            ws, run = args[-1], runs[-1]
+            with lock:
+                run["shared"] |= id(ws) in run["busy"]
+                run["busy"].add(id(ws))
+            try:
+                return kernel(*args)
+            finally:
+                with lock:
+                    run["busy"].discard(id(ws))
+
+        def migrate_four_times():
+            for _ in range(4):
+                runs.append({"built": [], "busy": set(), "shared": False})
+                runs[-1]["images"] = migrate_broadband_stack(sc, stack, threads=4)
+
+        monkeypatch.setattr(migrate_module, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(migrate_module, "_Workspace", Counting)
+        monkeypatch.setattr(migrate_module, "_horner_kernel", exclusive)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker = threading.Thread(target=migrate_four_times)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert len(runs) == 4
+        for run in runs:
+            assert all(np.array_equal(got, ref) for got, ref in zip(run["images"], want))
+            assert run["workers"] == 4
+            assert run["built"] == [(7, sc.n_receivers, 2)] * 4
+            assert not run["shared"]
+
+    @pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                        reason="needs the resource module")
+    def test_blocks_reuse_their_pages(self):
+        # Two fields on `wide3d`'s 14,641-cell window of 6 frequencies, at
+        # one thread, in a fresh process.  With the workspace the call
+        # faults in about 900 4-KiB pages; fresh temporaries per 32-cell
+        # block faulted about 145,000.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = (
+            "import resource\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "from ikmig.forward import array_response_band\n"
+            "from ikmig.migrate import _BLOCK_CELLS, migrate_broadband_stack\n"
+            "from ikmig.scene import FrequencyGrid, ImageWindowSpec, preset_scene\n"
+            "sc = preset_scene('point')\n"
+            "sc = replace(sc, band=FrequencyGrid(sc.band.f_min_hz, sc.band.f_max_hz, 6),\n"
+            "             window=ImageWindowSpec(sc.window.center, sc.window.spacing, 60))\n"
+            "p = array_response_band(sc)\n"
+            "stack = np.stack([p, np.conj(p)], axis=2)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "migrate_broadband_stack(sc, stack, threads=1)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(after - before, _BLOCK_CELLS, sc.n_receivers, sc.window.cells_per_side ** 2)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        faults, block, n, cells = map(int, proc.stdout.split())
+        assert cells >= 14_641
+        # Six real and one complex (block, N) buffer, the two-field
+        # accumulator; then the block images, their concatenation and the
+        # cell positions.
+        workspace = block * n * (6 * 8 + 16 + 2 * 16)
+        outputs = cells * (2 * 2 * 16 + 3 * 8)
+        assert faults < 4 * (workspace + outputs) // 4096
+
+
 def phase_error(got: complex, theta: float) -> float:
     """|got - e^{-i theta}| at the double theta, with mpmath at 200 bits."""
     with mpmath.workprec(200):
@@ -296,9 +414,12 @@ class TestPhase:
         np.exp(np.random.default_rng(7).uniform(math.log(1e-3), math.log(TOP), 300)),
     ])
 
+    def workspace(self):
+        return _Workspace(self.THETAS.size, 1, 1)
+
     def test_within_a_few_ulp_of_the_phase(self):
         bound = 4.0 * np.spacing(np.maximum(self.THETAS, 1.0))
-        for theta, got, ref, ulps in zip(self.THETAS, _phase(self.THETAS),
+        for theta, got, ref, ulps in zip(self.THETAS, _phase(self.THETAS, self.workspace()),
                                          np.exp(-1j * self.THETAS), bound):
             assert phase_error(got, theta) <= ulps
             assert phase_error(ref, theta) <= ulps
@@ -307,15 +428,16 @@ class TestPhase:
 
     def test_past_the_exact_range_within_a_few_ulp(self):
         thetas = np.array([2.0 * self.TOP, 1e9, 1e12, 1e15])
-        for theta, got in zip(thetas, _phase(thetas)):
+        for theta, got in zip(thetas, _phase(thetas, self.workspace())):
             assert phase_error(got, theta) <= 4.0 * np.spacing(theta)
 
     def test_zero_phase_is_exactly_one(self):
-        assert np.array_equal(_phase(np.zeros(3)), np.ones(3, dtype=complex))
+        assert np.array_equal(_phase(np.zeros(3), self.workspace()), np.ones(3, dtype=complex))
 
     def test_amplitude_scales_both_parts(self):
         amp = np.random.default_rng(8).uniform(1e-6, 1e3, self.THETAS.shape)
-        assert np.array_equal(_phase(self.THETAS, amp), _phase(self.THETAS) * amp)
+        assert np.array_equal(_phase(self.THETAS, self.workspace(), amp),
+                              _phase(self.THETAS, self.workspace()) * amp)
 
     def test_horner_kernel_matches_a_per_frequency_sum_at_optical_phases(self):
         # `point` phases k tau reach 1.5e6 rad, 2.4e5 turns.  The sum takes
@@ -327,10 +449,11 @@ class TestPhase:
         n = sc.window.cells_per_side
         ix, iy = [n // 2, 0, n // 2, n - 1, n // 2 + 1], [n // 2, 0, 0, n // 3, n // 2]
         cells = sc.window.cell_positions()[ix, iy]
-        d_recv, d_src, mask = geometry = _geometry(sc, cells, sc.window.spacing)
+        ws = _Workspace(len(ix), sc.n_receivers, 1)
+        d_recv, d_src, mask = geometry = _geometry(sc, cells, sc.window.spacing, ws)
         k = sc.band.omegas / sc.c0
         p = array_response_band(sc)
-        got = _horner_kernel(*geometry, k, p[None])[:, 0]
+        got = _horner_kernel(*geometry, k, p[None], ws)[:, 0]
         tau = d_recv + d_src[:, None]
         dk = (k[-1] - k[0]) / (k.shape[0] - 1)
         amp = 1.0 / (16.0 * math.pi**2 * d_recv * d_src[:, None])

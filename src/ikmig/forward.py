@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, SingularityError
+from .errors import DataFormatError, NumericError, SingularityError
 from .scene import Scene
 
 __all__ = [
@@ -183,13 +183,27 @@ def total_field_band(scene: Scene) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _finite_power(power: np.ndarray) -> np.ndarray:
+    """Synthesized (F, N) power rows, checked: a row that overflowed is a
+    numeric failure of the synthesis, named by its first (frequency,
+    receiver), not a format error of the data.  The synthesis runs under
+    ``np.errstate`` that silences the overflow, so this is its one report."""
+    bad = np.argwhere(~np.isfinite(power))
+    if bad.size:
+        f, r = bad[0]
+        raise NumericError(f"synthesized power overflows at frequency {f}, receiver {r}")
+    return power
+
+
 def intensity_data(scene: Scene) -> IntensityData:
     """Exact quadratic power rows |g0 + p|^2 over the band, under unit
-    illumination; no linearization is applied."""
-    total = total_field_band(scene)
-    # Copied out, so the data do not keep the complex product alive.
-    power = (np.conj(total) * total).real.copy()
-    return IntensityData(power, np.ones(scene.band.count))
+    illumination; no linearization is applied.  Rows that overflow raise
+    NumericError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = total_field_band(scene)
+        # Copied out, so the data do not keep the complex product alive.
+        power = (np.conj(total) * total).real.copy()
+    return IntensityData(_finite_power(power), np.ones(scene.band.count))
 
 
 def linearization_residual(scene: Scene) -> np.ndarray:

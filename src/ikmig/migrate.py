@@ -13,20 +13,20 @@ after two phase factors e^{-i theta} per (cell, receiver).  Their phases
 reach 1e6 rad and more, where the float64 cosine and sine are slow, so
 ``_phase`` first reduces theta by whole turns of 2 pi (Cody-Waite); the
 factors are as accurate as ``np.exp``'s, about ulp(theta), theta's own
-rounding.  In 2-D the Hankel kernel is evaluated per frequency.  The
-window is migrated in blocks of cells by a pool of workers, each of which
-writes every (cells, receivers)-sized intermediate into one workspace of
-its own (``_Workspace``) that it reuses for all its blocks, so memory is
-workers x one workspace and the images are the same to the bit as with
-fresh arrays.  Cells that collide with a receiver or the source are
-flagged NaN and excluded from metrics.
+rounding.  In 2-D the Hankel kernel is evaluated per frequency.  A pool
+of workers migrates the window, each one contiguous run of its cells, in
+blocks; a worker writes every (cells, receivers)-sized intermediate into
+one workspace of its own (``_Workspace``) that it reuses for all its
+blocks, so memory is workers x one workspace and the images are the same
+to the bit whatever the runs, the blocks or the thread count.  Cells
+that collide with a receiver or the source are flagged NaN and excluded
+from metrics.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,13 +60,14 @@ __all__ = [
 # are treated as collisions.
 _COLLISION_FRACTION = 1e-9
 
-# Most cells in one migration block, and so the size of each worker's
-# workspace: 1.5 MB for two fields of 501 receivers, 0.5 MB of it the
-# (S, cells, N) accumulator.  Migrating two fields at one thread on a
-# 2-vCPU Xeon (medians of 11 fresh processes, two rounds) took, in blocks
-# of 16, 32 and 64 cells, 0.85/0.84, 0.73/0.71 and 0.79/0.76 s on the
-# `point` window (2601 cells, 100 frequencies), and 1.09/1.00, 0.91/0.89
-# and 0.89/0.92 s on the 14,641-cell window of 6 frequencies that the
+# Most cells in one migration block: a worker walks its run of cells in
+# blocks of this many, and its one workspace holds one block, 1.5 MB for
+# two fields of 501 receivers, 0.5 MB of it the (S, cells, N)
+# accumulator.  Migrating two fields at one thread on a 2-vCPU Xeon
+# (medians of 11 fresh processes, two rounds) took, in blocks of 16, 32
+# and 64 cells, 0.85/0.84, 0.73/0.71 and 0.79/0.76 s on the `point`
+# window (2601 cells, 100 frequencies), and 1.09/1.00, 0.91/0.89 and
+# 0.89/0.92 s on the 14,641-cell window of 6 frequencies that the
 # benchmark's `wide3d` migrates: 32 is fastest on the first and level
 # with 64 on the second.
 _BLOCK_CELLS = 32
@@ -114,8 +115,9 @@ def _geometry(scene: Scene, cells: np.ndarray, spacing: float, ws: _Workspace):
     return d_recv, d_src, mask
 
 
-def _apply_kernel(d_recv, d_src, mask, k: float, stack: np.ndarray):
-    """Migrate a (S, N) stack of fields at wavenumber k in 2-D; returns (cells, S).
+def _apply_kernel(d_recv, d_src, k: float, stack: np.ndarray):
+    """Migrate a (S, N) stack of fields at wavenumber k in 2-D; returns the
+    raw (cells, S) sums, collided cells included.
 
     Each image is the Hankel kernel conj(G(x, x_r) G(x, x_s)) times the field,
     summed over the contiguous receiver axis: elementwise work on (cells,
@@ -124,9 +126,7 @@ def _apply_kernel(d_recv, d_src, mask, k: float, stack: np.ndarray):
     """
     g_src = _green_from_distance(d_src, k, 2)
     kernel = np.conj(_green_from_distance(d_recv, k, 2) * g_src[:, None])
-    image = (kernel * stack[:, None, :]).sum(axis=-1).T
-    image[mask, :] = complex(np.nan, np.nan)
-    return image
+    return (kernel * stack[:, None, :]).sum(axis=-1).T
 
 
 # 2 pi in three parts of at most 30 significant bits (Cody-Waite), so
@@ -166,8 +166,9 @@ def _phase(theta: np.ndarray, ws: _Workspace, amp: np.ndarray | None = None) -> 
     return z
 
 
-def _horner_kernel(d_recv, d_src, mask, k: np.ndarray, stack: np.ndarray, ws: _Workspace):
-    """Unweighted 3-D band sum of a (S, F, N) stack; returns (cells, S).
+def _horner_kernel(d_recv, d_src, k: np.ndarray, stack: np.ndarray, ws: _Workspace):
+    """Unweighted 3-D band sum of a (S, F, N) stack; returns the raw (cells, S)
+    sums, collided cells included.
 
     The band is equally spaced, k_j = k_0 + j dk, and the conjugated 3-D
     kernel is a e^{-i k_j tau}, with tau = d_r + d_s and a = 1/(16 pi^2 d_r
@@ -198,9 +199,7 @@ def _horner_kernel(d_recv, d_src, mask, k: np.ndarray, stack: np.ndarray, ws: _W
     amp *= _spreading_3d(d_src)[:, None]
     np.divide(1.0, amp, out=amp)
     acc *= _phase(np.multiply(k[0], tau, out=_view(ws.r, shape)), ws, amp)
-    image = acc.sum(axis=-1).T
-    image[mask, :] = complex(np.nan, np.nan)
-    return image
+    return acc.sum(axis=-1).T
 
 
 def _usable_cpus() -> int:
@@ -208,16 +207,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _block_edges(n_cells: int, threads: int) -> np.ndarray:
-    """Bounds of an even split of the cells into blocks of at most
-    ``_BLOCK_CELLS``, as many as a multiple of ``threads`` (or one per cell
-    when there are fewer cells than threads), so every worker gets an
-    equal share."""
-    per_thread = -(-n_cells // (threads * _BLOCK_CELLS))
-    count = min(n_cells, threads * per_thread)
-    return np.arange(count + 1) * n_cells // count
 
 
 def migrate_broadband_stack(
@@ -247,17 +236,19 @@ def migrate_broadband_stack(
     reduction of theta by whole turns of 2 pi (``_phase``), accurate to
     about ulp(theta), as ``np.exp`` is; a 2-D scene sums the exact
     per-frequency kernel in ascending frequency.  The window's cells are
-    split evenly into blocks of at most ``_BLOCK_CELLS``, a multiple of
-    ``threads`` of them, which at most ``threads`` workers migrate (no
-    more than the CPUs the process may use, or the blocks).  Each worker
-    takes one workspace, built once per call, and reuses it for every
-    block it migrates: B N (6 * 8 + 16 + S * 16) bytes for blocks of at
-    most B cells, N receivers and S fields, 1.5 MB on the `point` preset
-    (32 cells, 501 receivers, two fields).  Memory is bounded by workers
-    x one workspace plus the output, not by the window; the 2-D kernel
-    adds its per-frequency temporaries of one block.  Writing into the
-    workspace keeps every operation and its order, so it changes no bit
-    of the result, nor do the block size and the thread count.
+    split into one contiguous run per worker, of equal length within one
+    cell, for ``threads`` workers at most (no more than the CPUs the
+    process may use, or the cells).  Each worker gets one workspace,
+    built once per call, and walks its run in blocks of at most
+    ``_BLOCK_CELLS``, writing each block's sums into the output and
+    marking its collided cells NaN.  A workspace is B N (6 * 8 + 16 + S * 16) bytes for blocks of at most B
+    cells, N receivers and S fields, 1.5 MB on the `point` preset (32
+    cells, 501 receivers, two fields).  Memory is bounded by workers x
+    one workspace plus the output, not by the window; the 2-D kernel adds
+    its per-frequency temporaries of one block.  Every cell's sum takes
+    the same operations in the same order whatever its run, its block and
+    the workspace, so neither the block size nor the thread count changes
+    a bit of the result.
     """
     window = window or scene.window
     k = _wavenumbers(scene)
@@ -269,33 +260,33 @@ def migrate_broadband_stack(
         raise DataFormatError("window coordinate length must match the scene")
     cells = pos.reshape(-1, scene.coords)
     fields = np.ascontiguousarray(stack.transpose(2, 0, 1))
+    n_cells = cells.shape[0]
+    # Workers beyond the usable CPUs or the cells would have nothing to run.
+    workers = min(threads, _usable_cpus(), n_cells)
+    edges = [worker * n_cells // workers for worker in range(workers + 1)]
+    # Built here, not in the workers: a pool thread allocates from its own
+    # malloc arena, and what it frees there stays resident after the call,
+    # out of reach of this thread (1.5 MB more peak RSS on `point`).
+    spaces = [_Workspace(min(_BLOCK_CELLS, stop - start), scene.n_receivers, fields.shape[0])
+              for start, stop in zip(edges, edges[1:])]
+    total = np.empty((n_cells, fields.shape[0]), dtype=complex)
 
-    edges = _block_edges(cells.shape[0], threads)
-    # The split still follows ``threads``; workers beyond the usable CPUs or
-    # the blocks would only start OS threads that have nothing to run.
-    workers = min(threads, _usable_cpus(), edges.shape[0] - 1)
-    # One workspace per worker: a block takes a spare one and returns it.
-    spare = queue.SimpleQueue()
-    largest = int(np.diff(edges).max())
-    for _ in range(workers):
-        spare.put(_Workspace(largest, scene.n_receivers, fields.shape[0]))
-
-    def block(bounds) -> np.ndarray:
-        ws = spare.get()
-        try:
-            geometry = _geometry(scene, cells[bounds[0]:bounds[1]], window.spacing, ws)
+    def run(worker: int) -> None:
+        start, stop, ws = edges[worker], edges[worker + 1], spaces[worker]
+        for lo in range(start, stop, _BLOCK_CELLS):
+            hi = min(lo + _BLOCK_CELLS, stop)
+            d_recv, d_src, mask = _geometry(scene, cells[lo:hi], window.spacing, ws)
+            out = total[lo:hi]
             if scene.dimension == 3:
-                return _horner_kernel(*geometry, k, fields, ws)
-            total = _apply_kernel(*geometry, k[0], fields[:, 0])
-            for i in range(1, k.shape[0]):
-                total += _apply_kernel(*geometry, k[i], fields[:, i])
-            return total
-        finally:
-            spare.put(ws)
+                out[:] = _horner_kernel(d_recv, d_src, k, fields, ws)
+            else:
+                out[:] = _apply_kernel(d_recv, d_src, k[0], fields[:, 0])
+                for i in range(1, k.shape[0]):
+                    out += _apply_kernel(d_recv, d_src, k[i], fields[:, i])
+            out[mask] = complex(np.nan, np.nan)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(block, zip(edges[:-1], edges[1:])))
-    total = np.concatenate(blocks)
+        list(pool.map(run, range(workers)))
     total *= scene.band.delta_omega
 
     n = window.cells_per_side
@@ -467,11 +458,13 @@ _IMAGE_HEADER = "ix,iy,x_m,y_m,re,im,abs"
 
 def write_image_csv(image: np.ndarray, window: ImageWindowSpec, path) -> None:
     """Row-major cell dump (first index slow) of an image on ``window``,
-    with 17 significant digits."""
+    with 17 significant digits; abs is inf where |z| passes the float range."""
     cells = window.cell_offsets()
     pos = window.cell_positions()
+    with np.errstate(over="ignore"):
+        magnitude = np.hypot(image.real, image.imag)
     _write_grid(path, _IMAGE_HEADER, [cells[:, None], cells, pos[:, :1, 0], pos[0, :, 1]],
-                [image.real, image.imag, np.hypot(image.real, image.imag)])
+                [image.real, image.imag, magnitude])
 
 
 def write_image_pgm(image: np.ndarray, path) -> None:

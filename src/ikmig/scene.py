@@ -69,6 +69,10 @@ class FrequencyGrid:
             raise SceneValidationError("band.f_min_hz must be positive and finite")
         if not (math.isfinite(self.f_max_hz) and self.f_max_hz >= self.f_min_hz):
             raise SceneValidationError("band.f_max_hz must be finite and >= f_min_hz")
+        # Checked on the scalar: a huge count must still reach ``omegas``'s
+        # MemoryError, not be allocated here.
+        if not math.isfinite(2.0 * math.pi * self.f_max_hz):
+            raise SceneValidationError("band.f_max_hz is too large: 2 pi f_max_hz overflows")
         if not (isinstance(self.count, int) and self.count >= 1):
             raise SceneValidationError("band.count must be a positive integer")
         if self.count == 1 and self.f_min_hz != self.f_max_hz:
@@ -171,6 +175,9 @@ class Scene:
             raise SceneValidationError("dimension must be 2 or 3")
         if not (math.isfinite(self.c0) and self.c0 > 0.0):
             raise SceneValidationError("c0 must be positive and finite")
+        if not math.isfinite(2.0 * math.pi * self.band.f_max_hz / self.c0):
+            raise SceneValidationError(
+                "c0 is too small for the band: the wavenumber 2 pi f_max_hz / c0 overflows")
 
         recv = np.asarray(self.receivers, dtype=float)
         if recv.ndim != 2 or recv.shape[0] < 1 or recv.shape[1] not in (2, 3):

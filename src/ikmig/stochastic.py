@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from .errors import NumericError
-from .forward import IntensityData, total_field_band
+from .forward import IntensityData, _finite_power, total_field_band
 from .scene import FrequencyGrid, Scene
 
 __all__ = [
@@ -154,7 +154,7 @@ def _signal_rows(scene: Scene, fhat: np.ndarray) -> np.ndarray:
 
 def _power_data(scene: Scene, spectrum: PowerSpectrum, rows: np.ndarray) -> IntensityData:
     illumination = 2.0 * math.pi * spectrum.value(scene.band.omegas)
-    return IntensityData(np.abs(rows) ** 2, illumination)
+    return IntensityData(_finite_power(np.abs(rows) ** 2), illumination)
 
 
 def clean_power_data(scene: Scene, fhat: np.ndarray) -> IntensityData:
@@ -163,9 +163,11 @@ def clean_power_data(scene: Scene, fhat: np.ndarray) -> IntensityData:
 
     The illumination record stores the ensemble value 2 pi Fhat of the
     band's spectrum (``PowerSpectrum.for_band``), not the realized
-    |fhat|^2: that is all a receiver could know.
+    |fhat|^2: that is all a receiver could know.  Rows that overflow raise
+    NumericError.
     """
-    return _power_data(scene, PowerSpectrum.for_band(scene.band), _signal_rows(scene, fhat))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _power_data(scene, PowerSpectrum.for_band(scene.band), _signal_rows(scene, fhat))
 
 
 def noisy_power_data(
@@ -175,18 +177,20 @@ def noisy_power_data(
 
     The noise keeps the band's spectral shape and is rescaled per
     receiver so that its realized total power is exactly
-    ``noise_fraction`` times the realized signal power there.
+    ``noise_fraction`` times the realized signal power there.  Rows that
+    overflow raise NumericError.
     """
     if not (math.isfinite(noise_fraction) and noise_fraction >= 0.0):
         raise ValueError("noise_fraction must be a nonnegative number")
     spectrum = PowerSpectrum.for_band(scene.band)
-    signal = _signal_rows(scene, fhat)
-    raw = sample_noise(spectrum, scene.band, scene.n_receivers, seed)
-    sig_power = (np.abs(signal) ** 2).sum(axis=0)
-    raw_power = (np.abs(raw) ** 2).sum(axis=1)
-    bad = np.nonzero(sig_power == 0.0)[0]
-    if bad.size:
-        raise NumericError(f"zero signal power at receiver {bad[0]}: cannot scale noise")
-    scale = np.sqrt(noise_fraction * sig_power / raw_power)
-    rows = signal + (scale[:, None] * raw).T
-    return _power_data(scene, spectrum, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = _signal_rows(scene, fhat)
+        raw = sample_noise(spectrum, scene.band, scene.n_receivers, seed)
+        sig_power = (np.abs(signal) ** 2).sum(axis=0)
+        raw_power = (np.abs(raw) ** 2).sum(axis=1)
+        bad = np.nonzero(sig_power == 0.0)[0]
+        if bad.size:
+            raise NumericError(f"zero signal power at receiver {bad[0]}: cannot scale noise")
+        scale = np.sqrt(noise_fraction * sig_power / raw_power)
+        rows = signal + (scale[:, None] * raw).T
+        return _power_data(scene, spectrum, rows)

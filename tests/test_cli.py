@@ -664,6 +664,36 @@ class TestExitCodes:
         assert err.startswith("error: out of memory: ")
         assert "Traceback" not in err
 
+    # Non-finite wavenumbers are a scene error; power rows that overflow are a
+    # numeric failure of the synthesis.  Each prints one line and no NumPy
+    # RuntimeWarning, so the program runs in its own process here.
+    @pytest.mark.parametrize("changes, flags, rc, message", [
+        ({("band", "f_max_hz"): 1e308}, [], 2, "f_max_hz"),
+        ({("c0",): 1e-306}, [], 2, "c0"),
+        ({("scatterers", 0, "rho"): 1e300}, [], 3, "frequency 0, receiver 0"),
+        ({("scatterers", 0, "rho"): 1e300, ("dimension",): 2}, [], 3,
+         "frequency 0, receiver 0"),
+        ({("scatterers", 0, "rho"): 1e300}, ["--stochastic", "--seed", "1"], 3,
+         "frequency 0, receiver 0"),
+    ], ids=["f_max", "c0", "rho-3d", "rho-2d", "rho-stochastic"])
+    def test_overflow_prints_one_error_line(self, tmp_path, changes, flags, rc, message):
+        doc = json.loads(emit_scene(small_scene()))
+        for (*parents, key), value in changes.items():
+            target = doc
+            for name in parents:
+                target = target[name]
+            target[key] = value
+        spath = tmp_path / "scene.json"
+        spath.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ikmig.cli", "simulate", "--scene", str(spath), *flags,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=src_env(), timeout=300)
+        assert proc.returncode == rc
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ")
+        assert message in line
+
     def test_too_many_receivers_is_out_of_memory(self, tmp_path, capsys):
         doc = json.loads(emit_scene(small_scene()))
         doc["receivers"] = {"linear": {"center": [0.0, 0.0], "length": 4.0,

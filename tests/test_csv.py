@@ -11,7 +11,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -169,6 +169,9 @@ def images(draw):
 
 @ROUND_TRIP
 @given(images())
+# A finite value whose magnitude passes the float range.
+@example(image=(ImageWindowSpec((0.0, 0.0), 1.0, 0),
+                np.array([[3.28081168e300 + 1.7976931348623157e308j]])))
 def test_image_round_trip(tmp_path_factory, image):
     window, values = image
     path = tmp_path_factory.mktemp("image") / "m.csv"
@@ -187,9 +190,12 @@ def test_image_round_trip(tmp_path_factory, image):
     pos = window.cell_positions()
     assert same_bits(x, pos[:, :, 0])
     assert same_bits(y, pos[:, :, 1])
-    # abs is the correctly rounded hypot of the written parts
+    # abs is the correctly rounded hypot of the written parts, inf past
+    # the float range
     v = values[~masked]
-    assert same_bits(magnitude[~masked], np.hypot(v.real, v.imag))
+    with np.errstate(over="ignore"):
+        want = np.hypot(v.real, v.imag)
+    assert same_bits(magnitude[~masked], want)
 
 
 # ---------------------------------------------------------------------------

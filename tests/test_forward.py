@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikmig.errors import DataFormatError, SingularityError
+from ikmig.errors import DataFormatError, NumericError, SingularityError
 from ikmig.forward import (
     IntensityData,
     _distances,
@@ -25,6 +25,7 @@ from ikmig.forward import (
     write_illumination_csv,
 )
 from ikmig.scene import FrequencyGrid, ImageWindowSpec, PointScatterer, Scene, preset_scene
+from ikmig.stochastic import clean_power_data, noisy_power_data
 
 from ref_green import green0
 
@@ -179,6 +180,21 @@ class TestIntensity:
         assert np.all(data.values >= 0.0)
         assert np.array_equal(data.illumination, np.ones(3))
         assert data.values.shape == (3, 4)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("synthesize", [
+        intensity_data,
+        lambda sc: clean_power_data(sc, np.ones(sc.band.count)),
+        lambda sc: noisy_power_data(sc, np.ones(sc.band.count), 0.1, 1),
+    ], ids=["unit", "clean", "noisy"])
+    def test_overflowing_rows_are_a_numeric_error(self, dimension, synthesize):
+        # A valid scene whose power rows pass the float range: a failure of
+        # the synthesis, named by its first (frequency, receiver), and no
+        # RuntimeWarning on the way (a warning fails the test).
+        sc = replace(random_scene(np.random.default_rng(21), dimension),
+                     scatterers=(PointScatterer((4.0, 0.0), 1e300),))
+        with pytest.raises(NumericError, match="frequency 0, receiver 0"):
+            synthesize(sc)
 
     def test_container_validation(self):
         vals = np.ones((2, 3))

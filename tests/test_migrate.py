@@ -131,12 +131,12 @@ class TestBroadband:
             (broad,) = migrate_broadband_stack(sc, field[None, :, None])
             cells = sc.window.cell_positions().reshape(25, 2)
             ws = _Workspace(25, 5, 1)
-            geometry = _geometry(sc, cells, sc.window.spacing, ws)
+            d_recv, d_src, _ = _geometry(sc, cells, sc.window.spacing, ws)
             k = sc.band.omegas / sc.c0
             if dimension == 3:
-                raw = _horner_kernel(*geometry, k, field[None, None, :], ws)
+                raw = _horner_kernel(d_recv, d_src, k, field[None, None, :], ws)
             else:
-                raw = _apply_kernel(*geometry, float(k[0]), field[None, :])
+                raw = _apply_kernel(d_recv, d_src, float(k[0]), field[None, :])
             assert np.array_equal(broad, raw.reshape(5, 5))
 
     @pytest.mark.parametrize("band", [
@@ -151,7 +151,7 @@ class TestBroadband:
         stack = rng.normal(size=(band.count, 5, 2)) + 1j * rng.normal(size=(band.count, 5, 2))
         cells = sc.window.cell_positions().reshape(25, 2)
         ws = _Workspace(25, 5, 2)
-        raw = _horner_kernel(*_geometry(sc, cells, sc.window.spacing, ws),
+        raw = _horner_kernel(*_geometry(sc, cells, sc.window.spacing, ws)[:2],
                              sc.band.omegas / sc.c0, np.ascontiguousarray(stack.transpose(2, 0, 1)),
                              ws)
         images = migrate_broadband_stack(sc, stack)
@@ -170,8 +170,11 @@ class TestBroadband:
         (alone,) = migrate_broadband_stack(sc, f[:, :, None])
         assert np.array_equal(one, alone)
 
-    def test_thread_count_does_not_change_bits(self):
-        # 81 cells are 3 blocks at one thread and 4 at four threads.
+    def test_thread_count_does_not_change_bits(self, monkeypatch):
+        # With four usable CPUs whatever the host has, 81 cells are one run
+        # of three blocks at one thread and four runs of one block at four;
+        # 625 cells are one run of 20 blocks and four runs of five.
+        monkeypatch.setattr(migrate_module, "_usable_cpus", lambda: 4)
         for dimension in (2, 3):
             for half_extent in (4, 12):
                 sc = imaging_scene(dimension, n_receivers=9, count=6, half_extent=half_extent)
@@ -190,35 +193,48 @@ class TestBroadband:
             (got,) = migrate_broadband_stack(sc, p[:, :, None])
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("half_extent", [2, 4])
+    @pytest.mark.parametrize("half_extent", [2, 4, 12])
     def test_threads_split_a_window_under_the_cap(self, half_extent, monkeypatch):
-        # 25 cells fit in one block, 81 in three; either way each of four
-        # workers gets an equal share.
+        # 25, 81 and 625 cells at four threads and four usable CPUs: four
+        # workers, each with one workspace (kept alive as a key of ``runs``)
+        # and one contiguous run of the cells, the runs equal within one
+        # cell and walked in blocks under the cap (one block per run for
+        # the first two windows, five for the last).
+        monkeypatch.setattr(migrate_module, "_usable_cpus", lambda: 4)
         sc = imaging_scene(n_receivers=9, count=6, half_extent=half_extent)
         n_cells = sc.window.cells_per_side ** 2
-        blocks = []
+        flat = sc.window.cell_positions().reshape(n_cells, -1)
+        runs = {}
         geometry = migrate_module._geometry
 
         def counting(scene, cells, spacing, ws):
-            blocks.append(cells.shape[0])
+            start = int(np.flatnonzero((flat == cells[0]).all(axis=1))[0])
+            runs.setdefault(ws, []).append((start, start + cells.shape[0]))
             return geometry(scene, cells, spacing, ws)
 
         monkeypatch.setattr(migrate_module, "_geometry", counting)
         migrate_broadband_stack(sc, array_response_band(sc)[:, :, None], threads=4)
-        assert len(blocks) >= 4
-        assert len(blocks) % 4 == 0
-        assert sum(blocks) == n_cells
-        assert max(blocks) - min(blocks) <= 1
-        assert max(blocks) <= migrate_module._BLOCK_CELLS
+        assert len(runs) == 4
+        spans = []
+        for blocks in runs.values():
+            blocks.sort()
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert max(hi - lo for lo, hi in blocks) <= migrate_module._BLOCK_CELLS
+            spans.append((blocks[0][0], blocks[-1][1]))
+        spans.sort()
+        assert spans[0][0] == 0 and spans[-1][1] == n_cells
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        lengths = [hi - lo for lo, hi in spans]
+        assert sum(lengths) == n_cells
+        assert max(lengths) - min(lengths) <= 1
 
     def test_pool_never_outnumbers_the_cpus(self, monkeypatch):
-        # 10,000 threads split 81 cells into 81 one-cell blocks, but the
-        # pool asks for no more workers than the CPUs the process may use,
-        # or the blocks.
+        # At 10,000 threads the pool asks for no more workers than the CPUs
+        # the process may use, or the cells, and maps one run per worker.
         sc = imaging_scene(n_receivers=9, count=6, half_extent=4)
         p = array_response_band(sc)
         (want,) = migrate_broadband_stack(sc, p[:, :, None])
-        asked, blocks = [], []
+        asked, mapped = [], []
 
         class Serial:
             def __init__(self, max_workers):
@@ -232,7 +248,7 @@ class TestBroadband:
 
             def map(self, fn, items):
                 items = list(items)
-                blocks.append(len(items))
+                mapped.append(len(items))
                 return map(fn, items)
 
         monkeypatch.setattr(migrate_module, "ThreadPoolExecutor", Serial)
@@ -240,16 +256,15 @@ class TestBroadband:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count())
         assert asked == [min(cpus, 81)]
-        assert blocks == [81]
+        assert mapped == asked
         assert np.array_equal(got, want)
         one_cell = ImageWindowSpec((5.0, 0.0), 0.2, 0)
         migrate_broadband_stack(sc, p[:, :, None], one_cell, threads=10_000)
-        assert asked[-1] == 1
-        # Pinned to one CPU, four threads still split the window four ways.
+        assert asked[-1] == mapped[-1] == 1
+        # Pinned to one CPU, four threads make one run.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         (got,) = migrate_broadband_stack(sc, p[:, :, None], threads=4)
-        assert asked[-1] == 1
-        assert blocks[-1] == 4
+        assert asked[-1] == mapped[-1] == 1
         assert np.array_equal(got, want)
 
     def test_peak_memory_does_not_grow_with_the_window(self):
@@ -302,8 +317,9 @@ class TestBroadband:
 class TestWorkspace:
     def test_each_pool_worker_builds_one_workspace(self, monkeypatch):
         # 625 cells in blocks of at most 7 at four threads, with four usable
-        # CPUs whatever the host has: 92 blocks share as many workspaces as
-        # the pool has workers, and no two running blocks share one.
+        # CPUs whatever the host has: four runs of 156 or 157 cells, 92
+        # blocks in all, share as many workspaces as the pool has workers,
+        # and no two running blocks share one.
         sc = imaging_scene(n_receivers=9, count=6, half_extent=12)
         p = array_response_band(sc)
         stack = np.stack([p, np.conj(p)], axis=2)
@@ -391,8 +407,8 @@ class TestWorkspace:
         faults, block, n, cells = map(int, proc.stdout.split())
         assert cells >= 14_641
         # Six real and one complex (block, N) buffer, the two-field
-        # accumulator; then the block images, their concatenation and the
-        # cell positions.
+        # accumulator; then the (cells, 2) output, the two images copied
+        # out of it and the cell positions.
         workspace = block * n * (6 * 8 + 16 + 2 * 16)
         outputs = cells * (2 * 2 * 16 + 3 * 8)
         assert faults < 4 * (workspace + outputs) // 4096
@@ -450,10 +466,10 @@ class TestPhase:
         ix, iy = [n // 2, 0, n // 2, n - 1, n // 2 + 1], [n // 2, 0, 0, n // 3, n // 2]
         cells = sc.window.cell_positions()[ix, iy]
         ws = _Workspace(len(ix), sc.n_receivers, 1)
-        d_recv, d_src, mask = geometry = _geometry(sc, cells, sc.window.spacing, ws)
+        d_recv, d_src, _ = _geometry(sc, cells, sc.window.spacing, ws)
         k = sc.band.omegas / sc.c0
         p = array_response_band(sc)
-        got = _horner_kernel(*geometry, k, p[None], ws)[:, 0]
+        got = _horner_kernel(d_recv, d_src, k, p[None], ws)[:, 0]
         tau = d_recv + d_src[:, None]
         dk = (k[-1] - k[0]) / (k.shape[0] - 1)
         amp = 1.0 / (16.0 * math.pi**2 * d_recv * d_src[:, None])
@@ -462,11 +478,12 @@ class TestPhase:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dimension", [2, 3])
 class TestCollisions:
-    def collision_scene(self):
+    def collision_scene(self, dimension):
         # A receiver sits exactly on the window center cell.
         return Scene(
-            dimension=3,
+            dimension=dimension,
             c0=343.0,
             receivers=np.array([[0.0, -1.0], [5.0, 0.0], [0.0, 1.0]]),
             source=np.array([0.5, -3.0]),
@@ -475,15 +492,15 @@ class TestCollisions:
             window=ImageWindowSpec((5.0, 0.0), 0.2, 1),
         )
 
-    def test_receiver_collision_masks_one_cell(self):
-        sc = self.collision_scene()
+    def test_receiver_collision_masks_one_cell(self, dimension):
+        sc = self.collision_scene(dimension)
         img = single(sc, np.ones(3, dtype=complex), 300.0)
         nan_mask = np.isnan(img.real)
         assert nan_mask[1, 1]
         assert nan_mask.sum() == 1
 
-    def test_source_collision_masks_one_cell(self):
-        sc = self.collision_scene()
+    def test_source_collision_masks_one_cell(self, dimension):
+        sc = self.collision_scene(dimension)
         sc = replace(sc, receivers=np.array([[0.0, -1.0], [0.0, 1.0]]),
                      source=np.array([5.0, 0.2]))
         img = single(sc, np.ones(2, dtype=complex), 300.0)
@@ -491,8 +508,8 @@ class TestCollisions:
         assert nan_mask[1, 2]
         assert nan_mask.sum() == 1
 
-    def test_metrics_skip_masked_cells(self):
-        sc = self.collision_scene()
+    def test_metrics_skip_masked_cells(self, dimension):
+        sc = self.collision_scene(dimension)
         (img,) = migrate_broadband_stack(sc, np.ones((3, 3, 1), dtype=complex))
         metrics = image_metrics(img, sc)
         assert not math.isnan(metrics.peak_value)

@@ -111,6 +111,12 @@ class TestFrequencyGrid:
         with pytest.raises(SceneValidationError):
             FrequencyGrid(math.nan, 2.0, 2)
 
+    def test_angular_frequency_must_be_finite(self):
+        # 2 pi f overflows above about 2.86e307 Hz.
+        assert math.isfinite(FrequencyGrid(1.0, 2.8e307, 2).omegas[-1])
+        with pytest.raises(SceneValidationError, match="f_max_hz"):
+            FrequencyGrid(1.0, 2.9e307, 2)
+
 
 class TestLinearArray:
     def test_spacing_and_span(self):
@@ -238,6 +244,12 @@ class TestSceneValidation:
     def test_dimension(self):
         with pytest.raises(SceneValidationError):
             small_scene(dimension=4)
+
+    def test_wavenumber_must_be_finite(self):
+        # 2 pi 800 Hz / c0 overflows below about 2.8e-305 m/s.
+        assert small_scene(c0=1e-300).c0 == 1e-300
+        with pytest.raises(SceneValidationError, match="c0"):
+            small_scene(c0=1e-306)
 
     def test_duplicate_receivers(self):
         with pytest.raises(SceneValidationError, match="distinct"):

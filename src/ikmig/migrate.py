@@ -10,17 +10,21 @@ exact and cheap: the band is equally spaced, so the kernel's frequency
 dependence is a power of one phase factor per (cell, receiver), and
 Horner's rule costs one multiply-add per (cell, receiver, frequency),
 after two phase factors e^{-i theta} per (cell, receiver).  Their phases
-reach 1e6 rad and more, where the float64 cosine and sine are slow, so
-``_phase`` first reduces theta by whole turns of 2 pi (Cody-Waite); the
-factors are as accurate as ``np.exp``'s, about ulp(theta), theta's own
-rounding.  In 2-D the Hankel kernel is evaluated per frequency.  A pool
-of workers migrates the window, each one contiguous run of its cells, in
-blocks; a worker writes every (cells, receivers)-sized intermediate into
-one workspace of its own (``_Workspace``) that it reuses for all its
-blocks, so memory is workers x one workspace and the images are the same
-to the bit whatever the runs, the blocks or the thread count.  Cells
-that collide with a receiver or the source are flagged NaN and excluded
-from metrics.
+reach 1e6 rad and more.  ``_phase`` reduces theta by steps of 2 pi / 1024
+(Cody-Waite) and multiplies a table phasor by a short Taylor series of
+the remainder's factor: plain NumPy passes with no float64 cosine or
+sine, in about 0.6 of the time the cosine and sine of a reduced angle
+take.  The factors are within 0.75 ulp of 1, as accurate as
+``np.exp``'s, about ulp(theta), theta's own rounding.  In 2-D the Hankel
+kernel is evaluated per frequency.  A pool of workers migrates the
+window, each one contiguous run of its cells, in blocks; a worker writes
+every (cells, receivers)-sized intermediate into one workspace of its
+own (``_Workspace``) that it reuses for all its blocks, so memory is
+workers x one workspace and the images are the same to the bit whatever
+the runs, the blocks or the thread count.  Cells that collide with a
+receiver or the source are flagged NaN and excluded from metrics; a
+band sum that overflows elsewhere is a numeric error naming its first
+cell.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, NumericError
 from .forward import (
     _distances,
     _green_from_distance,
@@ -61,15 +65,15 @@ __all__ = [
 _COLLISION_FRACTION = 1e-9
 
 # Most cells in one migration block: a worker walks its run of cells in
-# blocks of this many, and its one workspace holds one block, 1.5 MB for
+# blocks of this many, and its one workspace holds one block, 1.7 MB for
 # two fields of 501 receivers, 0.5 MB of it the (S, cells, N)
 # accumulator.  Migrating two fields at one thread on a 2-vCPU Xeon
 # (medians of 11 fresh processes, two rounds) took, in blocks of 16, 32
-# and 64 cells, 0.85/0.84, 0.73/0.71 and 0.79/0.76 s on the `point`
-# window (2601 cells, 100 frequencies), and 1.09/1.00, 0.91/0.89 and
-# 0.89/0.92 s on the 14,641-cell window of 6 frequencies that the
-# benchmark's `wide3d` migrates: 32 is fastest on the first and level
-# with 64 on the second.
+# and 64 cells, 0.71/0.75, 0.66/0.61 and 0.78/0.74 s on the `point`
+# window (2601 cells, 100 frequencies), and 0.64/0.74, 0.71/0.70 and
+# 0.72/0.68 s on the 14,641-cell window of 6 frequencies that the
+# benchmark's `wide3d` migrates: 32 is fastest on the first, and on the
+# second no size leads in both rounds.
 _BLOCK_CELLS = 32
 
 
@@ -81,17 +85,18 @@ _BLOCK_CELLS = 32
 class _Workspace:
     """One pool worker's buffers, reused by every block it migrates.
 
-    Flat arrays of up to ``cells`` x ``receivers`` entries: six real ones
-    (distances, travel times, reduced phases, turn counts, reduction
-    products, amplitudes), one complex phase factor, and the accumulator
-    of ``fields`` fields.  ``_view`` shapes a buffer's leading part to a
+    Flat arrays of up to ``cells`` x ``receivers`` entries: five real ones
+    (distances, phases and their remainders, step counts, reduction
+    products and table indices, amplitudes), two complex ones (a phase
+    factor and its remainder's correction), and the accumulator of
+    ``fields`` fields.  ``_view`` shapes a buffer's leading part to a
     block.
     """
 
     def __init__(self, cells: int, receivers: int, fields: int):
         size = cells * receivers
-        self.d_recv, self.tau, self.r, self.n, self.prod, self.amp = np.empty((6, size))
-        self.z = np.empty(size, dtype=complex)
+        self.d_recv, self.r, self.n, self.prod, self.amp = np.empty((5, size))
+        self.z, self.zb = np.empty((2, size), dtype=complex)
         self.acc = np.empty(fields * size, dtype=complex)
 
 
@@ -106,7 +111,7 @@ def _geometry(scene: Scene, cells: np.ndarray, spacing: float, ws: _Workspace):
     receiver distances are a view of ``ws.d_recv``."""
     shape = (cells.shape[0], scene.n_receivers)
     d_recv = _distances(cells[:, None, :], scene.receivers[None, :, :],
-                        out=_view(ws.d_recv, shape), scratch=_view(ws.tau, shape))
+                        out=_view(ws.d_recv, shape), scratch=_view(ws.r, shape))
     d_src = _distances(cells, scene.source)
     eps = _COLLISION_FRACTION * spacing
     mask = (d_recv < eps).any(axis=1) | (d_src < eps)
@@ -129,40 +134,101 @@ def _apply_kernel(d_recv, d_src, k: float, stack: np.ndarray):
     return (kernel * stack[:, None, :]).sum(axis=-1).T
 
 
-# 2 pi in three parts of at most 30 significant bits (Cody-Waite), so
-# n * part is exact for |n| < 2**23 turns; they sum to 2 pi within 5e-28.
-_TWO_PI_PARTS = (float.fromhex("0x1.921fb548p+2"), float.fromhex("-0x1.de973dc8p-29"),
-                 float.fromhex("-0x1.9d9cceb8p-60"))
+# e^{-i theta} is a table phasor times the factor of a small remainder:
+# theta = n 2 pi / _TABLE_SIZE + b with |b| <= pi / _TABLE_SIZE.  The
+# gather costs about the same from 256 to 4096 entries: the whole of
+# ``_phase`` took 16.5, 15.1, 14.8 and 18.6 ns per element with tables of
+# 256, 1024, 4096 and 16,384 (medians of 15 interleaved runs on a (32,
+# 501) block, one thread of a 2-vCPU Xeon; 19.7, 20.5, 18.9 and 20.3 in a
+# second set, as the host's speed drifts).  So the size sets the passes
+# around it.  For the same 1e-18 truncation,
+# 256 entries need cos b and sin b to b^6 and b^7, four passes more; 4096
+# save the b^5 term of sin b, two passes, but need a fifth part of the
+# step for the same exact range, two more.
+_TABLE_SIZE = 1024
+# 2 pi / _TABLE_SIZE in four parts of at most 20 significant bits
+# (Cody-Waite), so n * part is exact below 2**33 steps, 2**23 turns; they
+# sum to 2 pi / 1024 within 6.5e-29.
+_STEP_PARTS = tuple(float.fromhex(h) for h in
+                    ("0x1.921fcp-8", "-0x1.5777ap-29", "-0x1.73dccp-51", "0x1.898ccp-72"))
+
+
+def _unit_phasors() -> np.ndarray:
+    """e^{-2 pi i m / _TABLE_SIZE} for every m, correctly rounded.
+
+    In 128-bit fixed point, e^{i step} is its Taylor series at the exact
+    sum of ``_STEP_PARTS`` and the first octant its powers, good to about
+    2**-86; Python's integer division rounds each once to double.  The rest
+    of the circle follows from the octant by exact swaps and sign changes.
+    """
+    one = 1 << 128
+    step = sum(int(math.ldexp(part, 128)) for part in _STEP_PARTS)
+    sums, term, j = [0, 0, 0, 0], one, 0
+    while term:
+        sums[j % 4] += term  # step^j / j!, by the power of i it goes with
+        j += 1
+        term = term * step // (j * one)
+    cos, sin = sums[0] - sums[2], sums[1] - sums[3]
+    re, im, octant = one, 0, []
+    for _ in range(_TABLE_SIZE // 8 + 1):
+        octant.append(complex(re / one, im / one))
+        re, im = (re * cos - im * sin) // one, (re * sin + im * cos) // one
+    octant = np.array(octant)
+    quarter = np.concatenate([octant, (1j * np.conj(octant))[-2:0:-1]])
+    return np.conj(np.concatenate([quarter * 1j**turn for turn in range(4)]))
+
+
+_PHASORS = _unit_phasors()
 
 
 def _phase(theta: np.ndarray, ws: _Workspace, amp: np.ndarray | None = None) -> np.ndarray:
     """amp e^{-i theta} for real theta >= 0 and a real amplitude (1 if omitted),
     as a view of ``ws.z``.
 
-    The float64 cos and sin are fast only for arguments within pi/4, and
-    the phases here reach 1e6 rad and more.  So theta is reduced by
-    n = rint(theta / 2 pi) turns of ``_TWO_PI_PARTS``, which is exact below
-    2**23 turns, and e^{-i r/4}, its angle within pi/4, is squared twice.
-    The error is a few ulp of 1 below 2**23 turns and about ulp(theta)
-    past them, as small as theta's own rounding.  Elementwise, so an
-    element's bits depend on nothing else in the array.  Its temporaries
-    are views of ``ws.n``, ``ws.prod`` and ``ws.r``; theta may be the last.
+    theta is reduced by n = rint(theta _TABLE_SIZE / 2 pi) steps of
+    ``_STEP_PARTS``, exact below 2**33 steps (2**23 turns), to a remainder
+    |b| <= pi / _TABLE_SIZE.  The factor is the table phasor of n mod
+    _TABLE_SIZE times e^{-ib}, whose cosine and sine are their Taylor
+    series to b^4 and b^5, with a truncation error below 1e-18.  All of it
+    is elementwise NumPy passes, one gather and one complex product: 12.4
+    ns per element against 19.9 ns for the float64 cos and sin of a
+    reduced angle (medians of 15 interleaved runs on a (32, 501) block,
+    one thread of a 2-vCPU Xeon; 20.5 against 36.1 in a second set, as the
+    host's speed drifts).  The error is below 0.75 ulp of 1 within the
+    exact range and about ulp(theta) past it (tested to 1e15 rad), as
+    small as theta's own rounding.  Elementwise, so an element's bits
+    depend on nothing else in the array.  Its temporaries are views of
+    ``ws.n``, ``ws.prod``, ``ws.r`` and ``ws.zb``; theta may be the third.
     """
-    n = np.multiply(theta, 0.5 / math.pi, out=_view(ws.n, theta.shape))
+    shape = theta.shape
+    n = np.multiply(theta, _TABLE_SIZE / (2.0 * math.pi), out=_view(ws.n, shape))
     np.rint(n, out=n)
-    prod = np.multiply(n, _TWO_PI_PARTS[0], out=_view(ws.prod, theta.shape))
-    r = np.subtract(theta, prod, out=_view(ws.r, theta.shape))
-    for part in _TWO_PI_PARTS[1:]:
-        r -= np.multiply(n, part, out=prod)
-    r *= -0.25
-    z = _view(ws.z, theta.shape)
-    np.cos(r, out=z.real)
-    np.sin(r, out=z.imag)
-    z *= z
-    z *= z
+    prod = np.multiply(n, _STEP_PARTS[0], out=_view(ws.prod, shape))
+    b = np.subtract(theta, prod, out=_view(ws.r, shape))
+    for part in _STEP_PARTS[1:]:
+        b -= np.multiply(n, part, out=prod)
+    # Any int64 masks into the table, so a non-finite theta gathers a phasor
+    # too, and "clip" only skips the bounds check, 1.2 ns per element.
+    index = prod.view(np.int64)
+    np.copyto(index, n, casting="unsafe")
+    index &= _TABLE_SIZE - 1
+    z = np.take(_PHASORS, index, out=_view(ws.z, shape), mode="clip")
+    # e^{-ib} - 1 = (cos b - 1) - i sin b: b^2 (b^2/24 - 1/2) and b (b^2 (1/6 - b^2/120) - 1),
+    # so the product adds a small correction to z and rounds once.
+    zb = _view(ws.zb, shape)
+    b2 = np.multiply(b, b, out=n)
+    poly = np.multiply(b2, 1.0 / 24.0, out=prod)
+    poly -= 0.5
+    np.multiply(poly, b2, out=zb.real)
+    np.multiply(b2, -1.0 / 120.0, out=poly)
+    poly += 1.0 / 6.0
+    poly *= b2
+    poly -= 1.0
+    np.multiply(poly, b, out=zb.imag)
+    zb *= z
+    z += zb
     if amp is not None:
-        z.real *= amp
-        z.imag *= amp
+        z *= amp
     return z
 
 
@@ -176,18 +242,20 @@ def _horner_kernel(d_recv, d_src, k: np.ndarray, stack: np.ndarray, ws: _Workspa
     k.  So a cell's image is sum_r a_r e^{-i k_0 tau_r} P_r(w_r), with
     w_r = e^{-i dk tau_r} and P_r(w) = sum_j f_jr w^j, which Horner's rule
     evaluates with one multiply-add per frequency.  The two phase factors
-    per (cell, receiver) come from ``_phase``, accurate to about ulp of
-    their phase, as ``np.exp`` is.  Like ``_apply_kernel`` it is
-    elementwise work and a sum over the contiguous receiver axis, so a
-    cell's bits do not depend on its block.  Its (cells, N) temporaries
-    are views of ``ws``; it writes every buffer but ``ws.d_recv``, which
-    may hold d_recv.
+    per (cell, receiver) come from ``_phase``, a table phasor times a
+    Taylor series of the remainder, within 0.75 ulp of 1 of e^{-i theta}
+    at the double theta: about ulp of their phase, theta's own rounding,
+    as with ``np.exp``.  Like ``_apply_kernel`` it is elementwise work and
+    a sum over the contiguous receiver axis, so a cell's bits do not
+    depend on its block.  Its (cells, N) temporaries are views of ``ws``;
+    it writes every buffer but ``ws.d_recv``, which may hold d_recv.
     """
     shape = d_recv.shape
-    tau = np.add(d_recv, d_src[:, None], out=_view(ws.tau, shape))
+    # tau is formed again for each phase, which keeps it out of the workspace.
+    theta = np.add(d_recv, d_src[:, None], out=_view(ws.r, shape))
     # dk from the band ends; k[1] - k[0] alone moved the `point` image by 8.1e-9.
-    dk = (k[-1] - k[0]) / max(k.shape[0] - 1, 1)
-    w = _phase(np.multiply(dk, tau, out=_view(ws.r, shape)), ws)
+    theta *= (k[-1] - k[0]) / max(k.shape[0] - 1, 1)
+    w = _phase(theta, ws)
     # One band sample (dk = 0) makes w exactly 1, so the seed is f_0 itself.
     acc = np.multiply(stack[:, -1, None, :], w, out=_view(ws.acc, (stack.shape[0],) + shape))
     for j in range(k.shape[0] - 2, -1, -1):
@@ -198,7 +266,9 @@ def _horner_kernel(d_recv, d_src, k: np.ndarray, stack: np.ndarray, ws: _Workspa
     amp = _spreading_3d(d_recv, out=_view(ws.amp, shape))
     amp *= _spreading_3d(d_src)[:, None]
     np.divide(1.0, amp, out=amp)
-    acc *= _phase(np.multiply(k[0], tau, out=_view(ws.r, shape)), ws, amp)
+    np.add(d_recv, d_src[:, None], out=theta)
+    theta *= k[0]
+    acc *= _phase(theta, ws, amp)
     return acc.sum(axis=-1).T
 
 
@@ -232,23 +302,27 @@ def migrate_broadband_stack(
     Notes
     -----
     A 3-D scene sums the band exactly by Horner's rule
-    (``_horner_kernel``), with its phase factors e^{-i theta} from a
-    reduction of theta by whole turns of 2 pi (``_phase``), accurate to
-    about ulp(theta), as ``np.exp`` is; a 2-D scene sums the exact
-    per-frequency kernel in ascending frequency.  The window's cells are
-    split into one contiguous run per worker, of equal length within one
-    cell, for ``threads`` workers at most (no more than the CPUs the
-    process may use, or the cells).  Each worker gets one workspace,
-    built once per call, and walks its run in blocks of at most
-    ``_BLOCK_CELLS``, writing each block's sums into the output and
-    marking its collided cells NaN.  A workspace is B N (6 * 8 + 16 + S * 16) bytes for blocks of at most B
-    cells, N receivers and S fields, 1.5 MB on the `point` preset (32
-    cells, 501 receivers, two fields).  Memory is bounded by workers x
-    one workspace plus the output, not by the window; the 2-D kernel adds
-    its per-frequency temporaries of one block.  Every cell's sum takes
-    the same operations in the same order whatever its run, its block and
-    the workspace, so neither the block size nor the thread count changes
-    a bit of the result.
+    (``_horner_kernel``), with its phase factors e^{-i theta} built by
+    ``_phase`` from a table of 1024 unit phasors and a Taylor series of
+    the remainder, with no float64 cosine or sine, in about 0.6 of their
+    time, within 0.75 ulp of 1, so about ulp(theta), as ``np.exp`` is; a
+    2-D scene sums the exact per-frequency kernel in ascending frequency.
+    The window's cells are split into one contiguous run per worker, of
+    equal length within one cell, for ``threads`` workers at most (no more
+    than the CPUs the process may use, or the cells).  Each worker gets
+    one workspace, built once per call, and walks its run in blocks of at
+    most ``_BLOCK_CELLS``, writing each block's sums into the output and
+    marking its collided cells NaN.  A workspace is B N (5 * 8 + 2 * 16 +
+    S * 16) bytes for blocks of at most B cells, N receivers and S fields,
+    1.7 MB on the `point` preset (32 cells, 501 receivers, two fields).
+    Memory is bounded by workers x one workspace plus the output, not by
+    the window; the 2-D kernel adds its per-frequency temporaries of one
+    block.  Every cell's sum takes the same operations in the same order
+    whatever its run, its block and the workspace, so neither the block
+    size nor the thread count changes a bit of the result.  The workers
+    compute with NumPy's overflow and invalid warnings off; a cell outside
+    the collisions whose sum is not finite raises NumericError naming the
+    first such cell (ix, iy).
     """
     window = window or scene.window
     k = _wavenumbers(scene)
@@ -270,25 +344,34 @@ def migrate_broadband_stack(
     spaces = [_Workspace(min(_BLOCK_CELLS, stop - start), scene.n_receivers, fields.shape[0])
               for start, stop in zip(edges, edges[1:])]
     total = np.empty((n_cells, fields.shape[0]), dtype=complex)
+    collided = np.empty(n_cells, dtype=bool)
 
     def run(worker: int) -> None:
         start, stop, ws = edges[worker], edges[worker + 1], spaces[worker]
-        for lo in range(start, stop, _BLOCK_CELLS):
-            hi = min(lo + _BLOCK_CELLS, stop)
-            d_recv, d_src, mask = _geometry(scene, cells[lo:hi], window.spacing, ws)
-            out = total[lo:hi]
-            if scene.dimension == 3:
-                out[:] = _horner_kernel(d_recv, d_src, k, fields, ws)
-            else:
-                out[:] = _apply_kernel(d_recv, d_src, k[0], fields[:, 0])
-                for i in range(1, k.shape[0]):
-                    out += _apply_kernel(d_recv, d_src, k[i], fields[:, i])
-            out[mask] = complex(np.nan, np.nan)
+        # Error state is per thread, so the pool's threads set their own;
+        # a sum that overflows is reported once, below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(start, stop, _BLOCK_CELLS):
+                hi = min(lo + _BLOCK_CELLS, stop)
+                d_recv, d_src, mask = _geometry(scene, cells[lo:hi], window.spacing, ws)
+                collided[lo:hi] = mask
+                out = total[lo:hi]
+                if scene.dimension == 3:
+                    out[:] = _horner_kernel(d_recv, d_src, k, fields, ws)
+                else:
+                    out[:] = _apply_kernel(d_recv, d_src, k[0], fields[:, 0])
+                    for i in range(1, k.shape[0]):
+                        out += _apply_kernel(d_recv, d_src, k[i], fields[:, i])
+                out *= scene.band.delta_omega
+                out[mask] = complex(np.nan, np.nan)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, range(workers)))
-    total *= scene.band.delta_omega
-
+    overflowed = np.flatnonzero(~(np.isfinite(total).all(axis=1) | collided))
+    if overflowed.size:
+        ix, iy = np.unravel_index(overflowed[0], pos.shape[:2])
+        he = window.half_extent
+        raise NumericError(f"band sum overflows at cell ({ix - he}, {iy - he})")
     n = window.cells_per_side
     return [total[:, s].reshape(n, n) for s in range(stack.shape[2])]
 

@@ -694,6 +694,29 @@ class TestExitCodes:
         assert line.startswith("error: ")
         assert message in line
 
+    def test_band_sum_overflow_prints_one_error_line(self, point_sim, tmp_path):
+        # Power rows of 1e308 recover to a finite field whose band sum
+        # overflows: `migrate` names the first cell and exits 3, with no
+        # NumPy RuntimeWarning, so it runs in its own process here.
+        sc = preset_scene("point")
+        sc = replace(sc, window=ImageWindowSpec(sc.window.center, sc.window.spacing, 2))
+        spath = tmp_path / "scene.json"
+        spath.write_text(emit_scene(sc))
+        header, *rows = (point_sim / "intensity.csv").read_text().splitlines()
+        data = tmp_path / "intensity.csv"
+        data.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",1e308" for row in rows])
+                        + "\n")
+        rc = main(["recover", "--scene", str(spath), "--data", str(data),
+                   "--out", str(tmp_path / "rec")])
+        assert rc == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "ikmig.cli", "migrate", "--scene", str(spath),
+             "--field", str(tmp_path / "rec" / "recovered.csv"), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=src_env(), timeout=300)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: band sum overflows at cell (")
+
     def test_too_many_receivers_is_out_of_memory(self, tmp_path, capsys):
         doc = json.loads(emit_scene(small_scene()))
         doc["receivers"] = {"linear": {"center": [0.0, 0.0], "length": 4.0,

@@ -14,17 +14,23 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikmig import migrate as migrate_module
-from ikmig.errors import DataFormatError
+from ikmig.errors import DataFormatError, NumericError
 from ikmig.forward import array_response_band, direct_arrivals_band, intensity_data
 from ikmig.migrate import (
+    _PHASORS,
+    _STEP_PARTS,
+    _TABLE_SIZE,
     _Workspace,
     image_metrics,
     _apply_kernel,
     _geometry,
     _horner_kernel,
     _phase,
+    _view,
     magnitude_correlation,
     migrate_broadband_stack,
     spurious_term_image,
@@ -374,6 +380,54 @@ class TestWorkspace:
             assert run["built"] == [(7, sc.n_receivers, 2)] * 4
             assert not run["shared"]
 
+    @staticmethod
+    def filled_workspace(cells, receivers, fields):
+        """A workspace whose every buffer holds a sentinel, and a copy of it."""
+        ws = _Workspace(cells, receivers, fields)
+        for buffer in vars(ws).values():
+            buffer.fill(-7.25 - 7.25j if np.iscomplexobj(buffer) else -7.25)
+        return ws, {name: buffer.copy() for name, buffer in vars(ws).items()}
+
+    @staticmethod
+    def written(ws, before, used):
+        """Buffers whose values changed; none may change past ``used`` entries."""
+        for name, buffer in vars(ws).items():
+            tail = used * (buffer.size // ws.d_recv.size)
+            assert np.array_equal(buffer[tail:], before[name][tail:]), name
+        return {name for name, buffer in vars(ws).items()
+                if not np.array_equal(buffer, before[name])}
+
+    def test_phase_writes_only_its_named_buffers(self):
+        # A (3, 5) block in a workspace of 4 cells: the result is a view of
+        # ws.z and the temporaries are ws.n, ws.prod, ws.r and ws.zb; theta
+        # sits in ws.r and the amplitude in ws.amp, which stays as it was.
+        ws, before = self.filled_workspace(4, 5, 2)
+        rng = np.random.default_rng(9)
+        theta = _view(ws.r, (3, 5))
+        theta[:] = rng.uniform(0.0, 2e6, (3, 5))
+        amp = _view(ws.amp, (3, 5))
+        amp[:] = rng.uniform(1e-6, 1.0, (3, 5))
+        before.update(r=ws.r.copy(), amp=ws.amp.copy())
+        want = amp * np.exp(-1j * theta)
+        got = _phase(theta, ws, amp)
+        assert np.shares_memory(got, ws.z)
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+        assert self.written(ws, before, 15) <= {"z", "n", "prod", "r", "zb"}
+
+    def test_horner_kernel_keeps_the_receiver_distances(self):
+        # The kernel writes every buffer of its block but ws.d_recv, which
+        # still holds d_recv afterwards.
+        sc = imaging_scene(n_receivers=5, count=4, half_extent=2)
+        ws, _ = self.filled_workspace(8, 5, 2)
+        cells = sc.window.cell_positions().reshape(-1, 2)[:6]
+        d_recv, d_src, _ = _geometry(sc, cells, sc.window.spacing, ws)
+        want = d_recv.copy()
+        before = {name: buffer.copy() for name, buffer in vars(ws).items()}
+        stack = np.ones((2, 4, 5), dtype=complex)
+        _horner_kernel(d_recv, d_src, sc.band.omegas / sc.c0, stack, ws)
+        assert self.written(ws, before, 30) == set(vars(ws)) - {"d_recv"}
+        assert np.array_equal(_view(ws.d_recv, (6, 5)), want)
+
     @pytest.mark.skipif(importlib.util.find_spec("resource") is None,
                         reason="needs the resource module")
     def test_blocks_reuse_their_pages(self):
@@ -406,10 +460,10 @@ class TestWorkspace:
         assert proc.returncode == 0, proc.stderr
         faults, block, n, cells = map(int, proc.stdout.split())
         assert cells >= 14_641
-        # Six real and one complex (block, N) buffer, the two-field
+        # Five real and two complex (block, N) buffers, the two-field
         # accumulator; then the (cells, 2) output, the two images copied
         # out of it and the cell positions.
-        workspace = block * n * (6 * 8 + 16 + 2 * 16)
+        workspace = block * n * (5 * 8 + 2 * 16 + 2 * 16)
         outputs = cells * (2 * 2 * 16 + 3 * 8)
         assert faults < 4 * (workspace + outputs) // 4096
 
@@ -441,11 +495,27 @@ class TestPhase:
             assert phase_error(ref, theta) <= ulps
             # Below 2**23 turns the reduction is exact: a few ulp of 1.
             assert phase_error(got, theta) <= 8.0 * np.spacing(1.0)
+            # Measured: a correctly rounded table phasor and one rounding of
+            # its corrected product, each within 0.36 ulp of 1.
+            assert phase_error(got, theta) <= 0.75 * np.spacing(1.0)
 
     def test_past_the_exact_range_within_a_few_ulp(self):
         thetas = np.array([2.0 * self.TOP, 1e9, 1e12, 1e15])
         for theta, got in zip(thetas, _phase(thetas, self.workspace())):
             assert phase_error(got, theta) <= 4.0 * np.spacing(theta)
+            # Measured: the rounding of n times the step's first part, half an
+            # ulp of theta, on top of the error within the exact range.
+            assert phase_error(got, theta) <= 0.5 * np.spacing(theta) + 0.75 * np.spacing(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, TOP), min_size=1, max_size=70), st.data())
+    def test_an_element_does_not_depend_on_its_array(self, thetas, data):
+        # NumPy's vector loops and their scalar tails must agree to the bit.
+        theta = np.array(thetas)
+        i = data.draw(st.integers(0, theta.size - 1))
+        whole = _phase(theta, _Workspace(theta.size, 1, 1))
+        alone = _phase(theta[i:i + 1], _Workspace(1, 1, 1))
+        assert whole[i:i + 1].view(np.uint64).tolist() == alone.view(np.uint64).tolist()
 
     def test_zero_phase_is_exactly_one(self):
         assert np.array_equal(_phase(np.zeros(3), self.workspace()), np.ones(3, dtype=complex))
@@ -476,6 +546,56 @@ class TestPhase:
         want = sum(amp * np.exp(-1j * (k[0] * tau + j * (dk * tau))) @ p[j]
                    for j in range(k.shape[0]))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestPhaseConstants:
+    """The table and the step of ``_phase`` against mpmath at 200 bits."""
+
+    def test_table_phasors_are_correctly_rounded(self):
+        assert _PHASORS.shape == (_TABLE_SIZE,)
+        with mpmath.workprec(200):
+            for m, got in enumerate(_PHASORS):
+                turns = mpmath.mpf(2 * m) / _TABLE_SIZE
+                exact = mpmath.mpc(mpmath.cospi(turns), -mpmath.sinpi(turns))
+                assert float(abs(mpmath.mpc(got) - exact)) <= np.spacing(1.0)
+                # Measured: each part is the nearest double.
+                assert got == complex(float(exact.real), float(exact.imag))
+
+    def test_step_parts_have_at_most_20_significant_bits(self):
+        # So n * part is exact for n below 2**33 steps.
+        for part in _STEP_PARTS:
+            numerator, _ = part.as_integer_ratio()
+            assert abs(numerator).bit_length() <= 20
+
+    def test_step_parts_sum_to_the_step(self):
+        with mpmath.workprec(200):
+            step = 2 * mpmath.pi / _TABLE_SIZE
+            assert abs(sum(mpmath.mpf(part) for part in _STEP_PARTS) - step) <= 1e-27
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_an_overflowing_sum_is_a_numeric_error(self, dimension):
+        sc = imaging_scene(dimension, n_receivers=5, count=3, half_extent=2)
+        stack = np.full((3, 5, 1), 1e308, dtype=complex)
+        with pytest.raises(NumericError, match="band sum overflows at cell"):
+            migrate_broadband_stack(sc, stack, threads=2)
+
+    def test_the_error_names_the_first_cell_outside_the_collisions(self):
+        # An infinite field makes every sum non-finite; with a receiver on
+        # the first cell, that cell stays a NaN collision and the next one
+        # is named.
+        sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
+        infinite = np.full((3, 5, 1), np.inf, dtype=complex)
+        with pytest.raises(NumericError, match=r"at cell \(-2, -2\)$"):
+            migrate_broadband_stack(sc, infinite)
+        first = sc.window.cell_positions()[0, 0]
+        sc = replace(sc, receivers=np.vstack([first, sc.receivers[1:]]))
+        with pytest.raises(NumericError, match=r"at cell \(-2, -1\)$"):
+            migrate_broadband_stack(sc, infinite, threads=2)
+        (img,) = migrate_broadband_stack(sc, np.ones((3, 5, 1), dtype=complex))
+        assert np.isnan(img[0, 0])
+        assert np.isfinite(img).sum() == img.size - 1
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

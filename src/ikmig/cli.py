@@ -33,7 +33,6 @@ from .errors import (
 from .forward import (
     _write_grid,
     array_response_band,
-    intensity_data,
     linearization_residual,
     read_field_csv,
     read_intensity_csv,
@@ -53,6 +52,7 @@ from .scene import PRESET_CASES, emit_scene, parse_scene, preset_scene, scene_di
 from .stochastic import (
     PowerSpectrum,
     clean_power_data,
+    intensity_data,
     noisy_power_data,
     sample_illumination,
 )

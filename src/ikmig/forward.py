@@ -1,10 +1,11 @@
-"""Single-scattering forward model and phaseless array data.
+"""Single-scattering forward model: the fields, and the band data files.
 
 The array records, per frequency, the squared modulus of the total field at
-each receiver: direct arrival plus the weak scattered response.  Phases are
-discarded at this point; everything downstream works from these power rows.
-The model functions return (F, N) rows over a band, or one value per band
-frequency.
+each receiver: direct arrival plus the weak scattered response.  This
+module computes those fields; ``ikmig.stochastic`` squares them into power
+rows, deterministic data being its unit-draw case, and everything
+downstream works from those rows.  The model functions return (F, N) rows
+over a band, or one value per band frequency.
 
 The free-space Green's function is exp(ikr)/(4 pi r) in three dimensions
 and (i/4) H0(kr) in two, where H0 = J0 + i Y0 (``hankel0_1``) comes from
@@ -35,7 +36,6 @@ __all__ = [
     "direct_arrivals_band",
     "array_response_band",
     "total_field_band",
-    "intensity_data",
     "linearization_residual",
     "write_intensity_csv",
     "read_intensity_csv",
@@ -49,7 +49,8 @@ __all__ = [
 class IntensityData:
     """Phaseless data rows over a band: (F, N) power values and the (F,)
     illumination divisors used at recovery time, |fhat|^2 for deterministic
-    illumination (1 for ``intensity_data``) or 2*pi*Fhat for stochastic runs.
+    illumination (1 for ``stochastic.intensity_data``) or 2*pi*Fhat for
+    stochastic runs.
 
     The data hold values only; the band and the array they lie on are the
     scene's.
@@ -179,31 +180,20 @@ def total_field_band(scene: Scene) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# phaseless data
+# row checks and diagnostics
 # ---------------------------------------------------------------------------
 
 
-def _finite_power(power: np.ndarray) -> np.ndarray:
-    """Synthesized (F, N) power rows, checked: a row that overflowed is a
-    numeric failure of the synthesis, named by its first (frequency,
-    receiver), not a format error of the data.  The synthesis runs under
-    ``np.errstate`` that silences the overflow, so this is its one report."""
-    bad = np.argwhere(~np.isfinite(power))
+def _finite_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    """(F, N) rows computed under ``np.errstate`` that silences overflow,
+    checked: a row that is not finite is a numeric failure of the
+    computation, named by ``what`` and its first (frequency, receiver), not
+    a format error of the data.  This check is the overflow's one report."""
+    bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
         f, r = bad[0]
-        raise NumericError(f"synthesized power overflows at frequency {f}, receiver {r}")
-    return power
-
-
-def intensity_data(scene: Scene) -> IntensityData:
-    """Exact quadratic power rows |g0 + p|^2 over the band, under unit
-    illumination; no linearization is applied.  Rows that overflow raise
-    NumericError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = total_field_band(scene)
-        # Copied out, so the data do not keep the complex product alive.
-        power = (np.conj(total) * total).real.copy()
-    return IntensityData(_finite_power(power), np.ones(scene.band.count))
+        raise NumericError(f"{what} overflows at frequency {f}, receiver {r}")
+    return rows
 
 
 def linearization_residual(scene: Scene) -> np.ndarray:

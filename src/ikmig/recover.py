@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NumericError, SingularityError
-from .forward import IntensityData, _distances, direct_arrivals_band
+from .forward import IntensityData, _distances, _finite_rows, direct_arrivals_band
 from .scene import ImageWindowSpec, Scene
 
 __all__ = [
@@ -49,7 +49,9 @@ def recover_ptilde(g0, d, illumination) -> np.ndarray:
     Returns
     -------
     The (F, N) complex projection ptilde.  Its data misfit is zero up to
-    roundoff by construction.
+    roundoff by construction.  A value that overflows, as it may for huge
+    data or tiny but positive illumination, raises NumericError naming its
+    first (frequency, receiver).
 
     Notes
     -----
@@ -65,7 +67,9 @@ def recover_ptilde(g0, d, illumination) -> np.ndarray:
         raise NumericError(f"illumination at frequency {dark[0]} is not positive")
     if np.any(g0 == 0):
         raise SingularityError("zero direct arrival; measurement is rank-deficient")
-    return d / (illumination[:, None] * np.conj(g0)) - g0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ptilde = d / (illumination[:, None] * np.conj(g0)) - g0
+    return _finite_rows(ptilde, "recovered field")
 
 
 def recover_band(scene: Scene, data: IntensityData) -> np.ndarray:
@@ -110,16 +114,11 @@ class GeometryReport:
 
 
 def _window_corners(window: ImageWindowSpec) -> np.ndarray:
-    center = np.asarray(window.center, dtype=float)
-    half = window.half_extent * window.spacing
-    corners = []
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            c = center.copy()
-            c[0] += sx * half
-            c[1] += sy * half
-            corners.append(c)
-    return np.asarray(corners)
+    """(4, coords) corners of the window, in the order (-,-), (-,+), (+,-), (+,+)."""
+    corners = np.tile(np.asarray(window.center, dtype=float), (4, 1))
+    corners[:, :2] += window.half_extent * window.spacing * np.array(
+        [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    return corners
 
 
 def _source_in_cone_2d(dirs: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:

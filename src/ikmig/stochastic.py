@@ -1,6 +1,13 @@
-"""Random-source illumination and power-spectrum data synthesis.
+"""Power data synthesis, for deterministic and random-source illumination.
 
-The source is a stationary mean-zero Gaussian process with a Gaussian
+The array records |(g0 + p) fhat|^2 per frequency and receiver, plus noise
+if any.  Every power row comes from one synthesis path (``_power_data``):
+deterministic data (``intensity_data``) are its fhat = 1 case under unit
+illumination, random-source data (``clean_power_data``) take a draw fhat,
+and noisy data (``noisy_power_data``) add noise scaled per receiver.  The
+fields come from ``ikmig.forward``.
+
+The random source is a stationary mean-zero Gaussian process with a Gaussian
 power spectrum centered on the band.  Frequency samples of its transform
 are independent complex Gaussians whose second moment is 2 pi times the
 power spectrum, so power-spectrum data can be synthesized directly per
@@ -28,11 +35,12 @@ from itertools import product
 import numpy as np
 
 from .errors import NumericError
-from .forward import IntensityData, _finite_power, total_field_band
+from .forward import IntensityData, _finite_rows, total_field_band
 from .scene import FrequencyGrid, Scene
 
 __all__ = [
     "PowerSpectrum",
+    "intensity_data",
     "sample_illumination",
     "sample_noise",
     "clean_power_data",
@@ -144,17 +152,46 @@ def sample_noise(spectrum: PowerSpectrum, grid: FrequencyGrid, n_receivers: int,
     return np.sqrt(math.pi * spectrum.value(grid.omegas)) * z
 
 
-def _signal_rows(scene: Scene, fhat: np.ndarray) -> np.ndarray:
-    """(F, N) illuminated total field (g0 + p) fhat at the receivers."""
+def _power_data(scene: Scene, fhat, illumination: np.ndarray, noise=None) -> IntensityData:
+    """The one synthesis of power rows: |(g0 + p) fhat + noise|^2 over the
+    band, with the (F,) ``illumination`` record, for the (F,) draw ``fhat``.
+
+    ``noise`` is None or a pair (fraction, raw) of a noise fraction and
+    (N, F) unscaled noise transforms.  Each receiver's noise is rescaled so
+    that its realized total power is exactly ``fraction`` times the
+    realized signal power there; a receiver without signal power cannot
+    scale it and raises NumericError.  Rows that overflow raise
+    NumericError.
+    """
     # Checked, because a length-1 fhat would broadcast over the band.
     if np.shape(fhat) != (scene.band.count,):
         raise ValueError("one illumination sample per band frequency required")
-    return total_field_band(scene) * np.asarray(fhat)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = total_field_band(scene) * np.asarray(fhat)[:, None]
+        if noise is not None:
+            fraction, raw = noise
+            sig_power = (np.abs(rows) ** 2).sum(axis=0)
+            raw_power = (np.abs(raw) ** 2).sum(axis=1)
+            bad = np.nonzero(sig_power == 0.0)[0]
+            if bad.size:
+                raise NumericError(f"zero signal power at receiver {bad[0]}: cannot scale noise")
+            scale = np.sqrt(fraction * sig_power / raw_power)
+            rows = rows + (scale[:, None] * raw).T
+        power = _finite_rows(np.abs(rows) ** 2, "synthesized power")
+    return IntensityData(power, illumination)
 
 
-def _power_data(scene: Scene, spectrum: PowerSpectrum, rows: np.ndarray) -> IntensityData:
-    illumination = 2.0 * math.pi * spectrum.value(scene.band.omegas)
-    return IntensityData(_finite_power(np.abs(rows) ** 2), illumination)
+def intensity_data(scene: Scene) -> IntensityData:
+    """Exact quadratic power rows |g0 + p|^2 over the band: the fhat = 1
+    case under unit illumination; no linearization is applied.  Rows that
+    overflow raise NumericError."""
+    ones = np.ones(scene.band.count)
+    return _power_data(scene, ones, ones)
+
+
+def _ensemble_illumination(scene: Scene) -> np.ndarray:
+    """2 pi Fhat of the band's spectrum (``PowerSpectrum.for_band``)."""
+    return 2.0 * math.pi * PowerSpectrum.for_band(scene.band).value(scene.band.omegas)
 
 
 def clean_power_data(scene: Scene, fhat: np.ndarray) -> IntensityData:
@@ -166,8 +203,7 @@ def clean_power_data(scene: Scene, fhat: np.ndarray) -> IntensityData:
     |fhat|^2: that is all a receiver could know.  Rows that overflow raise
     NumericError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _power_data(scene, PowerSpectrum.for_band(scene.band), _signal_rows(scene, fhat))
+    return _power_data(scene, fhat, _ensemble_illumination(scene))
 
 
 def noisy_power_data(
@@ -182,15 +218,5 @@ def noisy_power_data(
     """
     if not (math.isfinite(noise_fraction) and noise_fraction >= 0.0):
         raise ValueError("noise_fraction must be a nonnegative number")
-    spectrum = PowerSpectrum.for_band(scene.band)
-    with np.errstate(over="ignore", invalid="ignore"):
-        signal = _signal_rows(scene, fhat)
-        raw = sample_noise(spectrum, scene.band, scene.n_receivers, seed)
-        sig_power = (np.abs(signal) ** 2).sum(axis=0)
-        raw_power = (np.abs(raw) ** 2).sum(axis=1)
-        bad = np.nonzero(sig_power == 0.0)[0]
-        if bad.size:
-            raise NumericError(f"zero signal power at receiver {bad[0]}: cannot scale noise")
-        scale = np.sqrt(noise_fraction * sig_power / raw_power)
-        rows = signal + (scale[:, None] * raw).T
-        return _power_data(scene, spectrum, rows)
+    raw = sample_noise(PowerSpectrum.for_band(scene.band), scene.band, scene.n_receivers, seed)
+    return _power_data(scene, fhat, _ensemble_illumination(scene), (noise_fraction, raw))

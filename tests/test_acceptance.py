@@ -15,7 +15,6 @@ from ikmig.forward import (
     array_response_band,
     direct_arrivals_band,
     hankel0_1,
-    intensity_data,
     linearization_residual,
     total_field_band,
 )
@@ -37,6 +36,7 @@ from ikmig.scene import (
 from ikmig.stochastic import (
     PowerSpectrum,
     clean_power_data,
+    intensity_data,
     noisy_power_data,
     sample_illumination,
 )

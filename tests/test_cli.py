@@ -19,7 +19,6 @@ from ikmig.cli import main
 from ikmig.forward import (
     array_response_band,
     direct_arrivals_band,
-    intensity_data,
     read_field_csv,
     write_field_csv,
     write_illumination_csv,
@@ -27,6 +26,7 @@ from ikmig.forward import (
 )
 from ikmig.migrate import migrate_broadband_stack, write_image_csv
 from ikmig.recover import recover_band
+from ikmig.stochastic import intensity_data
 from ikmig.scene import (
     FrequencyGrid,
     ImageWindowSpec,
@@ -693,6 +693,38 @@ class TestExitCodes:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ")
         assert message in line
+
+    @pytest.mark.parametrize("case", ["tiny illumination", "huge 2-D data"])
+    def test_recovery_overflow_prints_one_error_line(self, point_sim, tmp_path, case):
+        # Positive illumination of 1e-320, or 2-D rows of 1e308, recover past
+        # the float range: `recover` names the first (frequency, receiver),
+        # exits 3 and writes no field, with no NumPy RuntimeWarning, so it
+        # runs in its own process here.
+        sc = preset_scene("point")
+        data = point_sim / "intensity.csv"
+        illum = point_sim / "illumination.csv"
+        if case == "tiny illumination":
+            header, *rows = illum.read_text().splitlines()
+            illum = tmp_path / "illumination.csv"
+            illum.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",1e-320"
+                                                   for row in rows]) + "\n")
+        else:
+            sc = replace(sc, dimension=2,
+                         window=ImageWindowSpec(sc.window.center, sc.window.spacing, 2))
+            header, *rows = data.read_text().splitlines()
+            data = tmp_path / "intensity.csv"
+            data.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",1e308"
+                                                  for row in rows]) + "\n")
+        spath = tmp_path / "scene.json"
+        spath.write_text(emit_scene(sc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ikmig.cli", "recover", "--scene", str(spath),
+             "--data", str(data), "--illumination", str(illum), "--out", str(tmp_path / "rec")],
+            capture_output=True, text=True, env=src_env(), timeout=300)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line == "error: recovered field overflows at frequency 0, receiver 0"
+        assert not (tmp_path / "rec" / "recovered.csv").exists()
 
     def test_band_sum_overflow_prints_one_error_line(self, point_sim, tmp_path):
         # Power rows of 1e308 recover to a finite field whose band sum

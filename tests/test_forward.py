@@ -15,7 +15,6 @@ from ikmig.forward import (
     _distances,
     array_response_band,
     direct_arrivals_band,
-    intensity_data,
     linearization_residual,
     read_field_csv,
     read_intensity_csv,
@@ -25,7 +24,7 @@ from ikmig.forward import (
     write_illumination_csv,
 )
 from ikmig.scene import FrequencyGrid, ImageWindowSpec, PointScatterer, Scene, preset_scene
-from ikmig.stochastic import clean_power_data, noisy_power_data
+from ikmig.stochastic import clean_power_data, intensity_data, noisy_power_data
 
 from ref_green import green0
 
@@ -195,6 +194,14 @@ class TestIntensity:
                      scatterers=(PointScatterer((4.0, 0.0), 1e300),))
         with pytest.raises(NumericError, match="frequency 0, receiver 0"):
             synthesize(sc)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_deterministic_rows_are_the_unit_draw(self, dimension):
+        # One synthesis path: deterministic data are clean random-source
+        # data at fhat = 1, bit for bit; only the illumination record differs.
+        sc = replace(preset_scene("point"), dimension=dimension)
+        unit = clean_power_data(sc, np.ones(sc.band.count))
+        assert np.array_equal(intensity_data(sc).values, unit.values)
 
     def test_container_validation(self):
         vals = np.ones((2, 3))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ikmig import migrate as migrate_module
 from ikmig.errors import DataFormatError, NumericError
-from ikmig.forward import array_response_band, direct_arrivals_band, intensity_data
+from ikmig.forward import array_response_band, direct_arrivals_band
 from ikmig.migrate import (
     _PHASORS,
     _STEP_PARTS,
@@ -46,6 +46,7 @@ from ikmig.scene import (
     linear_array,
     preset_scene,
 )
+from ikmig.stochastic import intensity_data
 
 from ref_green import green0
 

@@ -14,7 +14,6 @@ from ikmig.forward import (
     IntensityData,
     array_response_band,
     direct_arrivals_band,
-    intensity_data,
     linearization_residual,
 )
 from ikmig.recover import (
@@ -31,6 +30,7 @@ from ikmig.scene import (
     Scene,
     preset_scene,
 )
+from ikmig.stochastic import intensity_data
 
 from ref_bessel import h0_ref
 from ref_recover import dense_pseudoinverse_oracle, measurement_matrix
@@ -251,6 +251,24 @@ class TestRecoverBand:
         broken = IntensityData(data.values, np.array([1.0, 0.0, 1.0]))
         with pytest.raises(NumericError, match="illumination at frequency 1 is not positive"):
             recover_band(sc, broken)
+
+    @pytest.mark.parametrize("case", ["tiny illumination", "huge 2-D data"])
+    def test_a_field_past_the_float_range_is_a_numeric_error(self, case):
+        # Positive illumination of 1e-320 passes the check above but divides
+        # the data past the float range, and so do rows of 1e308 over the
+        # small 2-D direct arrivals.  Either names its first (frequency,
+        # receiver) instead of returning inf, with no RuntimeWarning on the
+        # way (a warning fails the test).
+        sc = preset_scene("point")
+        if case == "tiny illumination":
+            data = IntensityData(intensity_data(sc).values, np.full(sc.band.count, 1e-320))
+        else:
+            sc = replace(sc, dimension=2)
+            data = IntensityData(np.full((sc.band.count, sc.n_receivers), 1e308),
+                                 np.ones(sc.band.count))
+        with pytest.raises(NumericError,
+                           match="recovered field overflows at frequency 0, receiver 0"):
+            recover_band(sc, data)
 
 
 class TestConditionNumber:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from ikmig.errors import NumericError
-from ikmig.forward import intensity_data, total_field_band
+from ikmig.forward import total_field_band
 from ikmig.scene import FrequencyGrid, ImageWindowSpec, PointScatterer, Scene
 from ikmig.stochastic import (
     PowerSpectrum,
     clean_power_data,
+    intensity_data,
     noisy_power_data,
     sample_illumination,
     sample_noise,

@@ -16,6 +16,7 @@ geometric visibility check on the scene's imaging window.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -145,19 +146,40 @@ def _source_in_cone_2d(dirs: np.ndarray, s: np.ndarray, tol: float) -> np.ndarra
     return degenerate | (hi - lo >= math.pi) | ((lo - tol <= ang_s) & (ang_s <= hi + tol))
 
 
-def _source_in_cone_3d(dirs: np.ndarray, s: np.ndarray, tol: float) -> bool:
-    # SciPy is loaded here, not at import, so windows of two coordinates never load it.
-    from scipy.optimize import nnls
+# Column sets of the 4 corner directions that may carry the nonnegative
+# least-squares optimum in R^3: every nonempty set of at most three, since
+# an optimal combination needs no more linearly independent columns.
+_SUPPORTS = tuple(list(c) for m in (1, 2, 3) for c in itertools.combinations(range(4), m))
 
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(norms == 0.0):
-        return True
-    units = (dirs / norms[:, None]).T
-    sn = np.linalg.norm(s)
-    if sn == 0.0:
-        return True
-    _, rnorm = nnls(units, s / sn)
-    return rnorm <= 2.0 * math.sin(0.5 * tol) + 1e-12
+
+def _source_in_cone_3d(dirs: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
+    """Per receiver, whether the source direction s (N, 3) lies within tol
+    of the cone spanned by its four corner directions dirs (N, 4, 3).  A
+    zero direction counts as inside.
+
+    The distance from the unit source direction to the cone is its exact
+    nonnegative least-squares residual on the unit corner directions: the
+    smallest residual of the least-squares fits on ``_SUPPORTS`` whose
+    coefficients are all nonnegative, or 1, the empty combination's.  Each
+    fit is a feasible point, so its residual is taken from its
+    coefficients, never assumed.
+    """
+    norms = np.linalg.norm(dirs, axis=2)
+    sn = np.linalg.norm(s, axis=1)
+    degenerate = (norms == 0.0).any(axis=1) | (sn == 0.0)
+    units = dirs / np.where(norms == 0.0, 1.0, norms)[:, :, None]
+    s = (s / np.where(sn == 0.0, 1.0, sn)[:, None])[:, :, None]
+    rnorm = np.ones(s.shape[0])
+    for support in _SUPPORTS:
+        a = units[:, support, :].transpose(0, 2, 1)
+        q, r = np.linalg.qr(a)
+        singular = np.linalg.det(r) == 0.0
+        r[singular] = np.eye(len(support))
+        c = np.linalg.solve(r, q.transpose(0, 2, 1) @ s)
+        feasible = ~singular & (c >= 0.0).all(axis=(1, 2))
+        residual = np.linalg.norm(a @ c - s, axis=(1, 2))
+        rnorm = np.where(feasible, np.minimum(rnorm, residual), rnorm)
+    return degenerate | (rnorm <= 2.0 * math.sin(0.5 * tol) + 1e-12)
 
 
 def check_geometric_condition(scene: Scene) -> GeometryReport:
@@ -170,9 +192,7 @@ def check_geometric_condition(scene: Scene) -> GeometryReport:
     """
     corners = _window_corners(scene.window)
     recv = scene.receivers
-    if scene.coords == 2:
-        inside = _source_in_cone_2d(corners - recv[:, None], scene.source - recv, _THETA_TOL)
-    else:
-        inside = [_source_in_cone_3d(corners - x, scene.source - x, _THETA_TOL) for x in recv]
+    in_cone = _source_in_cone_2d if scene.coords == 2 else _source_in_cone_3d
+    inside = in_cone(corners - recv[:, None], scene.source - recv, _THETA_TOL)
     flagged = tuple(np.flatnonzero(inside).tolist())
     return GeometryReport(not flagged, flagged, _THETA_TOL)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ikmig import recover
@@ -348,10 +348,42 @@ def cone_2d_one_receiver(dirs, s, tol):
     return ang.min() - tol <= ang_s <= ang.max() + tol
 
 
+def cone_3d_one_receiver(dirs, s, tol):
+    """The 3-D cone test of one receiver by SciPy's active-set ``nnls``, as
+    a reference for the batched exact ``recover._source_in_cone_3d``: dirs
+    (4, 3) corner directions and s (3,) the source direction."""
+    from scipy.optimize import nnls
+
+    norms = np.linalg.norm(dirs, axis=1)
+    if np.any(norms == 0.0):
+        return True
+    units = (dirs / norms[:, None]).T
+    sn = np.linalg.norm(s)
+    if sn == 0.0:
+        return True
+    _, rnorm = nnls(units, s / sn)
+    return rnorm <= 2.0 * math.sin(0.5 * tol) + 1e-12
+
+
 def flags_one_receiver_at_a_time(scene):
     corners = recover._window_corners(scene.window)
+    cone = cone_2d_one_receiver if scene.coords == 2 else cone_3d_one_receiver
     return tuple(r for r, x in enumerate(scene.receivers)
-                 if cone_2d_one_receiver(corners - x, scene.source - x, recover._THETA_TOL))
+                 if cone(corners - x, scene.source - x, recover._THETA_TOL))
+
+
+def in_three_coordinates(scene):
+    """The scene with z = 0 appended to every position: the array, the
+    source and the window lie in one plane, so every three corner
+    directions are linearly dependent."""
+    def lift(points):
+        points = np.asarray(points, dtype=float)
+        return np.concatenate([points, np.zeros(points.shape[:-1] + (1,))], axis=-1)
+
+    window = replace(scene.window, center=tuple(lift(scene.window.center)))
+    scatterers = tuple(replace(s, position=tuple(lift(s.position))) for s in scene.scatterers)
+    return replace(scene, receivers=lift(scene.receivers), source=lift(scene.source),
+                   window=window, scatterers=scatterers)
 
 
 @st.composite
@@ -368,6 +400,30 @@ def cone_scenes(draw):
                  band=FrequencyGrid(300.0, 300.0, 1), scatterers=(), window=window)
 
 
+@st.composite
+def cone_scenes_3d(draw):
+    """Three-coordinate scenes with 1-8 receivers, the source and the window
+    anywhere in one box, one receiver optionally on a window corner, and
+    the source optionally on a face of one receiver's view cone: a
+    nonnegative combination of two of its corner directions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = ImageWindowSpec(tuple(rng.uniform(-2.0, 6.0, 3)), draw(st.floats(0.05, 0.5)),
+                             draw(st.integers(0, 4)))
+    corners = recover._window_corners(window)
+    receivers = rng.uniform(-3.0, 6.0, size=(draw(st.integers(1, 8)), 3))
+    if draw(st.booleans()):
+        receivers[0] = corners[draw(st.integers(0, 3))]
+    source = rng.uniform(-3.0, 6.0, 3)
+    if draw(st.booleans()):
+        x = receivers[draw(st.integers(0, receivers.shape[0] - 1))]
+        a, b = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+        weight = draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 2.0))
+        source = x + weight[0] * (corners[a] - x) + weight[1] * (corners[b] - x)
+    assume(not np.any(np.all(receivers == source, axis=1)))
+    return Scene(dimension=3, c0=343.0, receivers=receivers, source=source,
+                 band=FrequencyGrid(300.0, 300.0, 1), scatterers=(), window=window)
+
+
 class TestGeometryCheck:
     @pytest.mark.parametrize("case", PRESET_CASES)
     def test_preset_flags_match_one_receiver_at_a_time(self, case):
@@ -375,9 +431,21 @@ class TestGeometryCheck:
         flagged = check_geometric_condition(sc).violating_receivers
         assert flagged == flags_one_receiver_at_a_time(sc)
 
+    @pytest.mark.parametrize("case", PRESET_CASES)
+    def test_three_coordinate_preset_flags_match_nnls(self, case):
+        sc = in_three_coordinates(preset_scene(case))
+        flagged = check_geometric_condition(sc).violating_receivers
+        assert flagged == flags_one_receiver_at_a_time(sc)
+
     @settings(max_examples=200, deadline=None)
     @given(cone_scenes())
     def test_flags_match_one_receiver_at_a_time(self, sc):
+        flagged = check_geometric_condition(sc).violating_receivers
+        assert flagged == flags_one_receiver_at_a_time(sc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cone_scenes_3d())
+    def test_three_coordinate_flags_match_nnls(self, sc):
         flagged = check_geometric_condition(sc).violating_receivers
         assert flagged == flags_one_receiver_at_a_time(sc)
 

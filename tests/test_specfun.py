@@ -1,8 +1,11 @@
-"""Special-function tests against the arbitrary-precision series oracle.
+"""Special-function tests against arbitrary-precision oracles.
 
 The Hankel function under test is ``ikmig.forward.hankel0_1``; its real and
-imaginary parts are J0 and Y0.  The scalar Green's function is the tests'
-own reference (``ref_green.py``).
+imaginary parts are J0 and Y0.  It is checked against the decimal series
+oracle of ``ref_bessel.py`` up to t ~ 1e3, against mpmath at 40 digits up
+to 1e7, on both sides of every switch between its branches, and against
+SciPy's cephes ``j0``/``y0`` within cephes's own error.  The scalar Green's
+function is the tests' own reference (``ref_green.py``).
 """
 
 import cmath
@@ -13,9 +16,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ikmig import forward
 from ikmig.errors import SingularityError
 from ikmig.forward import hankel0_1
 
@@ -51,22 +58,82 @@ class TestBesselValues:
             assert abs(hankel0_1(t).imag - y0_ref(t)) <= tol, f"Y0 at t={t}"
 
     def test_crossover_continuity(self):
-        # Both branches must agree near the internal switch point.
-        for t in (11.5, 11.99, 12.0, 12.01, 12.5, 13.0):
-            assert abs(hankel0_1(t).real - j0_ref(t)) <= envelope_tol(t)
-            assert abs(hankel0_1(t).imag - y0_ref(t)) <= envelope_tol(t)
+        # The branches agree with the oracle on both sides of their switches
+        # at 2, 25 and 50.  At every switch, the term-count ones up to 1e4
+        # included, H0 moves from the double below to the edge by 1e-14 of
+        # the envelope at most, plus the step times |H0'| = |H1|, which is
+        # below the envelope (and below 1 at t = 2).
+        for edge in (2.0, 25.0, 50.0):
+            for t in (0.99 * edge, np.nextafter(edge, 0.0), edge, 1.01 * edge):
+                t = float(t)
+                assert abs(hankel0_1(t).real - j0_ref(t)) <= envelope_tol(t)
+                assert abs(hankel0_1(t).imag - y0_ref(t)) <= envelope_tol(t)
+        for edge in forward._EDGES:
+            step = edge - np.nextafter(edge, 0.0)
+            below, above = hankel0_1(np.array([edge - step, edge]))
+            assert abs(above - below) <= envelope_tol(edge, 1e-14 + step)
+
+
+def mpmath_bessel(t: float) -> tuple[float, float]:
+    """J0(t) and Y0(t) by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(t)
+        return float(mpmath.besselj(0, x)), float(mpmath.bessely(0, x))
+
+
+def assert_matches_mpmath(ts):
+    """J0 and Y0 within 4e-15 absolute below t = 8 and 4e-15 of the
+    envelope above, at every t."""
+    ts = np.asarray(ts, dtype=float)
+    h = hankel0_1(ts)
+    for t, got in zip(ts.tolist(), h.tolist()):
+        j0, y0 = mpmath_bessel(t)
+        tol = envelope_tol(t, 4e-15)
+        assert abs(got.real - j0) <= tol, f"J0 at t={t!r}"
+        assert abs(got.imag - y0) <= tol, f"Y0 at t={t!r}"
+
+
+class TestAgainstMpmath:
+    def test_log_grid_to_1e7(self):
+        # A log grid over ten decades, and the k r range of the presets.
+        assert_matches_mpmath(np.concatenate([np.logspace(-3, 7, 241),
+                                              np.geomspace(4.5e4, 8e5, 25)]))
+
+    @pytest.mark.parametrize("edge", forward._EDGES.tolist())
+    def test_both_sides_of_each_switch(self, edge):
+        # 2 and 25 switch the method, the others the asymptotic term count.
+        assert_matches_mpmath([0.999 * edge, np.nextafter(edge, 0.0), edge,
+                               np.nextafter(edge, np.inf), 1.001 * edge])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(1e-3, 1e7),
+                              st.sampled_from(forward._EDGES.tolist()).flatmap(
+                                  lambda e: st.sampled_from([np.nextafter(e, 0.0), e]))),
+                    min_size=1, max_size=40))
+    def test_each_value_is_its_own_call(self, ts):
+        # Elementwise to the bit: no entry depends on the others, whatever
+        # branches the array mixes.
+        t = np.array(ts)
+        h = hankel0_1(t)
+        for i in range(t.size):
+            assert hankel0_1(t[i:i + 1])[0].tobytes() == h[i].tobytes()
 
 
 class TestHankel:
-    def test_composition(self):
-        # Built from cephes j0 and y0, not AMOS hankel1, on whole arrays.
+    def test_agrees_with_cephes(self):
+        # SciPy's cephes j0 + i y0, on whole arrays, within cephes's own
+        # error: 1e-14 absolute below 25, 1e-9 of the envelope up to 1e7,
+        # where its rounded t - pi/4 leaves up to 5e-10.
         from scipy import special
 
-        t = np.array([[0.01, 1.0, 7.3], [12.0, 40.0, 500.0]])
+        t = np.logspace(-3, 7, 1001).reshape(7, 143)
         h = hankel0_1(t)
         assert h.shape == t.shape
-        assert np.array_equal(h.real, special.j0(t))
-        assert np.array_equal(h.imag, special.y0(t))
+        small = t < 25.0
+        envelope = np.sqrt(2.0 / (np.pi * t[~small]))
+        for got, cephes in ((h.real, special.j0(t)), (h.imag, special.y0(t))):
+            assert np.all(np.abs(got - cephes)[small] <= 1e-14)
+            assert np.all(np.abs(got - cephes)[~small] <= 1e-9 * envelope)
 
     def test_oracle_complex(self):
         for t in np.logspace(-2, 3, 40):
@@ -141,29 +208,50 @@ class TestGreen:
             green0((0.0, 0.0), (1.0, 0.0), 0.0, 2)
 
 
-def test_scipy_is_imported_on_first_use(tmp_path):
-    """Importing the CLI and a 3-D experiment on a two-coordinate window load
-    no SciPy; the first Hankel call loads scipy.special."""
+def test_no_command_imports_scipy(tmp_path):
+    """A 2-D simulate -> recover -> migrate --reference chain, a
+    three-coordinate check-geometry and a 3-D experiment run with SciPy
+    refused by an import hook, and load no scipy module."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = (
-        "import json, sys\n"
-        "def scipy(): return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "import json, os, sys\n"
+        "from dataclasses import replace\n"
+        "class RefuseSciPy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError(f'{name} is refused here')\n"
+        "sys.meta_path.insert(0, RefuseSciPy())\n"
+        "import numpy as np\n"
         "from ikmig.cli import main\n"
-        "cold = scipy()\n"
-        f"assert main(['experiment', '--case', 'point', '--out', {str(tmp_path)!r}]) == 0\n"
-        "after_3d = scipy()\n"
-        "from ikmig.forward import hankel0_1\n"
-        "h = hankel0_1(1.0)\n"
-        "print(json.dumps({'cold': cold, 'after_3d': after_3d,\n"
-        "                  'special': 'scipy.special' in sys.modules, 'h': [h.real, h.imag]}))\n"
+        "from ikmig.forward import array_response_band, write_field_csv\n"
+        "from ikmig.scene import FrequencyGrid, ImageWindowSpec, emit_scene, preset_scene\n"
+        f"out = {str(tmp_path)!r}\n"
+        "def p(*parts): return os.path.join(out, *parts)\n"
+        "point = preset_scene('point')\n"
+        "flat = replace(point, dimension=2, band=FrequencyGrid(430e12, 750e12, 4),\n"
+        "               window=ImageWindowSpec(point.window.center, point.window.spacing, 1))\n"
+        "def lift(x): return np.concatenate([x, np.zeros(np.shape(x)[:-1] + (1,))], axis=-1)\n"
+        "cube = replace(point, receivers=lift(point.receivers), source=lift(point.source),\n"
+        "               scatterers=(), window=replace(point.window,\n"
+        "               center=tuple(lift(np.array(point.window.center)))))\n"
+        "for name, scene in (('flat.json', flat), ('cube.json', cube)):\n"
+        "    with open(p(name), 'w') as fh: fh.write(emit_scene(scene))\n"
+        "write_field_csv(flat.band.omegas, array_response_band(flat), p('truth.csv'))\n"
+        "codes = [main(argv) for argv in (\n"
+        "    ['simulate', '--scene', p('flat.json'), '--out', p('sim')],\n"
+        "    ['recover', '--scene', p('flat.json'), '--data', p('sim', 'intensity.csv'),\n"
+        "     '--out', p('rec')],\n"
+        "    ['migrate', '--scene', p('flat.json'), '--field', p('rec', 'recovered.csv'),\n"
+        "     '--reference', p('truth.csv'), '--out', p('img')],\n"
+        "    ['check-geometry', '--scene', p('cube.json')],\n"
+        "    ['experiment', '--case', 'point', '--threads', '2', '--out', p('exp')])]\n"
+        "print(json.dumps({'codes': codes,\n"
+        "                  'scipy': sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
-    assert got["cold"] == []
-    assert got["after_3d"] == []
-    assert got["special"] is True
-    assert abs(complex(*got["h"]) - h0_ref(1.0)) <= envelope_tol(1.0)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"codes": [0, 0, 0, 0, 0], "scipy": []}, proc.stderr

@@ -16,6 +16,16 @@ digits (absolute below t = 8, of the envelope sqrt(2/(pi t)) above) from
 1e-3 to 1e7, where SciPy's cephes ``j0 + i y0`` drifts to 5e-10 of the
 envelope; no module of the package imports SciPy.
 
+Phases k r reach 1e6 rad and more, and one primitive, ``_phase``, forms
+every unit phasor of the package, with no float64 cosine, sine or complex
+``exp``: it reduces theta by steps of 2 pi / 1024 (Cody-Waite, exact below
+2**23 turns) and corrects a correctly rounded table phasor by a Taylor
+series of the remainder, within 0.75 ulp of 1.  The 3-D Green's function
+is conj(_phase(k r, amp=1/(4 pi r))), the Hankel function's phase is
+conj(_phase(t)) (1 - i) / sqrt 2, and migration's 3-D band sum takes its
+factors from it into a worker's workspace, which extends the primitive's
+scratch (``_PhaseBuffers``).
+
 Band data hold values only: the band and the array are the scene's.  The
 CSV band files (intensity, illumination, field) are written on a band's
 omegas and read on the scene they serve, as images live on its window:
@@ -187,8 +197,16 @@ def _h0_miller(t: np.ndarray) -> np.ndarray:
 
 def _h0_asymptotic(t: np.ndarray, count: int) -> np.ndarray:
     """DLMF 10.17.5 to ``count`` terms: H0 = sqrt(2/(pi t)) e^{i(t - pi/4)}
-    (P + i Q), with e^{i(t - pi/4)} = ((cos t + sin t) + i (sin t - cos t))
-    / sqrt 2 taken on t itself, so no rounded t - pi/4 enters."""
+    (P + i Q).  The phase is taken on t itself, so no rounded t - pi/4
+    enters: e^{i(t - pi/4)} sqrt 2 = conj(_phase(t)) (1 - i) = a + i b,
+    with a = cos t + sin t and b = sin t - cos t, and the sqrt 2 goes into
+    the envelope, 1/sqrt(pi t).  The phase is formed first, so its scratch
+    is freed before the series' arrays are made, and its buffer takes the
+    result."""
+    z = _phase(t)
+    a = np.subtract(z.real, z.imag)
+    # -b = cos t - sin t, in the imaginary part, which it is the last to need.
+    minus_b = np.add(z.real, z.imag, out=z.imag)
     w = np.divide(1.0, t)
     u = w * w
     p = _poly(_P[:(count + 1) // 2], u)
@@ -198,15 +216,13 @@ def _h0_asymptotic(t: np.ndarray, count: int) -> np.ndarray:
     np.sqrt(root, out=root)
     p /= root
     q /= root
-    cos, sin = np.cos(t, out=root), np.sin(t)
-    a = np.add(cos, sin, out=w)
-    b = np.subtract(sin, cos, out=sin)
-    out = np.empty(t.shape, dtype=complex)
-    np.multiply(a, p, out=out.real)
-    out.real -= np.multiply(b, q, out=cos)
-    np.multiply(a, q, out=out.imag)
-    out.imag += np.multiply(b, p, out=cos)
-    return out
+    # a p - b q and a q + b p, each product rounded, then their sum.
+    bp = np.multiply(minus_b, p, out=w)
+    np.multiply(a, p, out=z.real)
+    z.real += np.multiply(minus_b, q, out=root)
+    np.multiply(a, q, out=z.imag)
+    z.imag -= bp
+    return z
 
 
 _BRANCHES = (_h0_series, _h0_miller) + tuple(
@@ -222,11 +238,15 @@ def hankel0_1(t: np.ndarray) -> np.ndarray:
     the array.  Below 2, the power series of J0 and Y0 (A&S 9.1.12-13);
     on [2, 25), Miller's backward recurrence from order 80 with Y0 from
     the Neumann series (A&S 9.1.88); from 25 up, DLMF 10.17.5 with 19
-    terms, 12 from 50, 7 from 300 and 4 from 1e4, its phase formed from
-    cos t and sin t.  Against mpmath at 40 digits on a log grid from 1e-3
-    to 1e7 it is within 4e-15 absolute below t = 8 and 4e-15 of the
-    envelope sqrt(2/(pi t)) above, where cephes ``j0 + i y0`` rounds
-    t - pi/4 and drifts to 5e-10 of the envelope at 1e7.  The argument is
+    terms, 12 from 50, 7 from 300 and 4 from 1e4, its phase e^{it} from
+    ``_phase``.  Against mpmath at 40 digits on a log grid from 1e-3 to
+    1e7 it is within 4e-15 absolute below t = 8 and 4e-15 of the envelope
+    sqrt(2/(pi t)) above, where cephes ``j0 + i y0`` rounds t - pi/4 and
+    drifts to 5e-10 of the envelope at 1e7.  ``_phase`` reduces t exactly
+    below 2**23 turns (5.3e7); past that its reduction rounds, and the
+    error grows to about half an ulp of t, relative to the envelope, as
+    large as the rounding of t itself: 3.5e-15 at 1e8, 3.0e-8 at 1e9,
+    6.7e-7 at 1e10 and 1.1e-5 at 1e12.  The argument is
     not checked: every caller passes k r with k > 0 (``FrequencyGrid``
     rejects a band that does not start above 0 Hz) and r > 0 (zero
     distances raise or are masked first).  A float gives a complex scalar,
@@ -256,10 +276,160 @@ def _spreading_3d(r: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(4.0 * math.pi, r, out=out)
 
 
+# ---------------------------------------------------------------------------
+# the phase primitive
+# ---------------------------------------------------------------------------
+
+# e^{-i theta} is a table phasor times the factor of a small remainder:
+# theta = n 2 pi / _TABLE_SIZE + b with |b| <= pi / _TABLE_SIZE.  The
+# gather costs about the same from 256 to 4096 entries: the whole of
+# ``_phase`` took 16.5, 15.1, 14.8 and 18.6 ns per element with tables of
+# 256, 1024, 4096 and 16,384 (medians of 15 interleaved runs on a (32,
+# 501) block, one thread of a 2-vCPU Xeon; 19.7, 20.5, 18.9 and 20.3 in a
+# second set, as the host's speed drifts).  So the size sets the passes
+# around it.  For the same 1e-18 truncation,
+# 256 entries need cos b and sin b to b^6 and b^7, four passes more; 4096
+# save the b^5 term of sin b, two passes, but need a fifth part of the
+# step for the same exact range, two more.
+_TABLE_SIZE = 1024
+# 2 pi / _TABLE_SIZE in four parts of at most 20 significant bits
+# (Cody-Waite), so n * part is exact below 2**33 steps, 2**23 turns; they
+# sum to 2 pi / 1024 within 6.5e-29.
+_STEP_PARTS = tuple(float.fromhex(h) for h in
+                    ("0x1.921fcp-8", "-0x1.5777ap-29", "-0x1.73dccp-51", "0x1.898ccp-72"))
+
+
+def _unit_phasors() -> np.ndarray:
+    """e^{-2 pi i m / _TABLE_SIZE} for every m, correctly rounded.
+
+    In 128-bit fixed point, e^{i step} is its Taylor series at the exact
+    sum of ``_STEP_PARTS`` and the first octant its powers, good to about
+    2**-86; Python's integer division rounds each once to double.  The rest
+    of the circle follows from the octant by exact swaps and sign changes.
+    """
+    one = 1 << 128
+    step = sum(int(math.ldexp(part, 128)) for part in _STEP_PARTS)
+    sums, term, j = [0, 0, 0, 0], one, 0
+    while term:
+        sums[j % 4] += term  # step^j / j!, by the power of i it goes with
+        j += 1
+        term = term * step // (j * one)
+    cos, sin = sums[0] - sums[2], sums[1] - sums[3]
+    re, im, octant = one, 0, []
+    for _ in range(_TABLE_SIZE // 8 + 1):
+        octant.append(complex(re / one, im / one))
+        re, im = (re * cos - im * sin) // one, (re * sin + im * cos) // one
+    octant = np.array(octant)
+    quarter = np.concatenate([octant, (1j * np.conj(octant))[-2:0:-1]])
+    return np.conj(np.concatenate([quarter * 1j**turn for turn in range(4)]))
+
+
+_PHASORS = _unit_phasors()
+
+
+class _PhaseBuffers:
+    """Scratch of ``_phase`` for up to ``size`` elements: three real
+    buffers (step counts, reduction products and table indices, remainders)
+    and two complex ones (the factor and its remainder's correction).  Each
+    is an array of its own, so a caller that keeps only the result keeps
+    only ``z``.  ``_view`` shapes a buffer's leading part to a call."""
+
+    def __init__(self, size: int):
+        self.n, self.prod, self.r = (np.empty(size) for _ in range(3))
+        self.z, self.zb = (np.empty(size, dtype=complex) for _ in range(2))
+
+
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading part of a flat buffer as a C-ordered ``shape`` array."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _multiply(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.multiply(a, b, out=out) for complex operands, rounded alike at
+    every size of the result.
+
+    NumPy's vector loop forms a complex product with fused multiply-adds.
+    A product of one element may take its scalar loop instead, which rounds
+    a c and b d apart, and differs in the last bit about half the time:
+    NumPy 2.4 does so for an in-place product and for one whose operands
+    differ in shape.  So a one-element product is formed from flat operands
+    into a fresh array, which takes the vector loop, and a value does not
+    depend on the size of the array it is computed in.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    if out.size != 1:
+        return np.multiply(a, b, out=out)
+    out[...] = np.multiply(np.ravel(a), np.ravel(b)).reshape(out.shape)
+    return out
+
+
+def _phase(theta: np.ndarray, ws: _PhaseBuffers | None = None,
+           amp: np.ndarray | None = None) -> np.ndarray:
+    """amp e^{-i theta} for real theta >= 0 and a real amplitude (1 if
+    omitted) that broadcasts to theta: the one place the package forms a
+    unit phasor.
+
+    theta is reduced by n = rint(theta _TABLE_SIZE / 2 pi) steps of
+    ``_STEP_PARTS``, exact below 2**33 steps (2**23 turns), to a remainder
+    |b| <= pi / _TABLE_SIZE.  The factor is the table phasor of n mod
+    _TABLE_SIZE times e^{-ib}, whose cosine and sine are their Taylor
+    series to b^4 and b^5, with a truncation error below 1e-18.  All of it
+    is elementwise NumPy passes, one gather and one complex product: 12.4
+    ns per element against 19.9 ns for the float64 cos and sin of a
+    reduced angle (medians of 15 interleaved runs on a (32, 501) block,
+    one thread of a 2-vCPU Xeon; 20.5 against 36.1 in a second set, as the
+    host's speed drifts).  The error is below 0.75 ulp of 1 within the
+    exact range and about ulp(theta) past it (tested to 1e15 rad), as
+    small as theta's own rounding.  Elementwise, so an element's bits
+    depend on nothing else in the array.  The result is a view of
+    ``ws.z`` and the temporaries are views of ``ws.n``, ``ws.prod``,
+    ``ws.r`` and ``ws.zb``; theta may be the third.  Without ``ws`` the
+    call makes its own buffers.
+    """
+    shape = theta.shape
+    if ws is None:
+        ws = _PhaseBuffers(theta.size)
+    n = np.multiply(theta, _TABLE_SIZE / (2.0 * math.pi), out=_view(ws.n, shape))
+    np.rint(n, out=n)
+    prod = np.multiply(n, _STEP_PARTS[0], out=_view(ws.prod, shape))
+    b = np.subtract(theta, prod, out=_view(ws.r, shape))
+    for part in _STEP_PARTS[1:]:
+        b -= np.multiply(n, part, out=prod)
+    # Any int64 masks into the table, so a non-finite theta gathers a phasor
+    # too, and "clip" only skips the bounds check, 1.2 ns per element.
+    index = prod.view(np.int64)
+    np.copyto(index, n, casting="unsafe")
+    index &= _TABLE_SIZE - 1
+    z = np.take(_PHASORS, index, out=_view(ws.z, shape), mode="clip")
+    # e^{-ib} - 1 = (cos b - 1) - i sin b: b^2 (b^2/24 - 1/2) and b (b^2 (1/6 - b^2/120) - 1),
+    # so the product adds a small correction to z and rounds once.
+    zb = _view(ws.zb, shape)
+    b2 = np.multiply(b, b, out=n)
+    poly = np.multiply(b2, 1.0 / 24.0, out=prod)
+    poly -= 0.5
+    np.multiply(poly, b2, out=zb.real)
+    np.multiply(b2, -1.0 / 120.0, out=poly)
+    poly += 1.0 / 6.0
+    poly *= b2
+    poly -= 1.0
+    np.multiply(poly, b, out=zb.imag)
+    _multiply(zb, z, zb)
+    z += zb
+    if amp is not None:
+        z *= amp
+    return z
+
+
 def _green_from_distance(r: np.ndarray, k, dimension: int) -> np.ndarray:
     """Green's function values for separations r at wavenumbers k (broadcast)."""
     if dimension == 3:
-        return np.exp(1j * k * r) / _spreading_3d(r)
+        # k r is formed in the buffer that _phase reduces it in.
+        shape = np.broadcast_shapes(np.shape(k), r.shape)
+        ws = _PhaseBuffers(math.prod(shape))
+        z = _phase(np.multiply(k, r, out=_view(ws.r, shape)), ws,
+                   np.divide(1.0, _spreading_3d(r)))
+        return np.conjugate(z, out=z)
     return 0.25j * hankel0_1(k * r)
 
 
@@ -354,6 +524,13 @@ def _text(column: np.ndarray) -> list[str]:
     return [fmt % x for x in column.ravel().tolist()]
 
 
+# Values formatted per block of grid lines: a block's Python floats take
+# about 0.5 MB, whatever the size of the grid.  Blocks of 2**16 values
+# were no faster, and raised the peak RSS of `simulate` on the
+# `stochastic` preset (50,100 values a file) by 4.3 MB.
+_BLOCK_VALUES = 1 << 14
+
+
 def _write_grid(path, header: str, keys, values) -> None:
     """A (lines, positions) grid under ``header``, one row per cell, row-major.
 
@@ -368,7 +545,10 @@ def _write_grid(path, header: str, keys, values) -> None:
     is formatted once, not once per row: the per-position keys into one
     template per file, the per-line keys into one template per grid line,
     and each line is written with one ``%`` on that template, which holds
-    only the value columns' ``%.17g``.
+    only the value columns' ``%.17g``.  The values are turned into Python
+    floats a block of lines at a time, as many lines as hold about
+    ``_BLOCK_VALUES`` values, so the writer's memory does not grow with
+    the number of lines.
     """
     keys = [np.asarray(c) for c in keys]
     shape = np.broadcast_shapes((1, 1), *(np.shape(c) for c in (*keys, *values)))
@@ -376,12 +556,15 @@ def _write_grid(path, header: str, keys, values) -> None:
     skeleton = "".join(",".join(row) + ",%%.17g" * len(values) + "\n"
                        for row in zip(*fields, strict=True))
     line_keys = list(zip(*(_text(c) for c in keys if c.ndim == 2))) or [()] * shape[0]
-    rows = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values],
-                    axis=-1).reshape(shape[0], -1).tolist()
+    values = [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values]
+    step = max(1, _BLOCK_VALUES // (shape[1] * len(values)))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for text, row in zip(line_keys, rows, strict=True):
-            fh.write(skeleton % (text * shape[1]) % tuple(row))
+        for lo in range(0, shape[0], step):
+            block = np.stack([v[lo:lo + step] for v in values], axis=-1)
+            rows = block.reshape(block.shape[0], -1).tolist()
+            for text, row in zip(line_keys[lo:lo + step], rows, strict=True):
+                fh.write(skeleton % (text * shape[1]) % tuple(row))
 
 
 def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:

@@ -10,14 +10,13 @@ exact and cheap: the band is equally spaced, so the kernel's frequency
 dependence is a power of one phase factor per (cell, receiver), and
 Horner's rule costs one multiply-add per (cell, receiver, frequency),
 after two phase factors e^{-i theta} per (cell, receiver).  Their phases
-reach 1e6 rad and more.  ``_phase`` reduces theta by steps of 2 pi / 1024
-(Cody-Waite) and multiplies a table phasor by a short Taylor series of
-the remainder's factor: plain NumPy passes with no float64 cosine or
-sine, in about 0.6 of the time the cosine and sine of a reduced angle
-take.  The factors are within 0.75 ulp of 1, as accurate as
-``np.exp``'s, about ulp(theta), theta's own rounding.  In 2-D the Hankel
-kernel is evaluated per frequency.  A pool of workers migrates the
-window, each one contiguous run of its cells, in blocks; a worker writes
+reach 1e6 rad and more; they come from ``forward._phase``, the package's
+one phase primitive, within 0.75 ulp of 1, as accurate as ``np.exp``'s,
+about ulp(theta), theta's own rounding.  In 2-D the Hankel kernel is
+evaluated per frequency.  Complex products go through
+``forward._multiply``, so a block of one cell and one receiver rounds as
+a longer one does.  A pool of workers migrates the window, each one
+contiguous run of its cells, in blocks; a worker writes
 every (cells, receivers)-sized intermediate into one workspace of its
 own (``_Workspace``) that it reuses for all its blocks, so memory is
 workers x one workspace and the images are the same to the bit whatever
@@ -40,7 +39,11 @@ from .errors import DataFormatError, NumericError
 from .forward import (
     _distances,
     _green_from_distance,
+    _multiply,
+    _phase,
+    _PhaseBuffers,
     _spreading_3d,
+    _view,
     _wavenumbers,
     _write_grid,
     array_response_band,
@@ -82,27 +85,22 @@ _BLOCK_CELLS = 32
 # ---------------------------------------------------------------------------
 
 
-class _Workspace:
+class _Workspace(_PhaseBuffers):
     """One pool worker's buffers, reused by every block it migrates.
 
-    Flat arrays of up to ``cells`` x ``receivers`` entries: five real ones
-    (distances, phases and their remainders, step counts, reduction
-    products and table indices, amplitudes), two complex ones (a phase
-    factor and its remainder's correction), and the accumulator of
-    ``fields`` fields.  ``_view`` shapes a buffer's leading part to a
-    block.
+    Flat arrays of up to ``cells`` x ``receivers`` entries: the scratch of
+    ``forward._phase`` (three real buffers and two complex ones, ``n``,
+    ``prod``, ``r``, ``z`` and ``zb``), two more real ones (the receiver
+    distances ``d_recv`` and the amplitudes ``amp``), and the accumulator
+    ``acc`` of ``fields`` fields.  ``_view`` shapes a buffer's leading part
+    to a block.
     """
 
     def __init__(self, cells: int, receivers: int, fields: int):
         size = cells * receivers
-        self.d_recv, self.r, self.n, self.prod, self.amp = np.empty((5, size))
-        self.z, self.zb = np.empty((2, size), dtype=complex)
+        super().__init__(size)
+        self.d_recv, self.amp = np.empty(size), np.empty(size)
         self.acc = np.empty(fields * size, dtype=complex)
-
-
-def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading part of a flat workspace buffer as a C-ordered ``shape`` array."""
-    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _geometry(scene: Scene, cells: np.ndarray, spacing: float, ws: _Workspace):
@@ -126,110 +124,14 @@ def _apply_kernel(d_recv, d_src, k: float, stack: np.ndarray):
 
     Each image is the Hankel kernel conj(G(x, x_r) G(x, x_s)) times the field,
     summed over the contiguous receiver axis: elementwise work on (cells,
-    N) rows and a row sum, so a cell's bits depend neither on the other
-    cells of its block nor on the other fields of the stack.
+    N) rows, its complex products through ``_multiply``, and a row sum, so
+    a cell's bits depend neither on the other cells of its block nor on
+    the other fields of the stack.
     """
     g_src = _green_from_distance(d_src, k, 2)
-    kernel = np.conj(_green_from_distance(d_recv, k, 2) * g_src[:, None])
-    return (kernel * stack[:, None, :]).sum(axis=-1).T
-
-
-# e^{-i theta} is a table phasor times the factor of a small remainder:
-# theta = n 2 pi / _TABLE_SIZE + b with |b| <= pi / _TABLE_SIZE.  The
-# gather costs about the same from 256 to 4096 entries: the whole of
-# ``_phase`` took 16.5, 15.1, 14.8 and 18.6 ns per element with tables of
-# 256, 1024, 4096 and 16,384 (medians of 15 interleaved runs on a (32,
-# 501) block, one thread of a 2-vCPU Xeon; 19.7, 20.5, 18.9 and 20.3 in a
-# second set, as the host's speed drifts).  So the size sets the passes
-# around it.  For the same 1e-18 truncation,
-# 256 entries need cos b and sin b to b^6 and b^7, four passes more; 4096
-# save the b^5 term of sin b, two passes, but need a fifth part of the
-# step for the same exact range, two more.
-_TABLE_SIZE = 1024
-# 2 pi / _TABLE_SIZE in four parts of at most 20 significant bits
-# (Cody-Waite), so n * part is exact below 2**33 steps, 2**23 turns; they
-# sum to 2 pi / 1024 within 6.5e-29.
-_STEP_PARTS = tuple(float.fromhex(h) for h in
-                    ("0x1.921fcp-8", "-0x1.5777ap-29", "-0x1.73dccp-51", "0x1.898ccp-72"))
-
-
-def _unit_phasors() -> np.ndarray:
-    """e^{-2 pi i m / _TABLE_SIZE} for every m, correctly rounded.
-
-    In 128-bit fixed point, e^{i step} is its Taylor series at the exact
-    sum of ``_STEP_PARTS`` and the first octant its powers, good to about
-    2**-86; Python's integer division rounds each once to double.  The rest
-    of the circle follows from the octant by exact swaps and sign changes.
-    """
-    one = 1 << 128
-    step = sum(int(math.ldexp(part, 128)) for part in _STEP_PARTS)
-    sums, term, j = [0, 0, 0, 0], one, 0
-    while term:
-        sums[j % 4] += term  # step^j / j!, by the power of i it goes with
-        j += 1
-        term = term * step // (j * one)
-    cos, sin = sums[0] - sums[2], sums[1] - sums[3]
-    re, im, octant = one, 0, []
-    for _ in range(_TABLE_SIZE // 8 + 1):
-        octant.append(complex(re / one, im / one))
-        re, im = (re * cos - im * sin) // one, (re * sin + im * cos) // one
-    octant = np.array(octant)
-    quarter = np.concatenate([octant, (1j * np.conj(octant))[-2:0:-1]])
-    return np.conj(np.concatenate([quarter * 1j**turn for turn in range(4)]))
-
-
-_PHASORS = _unit_phasors()
-
-
-def _phase(theta: np.ndarray, ws: _Workspace, amp: np.ndarray | None = None) -> np.ndarray:
-    """amp e^{-i theta} for real theta >= 0 and a real amplitude (1 if omitted),
-    as a view of ``ws.z``.
-
-    theta is reduced by n = rint(theta _TABLE_SIZE / 2 pi) steps of
-    ``_STEP_PARTS``, exact below 2**33 steps (2**23 turns), to a remainder
-    |b| <= pi / _TABLE_SIZE.  The factor is the table phasor of n mod
-    _TABLE_SIZE times e^{-ib}, whose cosine and sine are their Taylor
-    series to b^4 and b^5, with a truncation error below 1e-18.  All of it
-    is elementwise NumPy passes, one gather and one complex product: 12.4
-    ns per element against 19.9 ns for the float64 cos and sin of a
-    reduced angle (medians of 15 interleaved runs on a (32, 501) block,
-    one thread of a 2-vCPU Xeon; 20.5 against 36.1 in a second set, as the
-    host's speed drifts).  The error is below 0.75 ulp of 1 within the
-    exact range and about ulp(theta) past it (tested to 1e15 rad), as
-    small as theta's own rounding.  Elementwise, so an element's bits
-    depend on nothing else in the array.  Its temporaries are views of
-    ``ws.n``, ``ws.prod``, ``ws.r`` and ``ws.zb``; theta may be the third.
-    """
-    shape = theta.shape
-    n = np.multiply(theta, _TABLE_SIZE / (2.0 * math.pi), out=_view(ws.n, shape))
-    np.rint(n, out=n)
-    prod = np.multiply(n, _STEP_PARTS[0], out=_view(ws.prod, shape))
-    b = np.subtract(theta, prod, out=_view(ws.r, shape))
-    for part in _STEP_PARTS[1:]:
-        b -= np.multiply(n, part, out=prod)
-    # Any int64 masks into the table, so a non-finite theta gathers a phasor
-    # too, and "clip" only skips the bounds check, 1.2 ns per element.
-    index = prod.view(np.int64)
-    np.copyto(index, n, casting="unsafe")
-    index &= _TABLE_SIZE - 1
-    z = np.take(_PHASORS, index, out=_view(ws.z, shape), mode="clip")
-    # e^{-ib} - 1 = (cos b - 1) - i sin b: b^2 (b^2/24 - 1/2) and b (b^2 (1/6 - b^2/120) - 1),
-    # so the product adds a small correction to z and rounds once.
-    zb = _view(ws.zb, shape)
-    b2 = np.multiply(b, b, out=n)
-    poly = np.multiply(b2, 1.0 / 24.0, out=prod)
-    poly -= 0.5
-    np.multiply(poly, b2, out=zb.real)
-    np.multiply(b2, -1.0 / 120.0, out=poly)
-    poly += 1.0 / 6.0
-    poly *= b2
-    poly -= 1.0
-    np.multiply(poly, b, out=zb.imag)
-    zb *= z
-    z += zb
-    if amp is not None:
-        z *= amp
-    return z
+    kernel = _green_from_distance(d_recv, k, 2)
+    kernel = np.conjugate(_multiply(kernel, g_src[:, None], kernel), out=kernel)
+    return _multiply(kernel, stack[:, None, :]).sum(axis=-1).T
 
 
 def _horner_kernel(d_recv, d_src, k: np.ndarray, stack: np.ndarray, ws: _Workspace):
@@ -242,13 +144,14 @@ def _horner_kernel(d_recv, d_src, k: np.ndarray, stack: np.ndarray, ws: _Workspa
     k.  So a cell's image is sum_r a_r e^{-i k_0 tau_r} P_r(w_r), with
     w_r = e^{-i dk tau_r} and P_r(w) = sum_j f_jr w^j, which Horner's rule
     evaluates with one multiply-add per frequency.  The two phase factors
-    per (cell, receiver) come from ``_phase``, a table phasor times a
-    Taylor series of the remainder, within 0.75 ulp of 1 of e^{-i theta}
+    per (cell, receiver) come from ``forward._phase``, a table phasor times
+    a Taylor series of the remainder, within 0.75 ulp of 1 of e^{-i theta}
     at the double theta: about ulp of their phase, theta's own rounding,
-    as with ``np.exp``.  Like ``_apply_kernel`` it is elementwise work and
-    a sum over the contiguous receiver axis, so a cell's bits do not
-    depend on its block.  Its (cells, N) temporaries are views of ``ws``;
-    it writes every buffer but ``ws.d_recv``, which may hold d_recv.
+    as with ``np.exp``.  Like ``_apply_kernel`` it is elementwise work,
+    with its complex products through ``_multiply``, and a sum over the
+    contiguous receiver axis, so a cell's bits do not depend on its block.
+    Its (cells, N) temporaries are views of ``ws``; it writes every buffer
+    but ``ws.d_recv``, which may hold d_recv.
     """
     shape = d_recv.shape
     # tau is formed again for each phase, which keeps it out of the workspace.
@@ -257,18 +160,18 @@ def _horner_kernel(d_recv, d_src, k: np.ndarray, stack: np.ndarray, ws: _Workspa
     theta *= (k[-1] - k[0]) / max(k.shape[0] - 1, 1)
     w = _phase(theta, ws)
     # One band sample (dk = 0) makes w exactly 1, so the seed is f_0 itself.
-    acc = np.multiply(stack[:, -1, None, :], w, out=_view(ws.acc, (stack.shape[0],) + shape))
+    acc = _multiply(stack[:, -1, None, :], w, _view(ws.acc, (stack.shape[0],) + shape))
     for j in range(k.shape[0] - 2, -1, -1):
         acc += stack[:, j, None, :]
         if j:
-            acc *= w
+            _multiply(acc, w, acc)
     # The recurrence is done with w, so the second factor takes its buffer.
     amp = _spreading_3d(d_recv, out=_view(ws.amp, shape))
     amp *= _spreading_3d(d_src)[:, None]
     np.divide(1.0, amp, out=amp)
     np.add(d_recv, d_src[:, None], out=theta)
     theta *= k[0]
-    acc *= _phase(theta, ws, amp)
+    _multiply(acc, _phase(theta, ws, amp), acc)
     return acc.sum(axis=-1).T
 
 
@@ -302,10 +205,10 @@ def migrate_broadband_stack(
     Notes
     -----
     A 3-D scene sums the band exactly by Horner's rule
-    (``_horner_kernel``), with its phase factors e^{-i theta} built by
-    ``_phase`` from a table of 1024 unit phasors and a Taylor series of
-    the remainder, with no float64 cosine or sine, in about 0.6 of their
-    time, within 0.75 ulp of 1, so about ulp(theta), as ``np.exp`` is; a
+    (``_horner_kernel``), with its phase factors e^{-i theta} from
+    ``forward._phase``, a table of 1024 unit phasors and a Taylor series
+    of the remainder, with no float64 cosine or sine, in about 0.6 of
+    their time, within 0.75 ulp of 1, so about ulp(theta), as ``np.exp`` is; a
     2-D scene sums the exact per-frequency kernel in ascending frequency.
     The window's cells are split into one contiguous run per worker, of
     equal length within one cell, for ``threads`` workers at most (no more

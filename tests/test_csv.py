@@ -6,16 +6,22 @@ are IEEE doubles: ``%d`` for index columns, ``%.17g`` for float columns,
 one row per index in the order the readers expect.
 """
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ikmig import cli
+from ikmig import cli, forward
 from ikmig.cli import main
 from ikmig.forward import (
     IntensityData,
@@ -290,3 +296,61 @@ def test_image_file_matches_the_per_row_text(tmp_path_factory, half, data):
             cells.repeat(n), np.tile(cells, n), pos[:, :, 0].ravel(), pos[:, :, 1].ravel(),
             v.real, v.imag, np.hypot(v.real, v.imag)))
     assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 60, 1 << 16])
+def test_blocks_of_lines_do_not_change_the_bytes(tmp_path, block):
+    # The writers format a block of lines at a time; a block of one value
+    # still takes a whole line, and the last block may be short.
+    rng = np.random.default_rng(11)
+    omegas = rng.uniform(1.0, 1e4, 7)
+    field = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    window = ImageWindowSpec((0.5, -2.0), 0.1, 4)
+    image = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    with mock.patch.object(forward, "_BLOCK_VALUES", block):
+        write_field_csv(omegas, field, tmp_path / "f.csv")
+        write_image_csv(image, window, tmp_path / "m.csv")
+    rows = band_rows(omegas, 5)
+    assert (tmp_path / "f.csv").read_bytes() == per_row_text(
+        "freq_index,omega_rad_s,receiver_index,re,im",
+        (*rows, field.real.ravel(), field.imag.ravel())).encode()
+    cells, pos, v = window.cell_offsets(), window.cell_positions(), image.ravel()
+    assert (tmp_path / "m.csv").read_bytes() == per_row_text("ix,iy,x_m,y_m,re,im,abs", (
+        cells.repeat(9), np.tile(cells, 9), pos[:, :, 0].ravel(), pos[:, :, 1].ravel(),
+        v.real, v.imag, np.hypot(v.real, v.imag))).encode()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                    reason="needs the resource module")
+def test_writing_a_large_image_keeps_memory_bounded(tmp_path):
+    # 251,001 cells (half extent 250), a 23 MB file, in a fresh process.
+    # Formatting the whole grid at once raised the peak RSS by 40 MB; in
+    # blocks of lines it rises by about 6 MB, most of it the (n, n, 2) cell
+    # positions and the magnitudes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "from ikmig.migrate import write_image_csv\n"
+        "from ikmig.scene import ImageWindowSpec\n"
+        "window = ImageWindowSpec((0.0, 0.0), 0.01, 250)\n"
+        "n = window.cells_per_side\n"
+        "image = np.empty((n, n), dtype=complex)\n"
+        "image.real = np.linspace(-1.0, 1.0, n)[:, None]\n"
+        "image.imag = np.linspace(0.5, 3.0, n)[None, :]\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "write_image_csv(image, window, sys.argv[1])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        # ru_maxrss counts KiB, and bytes on macOS.
+        "print(n * n, (after - before) * (1 if sys.platform == 'darwin' else 1024))\n"
+    )
+    path = tmp_path / "image.csv"
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    cells, grown = map(int, proc.stdout.split())
+    assert cells == 251_001
+    assert path.stat().st_size > 20e6
+    assert grown < 16 * 2**20

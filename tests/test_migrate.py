@@ -11,26 +11,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ikmig import migrate as migrate_module
 from ikmig.errors import DataFormatError, NumericError
-from ikmig.forward import array_response_band, direct_arrivals_band
+from ikmig.forward import _phase, _view, array_response_band, direct_arrivals_band
 from ikmig.migrate import (
-    _PHASORS,
-    _STEP_PARTS,
-    _TABLE_SIZE,
     _Workspace,
     image_metrics,
     _apply_kernel,
     _geometry,
     _horner_kernel,
-    _phase,
-    _view,
     magnitude_correlation,
     migrate_broadband_stack,
     spurious_term_image,
@@ -199,6 +191,28 @@ class TestBroadband:
             monkeypatch.setattr(migrate_module, "_BLOCK_CELLS", cap)
             (got,) = migrate_broadband_stack(sc, p[:, :, None])
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_one_receiver_one_field_bits_do_not_depend_on_the_blocks(self, dimension,
+                                                                     monkeypatch):
+        # With one receiver and one field, a block of one cell makes every
+        # complex product of the kernel one element long, which NumPy can
+        # round unlike a longer one.  289 cells are nine blocks of 32 and
+        # one of one at one thread, and blocks of 16 and 17 at two.
+        monkeypatch.setattr(migrate_module, "_usable_cpus", lambda: 4)
+        sc = preset_scene("point")
+        sc = replace(sc, dimension=dimension, receivers=sc.receivers[250:251],
+                     window=ImageWindowSpec(sc.window.center, sc.window.spacing, 8))
+        if dimension == 2:
+            sc = replace(sc, band=FrequencyGrid(sc.band.f_min_hz, sc.band.f_max_hz, 6))
+        p = array_response_band(sc)[:, :, None]
+        (want,) = migrate_broadband_stack(sc, p, threads=2)
+        (serial,) = migrate_broadband_stack(sc, p, threads=1)
+        assert serial.tobytes() == want.tobytes()
+        for cap in (1, 32):
+            monkeypatch.setattr(migrate_module, "_BLOCK_CELLS", cap)
+            (got,) = migrate_broadband_stack(sc, p, threads=1)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("half_extent", [2, 4, 12])
     def test_threads_split_a_window_under_the_cap(self, half_extent, monkeypatch):
@@ -469,62 +483,8 @@ class TestWorkspace:
         assert faults < 4 * (workspace + outputs) // 4096
 
 
-def phase_error(got: complex, theta: float) -> float:
-    """|got - e^{-i theta}| at the double theta, with mpmath at 200 bits."""
-    with mpmath.workprec(200):
-        return float(abs(mpmath.mpc(got) - mpmath.expj(-mpmath.mpf(theta))))
-
-
 class TestPhase:
-    TOP = 2.0**23 * 2.0 * math.pi  # the exact range of the reduction
-    THETAS = np.concatenate([
-        [0.0, 1e-300, 1e-9, 0.5, 1.0, TOP, np.nextafter(TOP, 0.0)],
-        np.arange(1, 41) * (math.pi / 2.0),
-        (2.0**20 + np.arange(40)) * (math.pi / 2.0),
-        np.random.default_rng(6).uniform(1e6, 2e6, 200),  # `point`'s k tau
-        np.exp(np.random.default_rng(7).uniform(math.log(1e-3), math.log(TOP), 300)),
-    ])
-
-    def workspace(self):
-        return _Workspace(self.THETAS.size, 1, 1)
-
-    def test_within_a_few_ulp_of_the_phase(self):
-        bound = 4.0 * np.spacing(np.maximum(self.THETAS, 1.0))
-        for theta, got, ref, ulps in zip(self.THETAS, _phase(self.THETAS, self.workspace()),
-                                         np.exp(-1j * self.THETAS), bound):
-            assert phase_error(got, theta) <= ulps
-            assert phase_error(ref, theta) <= ulps
-            # Below 2**23 turns the reduction is exact: a few ulp of 1.
-            assert phase_error(got, theta) <= 8.0 * np.spacing(1.0)
-            # Measured: a correctly rounded table phasor and one rounding of
-            # its corrected product, each within 0.36 ulp of 1.
-            assert phase_error(got, theta) <= 0.75 * np.spacing(1.0)
-
-    def test_past_the_exact_range_within_a_few_ulp(self):
-        thetas = np.array([2.0 * self.TOP, 1e9, 1e12, 1e15])
-        for theta, got in zip(thetas, _phase(thetas, self.workspace())):
-            assert phase_error(got, theta) <= 4.0 * np.spacing(theta)
-            # Measured: the rounding of n times the step's first part, half an
-            # ulp of theta, on top of the error within the exact range.
-            assert phase_error(got, theta) <= 0.5 * np.spacing(theta) + 0.75 * np.spacing(1.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(0.0, TOP), min_size=1, max_size=70), st.data())
-    def test_an_element_does_not_depend_on_its_array(self, thetas, data):
-        # NumPy's vector loops and their scalar tails must agree to the bit.
-        theta = np.array(thetas)
-        i = data.draw(st.integers(0, theta.size - 1))
-        whole = _phase(theta, _Workspace(theta.size, 1, 1))
-        alone = _phase(theta[i:i + 1], _Workspace(1, 1, 1))
-        assert whole[i:i + 1].view(np.uint64).tolist() == alone.view(np.uint64).tolist()
-
-    def test_zero_phase_is_exactly_one(self):
-        assert np.array_equal(_phase(np.zeros(3), self.workspace()), np.ones(3, dtype=complex))
-
-    def test_amplitude_scales_both_parts(self):
-        amp = np.random.default_rng(8).uniform(1e-6, 1e3, self.THETAS.shape)
-        assert np.array_equal(_phase(self.THETAS, self.workspace(), amp),
-                              _phase(self.THETAS, self.workspace()) * amp)
+    """The band sum's phase factors at optical phases."""
 
     def test_horner_kernel_matches_a_per_frequency_sum_at_optical_phases(self):
         # `point` phases k tau reach 1.5e6 rad, 2.4e5 turns.  The sum takes
@@ -547,31 +507,6 @@ class TestPhase:
         want = sum(amp * np.exp(-1j * (k[0] * tau + j * (dk * tau))) @ p[j]
                    for j in range(k.shape[0]))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-class TestPhaseConstants:
-    """The table and the step of ``_phase`` against mpmath at 200 bits."""
-
-    def test_table_phasors_are_correctly_rounded(self):
-        assert _PHASORS.shape == (_TABLE_SIZE,)
-        with mpmath.workprec(200):
-            for m, got in enumerate(_PHASORS):
-                turns = mpmath.mpf(2 * m) / _TABLE_SIZE
-                exact = mpmath.mpc(mpmath.cospi(turns), -mpmath.sinpi(turns))
-                assert float(abs(mpmath.mpc(got) - exact)) <= np.spacing(1.0)
-                # Measured: each part is the nearest double.
-                assert got == complex(float(exact.real), float(exact.imag))
-
-    def test_step_parts_have_at_most_20_significant_bits(self):
-        # So n * part is exact for n below 2**33 steps.
-        for part in _STEP_PARTS:
-            numerator, _ = part.as_integer_ratio()
-            assert abs(numerator).bit_length() <= 20
-
-    def test_step_parts_sum_to_the_step(self):
-        with mpmath.workprec(200):
-            step = 2 * mpmath.pi / _TABLE_SIZE
-            assert abs(sum(mpmath.mpf(part) for part in _STEP_PARTS) - step) <= 1e-27
 
 
 class TestOverflow:

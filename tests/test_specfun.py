@@ -105,6 +105,17 @@ class TestAgainstMpmath:
         assert_matches_mpmath([0.999 * edge, np.nextafter(edge, 0.0), edge,
                                np.nextafter(edge, np.inf), 1.001 * edge])
 
+    @pytest.mark.parametrize("t", [2.0 * 2.0**23 * 2.0 * math.pi, 1e9, 1e12])
+    def test_past_the_exact_range_of_the_phase(self, t):
+        # The phase e^{it} is reduced exactly below 2**23 turns; past that
+        # the error grows to about half an ulp of t, relative to the
+        # envelope, the rounding of t itself (measured 3.0e-8 at 1e9 and
+        # 1.1e-5 at 1e12).
+        j0, y0 = mpmath_bessel(t)
+        envelope = math.sqrt(2.0 / (math.pi * t))
+        assert abs(complex(hankel0_1(t)) - complex(j0, y0)) <= (
+            (0.5 * np.spacing(t) + 4e-15) * envelope)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.floats(1e-3, 1e7),
                               st.sampled_from(forward._EDGES.tolist()).flatmap(

@@ -393,7 +393,9 @@ def image_metrics(image: np.ndarray, scene: Scene,
 
     he = window.half_extent
     cell = (int(peak_idx[0]) - he, int(peak_idx[1]) - he)
-    position = window.cell_positions()[peak_idx]
+    position = list(window.center)
+    for axis in (0, 1):
+        position[axis] += cell[axis] * window.spacing
 
     direction = np.asarray(window.center)[:2] - scene.array_center[:2]
     range_axis = 0 if abs(direction[0]) >= abs(direction[1]) else 1
@@ -423,7 +425,7 @@ def image_metrics(image: np.ndarray, scene: Scene,
 
     return ImageMetrics(
         peak_cell=cell,
-        peak_position_m=tuple(position.tolist()),
+        peak_position_m=tuple(position),
         peak_value=peak_val,
         range_axis=range_axis,
         range_fwhm_m=fwhm[range_axis],
@@ -446,10 +448,11 @@ def write_image_csv(image: np.ndarray, window: ImageWindowSpec, path) -> None:
     """Row-major cell dump (first index slow) of an image on ``window``,
     with 17 significant digits; abs is inf where |z| passes the float range."""
     cells = window.cell_offsets()
-    pos = window.cell_positions()
+    off = cells * window.spacing
     with np.errstate(over="ignore"):
         magnitude = np.hypot(image.real, image.imag)
-    _write_grid(path, _IMAGE_HEADER, [cells[:, None], cells, pos[:, :1, 0], pos[0, :, 1]],
+    _write_grid(path, _IMAGE_HEADER,
+                [cells[:, None], cells, window.center[0] + off[:, None], window.center[1] + off],
                 [image.real, image.imag, magnitude])
 
 

@@ -325,8 +325,7 @@ def test_blocks_of_lines_do_not_change_the_bytes(tmp_path, block):
 def test_writing_a_large_image_keeps_memory_bounded(tmp_path):
     # 251,001 cells (half extent 250), a 23 MB file, in a fresh process.
     # Formatting the whole grid at once raised the peak RSS by 40 MB; in
-    # blocks of lines it rises by about 6 MB, most of it the (n, n, 2) cell
-    # positions and the magnitudes.
+    # blocks of lines it rises by about 4 MB, most of it the magnitudes.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

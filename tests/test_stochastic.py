@@ -1,15 +1,24 @@
 """Random illumination, measurement noise, and the time-domain oracle."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikmig.errors import NumericError
 from ikmig.forward import total_field_band
-from ikmig.scene import FrequencyGrid, ImageWindowSpec, PointScatterer, Scene
+from ikmig.scene import FrequencyGrid, ImageWindowSpec, PointScatterer, Scene, preset_scene
 from ikmig.stochastic import (
+    _KEY_BLOCK,
+    _KI,
+    _WI,
     PowerSpectrum,
+    _complex_normals,
+    _philox_words,
     clean_power_data,
     intensity_data,
     noisy_power_data,
@@ -18,6 +27,7 @@ from ikmig.stochastic import (
 )
 
 from ref_autocorr import autocorrelation, time_domain_autocorr_oracle
+from ref_substreams import reference_complex_normals
 
 BAND = FrequencyGrid(430.0, 750.0, 3)
 
@@ -180,6 +190,121 @@ class TestSubstreams:
                 sample_illumination(ps, BAND, seed)
             with pytest.raises(ValueError, match="seed"):
                 time_domain_autocorr_oracle(acoustic_scene(), ps, 0.5, 1.0 / 1500.0, seed)
+
+
+def noisy_pool():
+    """The benchmark's pool of noisy_ingest seeds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.NOISY_POOL
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def grids(draw):
+    """Substream grids (A,) within 2 keys, and (A, B) within B keys, of
+    the end of the first or second key block."""
+    edge = draw(st.sampled_from((_KEY_BLOCK, 2 * _KEY_BLOCK)))
+    if draw(st.booleans()):
+        return (edge + draw(st.integers(-2, 2)),)
+    b = draw(st.integers(1, 100))
+    return (edge // b + draw(st.integers(-1, 1)), b)
+
+
+class TestAgainstTheLoop:
+    """The vectorized draws equal one generator per substream, bit for bit."""
+
+    def test_every_noisy_ingest_seed_on_the_stochastic_grid(self):
+        scene = preset_scene("stochastic")
+        streams = (scene.n_receivers, scene.band.count)
+        for seed in noisy_pool():
+            want = reference_complex_normals(seed, 2, streams)
+            assert same_bits(_complex_normals(seed, 2, streams), want), seed
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.sampled_from((1, 2)), grids())
+    def test_any_seed_and_grid_across_the_block_edge(self, seed, tag, streams):
+        want = reference_complex_normals(seed, tag, streams)
+        assert same_bits(_complex_normals(seed, tag, streams), want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_philox_words_are_numpys_first_block(self, seed, keys):
+        got = np.stack(_philox_words(seed, np.array(keys, dtype=np.uint64)), axis=1)
+        want = [np.random.Philox(key=np.array([seed, key], dtype=np.uint64)).random_raw(2)
+                for key in keys]
+        assert np.array_equal(got, want)
+
+
+class TestSeedType:
+    def test_a_non_integer_seed_is_rejected_before_any_work(self):
+        # With 2**28 receivers a draw would allocate gigabytes first.
+        ps = PowerSpectrum.for_band(BAND)
+        for seed in (5.7, 5.0, np.float64(5.0), True, np.True_, "5", None):
+            with pytest.raises(TypeError, match="integer"):
+                sample_illumination(ps, BAND, seed)
+            with pytest.raises(TypeError, match="integer"):
+                sample_noise(ps, BAND, 2**28, seed)
+
+    def test_numpy_integers_are_seeds(self):
+        ps = PowerSpectrum.for_band(BAND)
+        want = sample_noise(ps, BAND, 3, 5)
+        for seed in (np.int64(5), np.uint64(5), np.uint8(5)):
+            assert same_bits(sample_noise(ps, BAND, 3, seed), want)
+
+
+class TestZigguratTables:
+    """The checked-in ziggurat tables are the installed NumPy's wi_double
+    and ki_double, derived entry by entry from ``standard_normal``."""
+
+    def setup_method(self):
+        self.bit_gen = np.random.Philox(0)
+        self.gen = np.random.Generator(self.bit_gen)
+
+    def draw(self, word):
+        """One normal drawn from the Philox word ``word``, and whether the
+        ziggurat accepted it on that word alone."""
+        self.bit_gen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [word, 0, 0, 0],
+            "buffer_pos": 0,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        x = self.gen.standard_normal()
+        state = self.bit_gen.state
+        # A rejected index-0 draw takes the rest of the buffer and then a
+        # new block, which leaves buffer_pos at 1 but moves the counter.
+        return x, state["buffer_pos"] == 1 and not state["state"]["counter"].any()
+
+    def test_wi_is_numpys_wi_double(self):
+        # Word bits: idx in 0-7, the sign in 8, rabs from 9; rabs = 1
+        # draws wi[idx] itself, and the wedge test of an index whose
+        # ki is 0 returns that same draw.
+        got = [self.draw(1 << 9 | idx)[0] for idx in range(256)]
+        assert same_bits(np.array(got), _WI)
+
+    def test_ki_is_numpys_ki_double(self):
+        # A draw is accepted on its word exactly when rabs < ki[idx], so
+        # bisection over rabs finds ki[idx] as the smallest rejected rabs.
+        got = []
+        for idx in range(256):
+            lo, hi = 0, 2**52
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if self.draw(mid << 9 | idx)[1]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            got.append(lo)
+        assert got == _KI.tolist()
+        assert got[1] == 0
 
 
 class TestCleanData:

@@ -224,11 +224,17 @@ def _recover(scene, data, out_dir: str):
 def _migrate(scene, fields: dict, threads: int, out_dir: str):
     """Migrate the named (F, N) fields in one kernel pass, stacked in dict order.
 
-    Writes ``name``.csv and ``name``.pgm per field; returns
+    The fields move into one (S, F, N) stack, the layout the kernels read,
+    so it is the only copy of them: ``fields`` is emptied, and a caller
+    that keeps no other reference frees every field before the kernel
+    pass.  Writes ``name``.csv and ``name``.pgm per field; returns
     ({name: image}, written paths).
     """
-    stack = np.stack(list(fields.values()), axis=2)
-    images = dict(zip(fields, migrate_broadband_stack(scene, stack, threads=threads)))
+    names = list(fields)
+    stack = np.stack([fields.pop(name) for name in names])
+    images = dict(zip(names, migrate_broadband_stack(scene, stack.transpose(1, 2, 0),
+                                                     threads=threads)))
+    del stack
     outputs = []
     for name, image in images.items():
         outputs += _write_image_pair(out_dir, name, image, scene.window)
@@ -342,9 +348,10 @@ def cmd_experiment(args) -> int:
 
     # `recover` then `migrate --reference` run these stages and write the same bytes.
     ptilde, geometry, fpath = _recover(scene, data, args.out)
-    images, image_paths = _migrate(
-        scene, {"image_true": array_response_band(scene), "image_recovered": ptilde},
-        args.threads, args.out)
+    fields = {"image_true": array_response_band(scene), "image_recovered": ptilde}
+    # The migration's stack is then the one copy of the fields.
+    del data, ptilde
+    images, image_paths = _migrate(scene, fields, args.threads, args.out)
     recovered, true, shift = _compare(images["image_recovered"], images["image_true"], scene)
     residual = float(np.max(linearization_residual(scene)))
     mpath = os.path.join(args.out, "metrics.json")

@@ -543,17 +543,26 @@ def _write_grid(path, header: str, keys, values) -> None:
     ``%d`` for an integer column, ``%.17g`` (round-trip exact) for a float
     column, so the bytes equal a ``%``-format of each row.  Each key entry
     is formatted once, not once per row: the per-position keys into one
-    template per file, the per-line keys into one template per grid line,
-    and each line is written with one ``%`` on that template, which holds
-    only the value columns' ``%.17g``.  The values are turned into Python
-    floats a block of lines at a time, as many lines as hold about
-    ``_BLOCK_VALUES`` values, so the writer's memory does not grow with
-    the number of lines.
+    row template per file, where each per-line key column holds a marker
+    character of its own.  A line is the template with one
+    ``str.replace`` per per-line key column, that line's entry for the
+    marker, and one ``%`` for the value columns' ``%.17g``.  The values
+    are turned into Python floats a block of lines at a time, as many
+    lines as hold about ``_BLOCK_VALUES`` values, so the writer's memory
+    does not grow with the number of lines.
     """
     keys = [np.asarray(c) for c in keys]
     shape = np.broadcast_shapes((1, 1), *(np.shape(c) for c in (*keys, *values)))
-    fields = [["%s"] * shape[1] if c.ndim == 2 else _text(c) for c in keys]
-    skeleton = "".join(",".join(row) + ",%%.17g" * len(values) + "\n"
+    # A per-line key's marker is a control character, which no formatted
+    # number holds.
+    markers, fields = [], []
+    for c in keys:
+        if c.ndim == 2:
+            markers.append(chr(len(markers)))
+            fields.append([markers[-1]] * shape[1])
+        else:
+            fields.append(_text(c))
+    template = "".join(",".join(row) + ",%.17g" * len(values) + "\n"
                        for row in zip(*fields, strict=True))
     line_keys = list(zip(*(_text(c) for c in keys if c.ndim == 2))) or [()] * shape[0]
     values = [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values]
@@ -564,7 +573,10 @@ def _write_grid(path, header: str, keys, values) -> None:
             block = np.stack([v[lo:lo + step] for v in values], axis=-1)
             rows = block.reshape(block.shape[0], -1).tolist()
             for text, row in zip(line_keys[lo:lo + step], rows, strict=True):
-                fh.write(skeleton % (text * shape[1]) % tuple(row))
+                line = template
+                for marker, key in zip(markers, text):
+                    line = line.replace(marker, key)
+                fh.write(line % tuple(row))
 
 
 def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
@@ -627,14 +639,19 @@ def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[
     if columns[0].size != n_rows:
         raise DataFormatError(f"{what} file holds {columns[0].size} data rows; "
                               f"the scene expects {n_rows}")
-    expected = [np.broadcast_to(k, grid).ravel() for k in keys]
-    bad = np.flatnonzero(np.any([c != e for c, e in zip(columns, expected)], axis=0))
+    # Each key column is compared on the grid with its broadcast key.
+    mismatch = np.zeros(grid, dtype=bool)
+    for c, k in zip(columns, keys):
+        mismatch |= c.reshape(grid) != k
+    bad = np.flatnonzero(mismatch)
     if bad.size:
         row = bad[0]
+        expected = [np.broadcast_to(k, grid).ravel() for k in keys]
         text = ",".join(_text(e[row:row + 1])[0] for e in expected)
         raise DataFormatError(f"{what} data row {row + 1} does not match the scene: "
                               f"its keys should be {text}")
-    return [c.reshape(grid[:n_keys - 1]) for c in columns[n_keys:]]
+    # Copies: the columns are strided views of the whole structured table.
+    return [c.reshape(grid[:n_keys - 1]).copy() for c in columns[n_keys:]]
 
 
 def write_intensity_csv(omegas, data: IntensityData, path) -> None:

@@ -193,7 +193,10 @@ def migrate_broadband_stack(
     Parameters
     ----------
     stack : complex array (F, N, S)
-        S field sets sampled on the scene band.
+        S field sets sampled on the scene band.  The kernels read them as
+        one C-contiguous (S, F, N) array: a stack that is the transpose of
+        one, ``np.stack(fields).transpose(1, 2, 0)``, is read in place, and
+        any other is copied into that layout once.
     window : ImageWindowSpec, optional
         The image window; the scene's when omitted.
 
@@ -308,8 +311,14 @@ def spurious_term_image(
     g0 = direct_arrivals_band(scene)
     p = array_response_band(scene)
     degenerate = not np.any(p)
-    spur = np.zeros_like(p) if degenerate else g0 / np.conj(g0) * np.conj(p)
-    image_p, image_s = migrate_broadband_stack(scene, np.stack([p, spur], axis=2),
+    # p and the mirror term are formed in the (S, F, N) stack the kernels
+    # read, and g0 and p are dropped before the kernel pass.
+    stack = np.zeros((2,) + p.shape, dtype=complex)
+    stack[0] = p
+    if not degenerate:
+        _multiply(g0 / np.conj(g0), np.conj(p), stack[1])
+    del g0, p
+    image_p, image_s = migrate_broadband_stack(scene, stack.transpose(1, 2, 0),
                                                threads=threads)
     peak_p = float(np.nanmax(np.abs(image_p)))
     peak_s = float(np.nanmax(np.abs(image_s)))

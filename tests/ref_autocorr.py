@@ -17,7 +17,7 @@ import numpy as np
 
 from ikmig.forward import _direct_rows, _response_rows
 from ikmig.scene import Scene
-from ikmig.stochastic import PowerSpectrum
+from ikmig.stochastic import PowerSpectrum, _check_substreams
 
 # Philox key tag of the coefficient draw.  The package's illumination and
 # noise draws use tags 1 and 2, so these numbers are independent of theirs.
@@ -47,11 +47,12 @@ def time_domain_autocorr_oracle(
     Fhat |g0 + p|^2.  Cost grows linearly with T / dt.
 
     The random coefficients are the normal pairs of the Philox stream
-    with key [seed, 3 << 56] and counter 0.  Returns an (N, F) complex
-    array on the scene band.
+    with key [seed, 3 << 56] and counter 0.  The seed is checked as the
+    package's samplers check theirs, before any work: one that is not an
+    integer, a bool among them, is a TypeError, not truncated.  Returns an
+    (N, F) complex array on the scene band.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must lie in [0, 2**64)")
+    seed = _check_substreams(seed, ())
     omega_max = scene.band.omegas[-1]
     if not dt * omega_max <= math.pi:
         raise ValueError("time step undersamples the band: aliasing")

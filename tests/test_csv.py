@@ -160,6 +160,23 @@ def test_field_round_trip(tmp_path_factory, scene, data):
     assert same_bits(read_field_csv(path, scene), values)
 
 
+def test_read_values_own_their_memory(tmp_path):
+    # The parsed table holds every column of the file, so a view of its
+    # value column would keep all of it alive: 1.6 MB for 0.4 MB of values
+    # on a 501 x 100 intensity file.
+    scene = replace(BASE, band=FrequencyGrid(100.0, 200.0, 3), receivers=BASE.receivers[:4])
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(3, 4))
+    written = IntensityData(values, rng.uniform(1.0, 2.0, 3))
+    write_intensity_csv(scene.band.omegas, written, tmp_path / "i.csv")
+    write_illumination_csv(scene.band.omegas, written, tmp_path / "l.csv")
+    write_field_csv(scene.band.omegas, values + 1j * rng.normal(size=(3, 4)), tmp_path / "f.csv")
+    back = read_intensity_csv(tmp_path / "i.csv", scene, tmp_path / "l.csv")
+    field = read_field_csv(tmp_path / "f.csv", scene)
+    for arr in (back.values, back.illumination, field):
+        assert arr.flags.c_contiguous and arr.flags.owndata
+
+
 @st.composite
 def images(draw):
     half = draw(st.integers(0, 2))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ikmig import cli
 from ikmig import migrate as migrate_module
 from ikmig.errors import DataFormatError, NumericError
 from ikmig.forward import _phase, _view, array_response_band, direct_arrivals_band
@@ -481,6 +482,85 @@ class TestWorkspace:
         workspace = block * n * (5 * 8 + 2 * 16 + 2 * 16)
         outputs = cells * (2 * 2 * 16 + 3 * 8)
         assert faults < 4 * (workspace + outputs) // 4096
+
+
+class TestOneStack:
+    """The kernel pass of a two-field migration holds one copy of the
+    fields, the (S, F, N) stack the kernels read, plus workers x one
+    workspace and the output: ``cli._migrate`` (behind `experiment` and
+    `migrate`) and ``spurious_term_image`` drop every other copy first."""
+
+    # One (S, F, N) stack is 1 MiB, more than a workspace (9 cells, 60
+    # KB), the output and the slack together, so a second copy, or fields
+    # kept alive beside the stack, breaks the bound.  The slack holds
+    # NumPy's buffers for the kernel's broadcast operands (two of 18 KB
+    # here) and the pass's Python objects.
+    SLACK = 128 * 1024
+
+    def scene(self):
+        return imaging_scene(n_receivers=64, count=512, half_extent=1)
+
+    def fields(self, sc):
+        rng = np.random.default_rng(23)
+        shape = (sc.band.count, sc.n_receivers)
+        return [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2)]
+
+    def bound(self, sc, threads):
+        s, f, n = 2, sc.band.count, sc.n_receivers
+        cells = sc.window.cells_per_side ** 2
+        workers = min(threads, migrate_module._usable_cpus(), cells)
+        ws = _Workspace(min(migrate_module._BLOCK_CELLS, cells), n, s)
+        workspace = sum(a.nbytes for a in vars(ws).values())
+        item = np.dtype(complex).itemsize
+        # The output: the (cells, S) sums and the S images.
+        return s * f * n * item + workers * workspace + 2 * s * cells * item + self.SLACK
+
+    def kernel_peak(self, monkeypatch, module, call):
+        """(call(), the peak of traced memory during its one kernel pass),
+        everything call() allocates traced, migrate_broadband_stack as
+        ``module`` looks it up."""
+        original = migrate_module.migrate_broadband_stack
+        peaks = []
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            images = original(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return images
+
+        monkeypatch.setattr(module, "migrate_broadband_stack", traced)
+        tracemalloc.start()
+        try:
+            result = call()
+        finally:
+            tracemalloc.stop()
+        (peak,) = peaks
+        return result, peak
+
+    # The references run first, so what a first call imports is not traced.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cli_migrate_holds_one_stack(self, monkeypatch, tmp_path, threads):
+        sc = self.scene()
+        want = migrate_broadband_stack(sc, np.ascontiguousarray(np.stack(self.fields(sc), axis=2)))
+        (images, _), peak = self.kernel_peak(monkeypatch, cli, lambda: cli._migrate(
+            sc, dict(zip(["image_a", "image_b"], self.fields(sc))), threads, str(tmp_path)))
+        assert peak < self.bound(sc, threads)
+        assert np.array_equal(images["image_a"], want[0])
+        assert np.array_equal(images["image_b"], want[1])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_spurious_term_image_holds_one_stack(self, monkeypatch, threads):
+        sc = self.scene()
+        g0 = direct_arrivals_band(sc)
+        p = array_response_band(sc)
+        stack = np.ascontiguousarray(np.stack([p, g0 / np.conj(g0) * np.conj(p)], axis=2))
+        want_true, want_mirror = migrate_broadband_stack(sc, stack)
+        del g0, p, stack
+        (true, mirror, _), peak = self.kernel_peak(
+            monkeypatch, migrate_module, lambda: spurious_term_image(sc, threads))
+        assert peak < self.bound(sc, threads)
+        assert np.array_equal(true, want_true)
+        assert np.array_equal(mirror, want_mirror)
 
 
 class TestPhase:

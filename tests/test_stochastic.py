@@ -452,6 +452,24 @@ class TestAutocorrOracle:
         assert not np.array_equal(a, c)
         assert a.shape == (1, 33)
 
+    def test_a_non_integer_seed_is_rejected_before_any_work(self):
+        # The time step undersamples the band, which is reported next, so a
+        # TypeError shows the seed is checked first.
+        sc = self.solo_scene()
+        ps = PowerSpectrum.for_band(self.BAND33)
+        for seed in (5.7, 5.0, np.float64(5.0), True, np.True_, "5", None):
+            with pytest.raises(TypeError, match="integer"):
+                time_domain_autocorr_oracle(sc, ps, 0.5, 1.0 / 1400.0, seed)
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            time_domain_autocorr_oracle(sc, ps, 0.5, self.DT, 2**64)
+
+    def test_numpy_integers_are_seeds(self):
+        sc = self.solo_scene()
+        ps = PowerSpectrum.for_band(self.BAND33)
+        want = time_domain_autocorr_oracle(sc, ps, 0.5, self.DT, 5)
+        for seed in (np.int64(5), np.uint64(5)):
+            assert np.array_equal(time_domain_autocorr_oracle(sc, ps, 0.5, self.DT, seed), want)
+
     def test_estimates_are_nearly_real(self):
         sc = self.solo_scene()
         ps = PowerSpectrum.for_band(self.BAND33)

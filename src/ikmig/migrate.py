@@ -20,7 +20,12 @@ contiguous run of its cells, in blocks; a worker writes
 every (cells, receivers)-sized intermediate into one workspace of its
 own (``_Workspace``) that it reuses for all its blocks, so memory is
 workers x one workspace and the images are the same to the bit whatever
-the runs, the blocks or the thread count.  Cells that collide with a
+the runs, the blocks or the thread count.  From 96 receivers
+(``_ROW_BUFFER_RECEIVERS``) up, a worker also shrinks NumPy's ufunc buffer
+to one receiver row: NumPy runs a pass that broadcasts over rows shorter
+than its buffer through that buffer, copying every operand, and those
+copies were about a fifth of the migration on 501 receivers.  Shorter
+rows keep the buffer, since merging them there pays.  Cells that collide with a
 receiver or the source are flagged NaN and excluded from metrics; a
 band sum that overflows elsewhere is a numeric error naming its first
 cell.
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +76,28 @@ _COLLISION_FRACTION = 1e-9
 # Most cells in one migration block: a worker walks its run of cells in
 # blocks of this many, and its one workspace holds one block, 1.7 MB for
 # two fields of 501 receivers, 0.5 MB of it the (S, cells, N)
-# accumulator.  Migrating two fields at one thread on a 2-vCPU Xeon
-# (medians of 11 fresh processes, two rounds) took, in blocks of 16, 32
-# and 64 cells, 0.71/0.75, 0.66/0.61 and 0.78/0.74 s on the `point`
-# window (2601 cells, 100 frequencies), and 0.64/0.74, 0.71/0.70 and
-# 0.72/0.68 s on the 14,641-cell window of 6 frequencies that the
-# benchmark's `wide3d` migrates: 32 is fastest on the first, and on the
-# second no size leads in both rounds.
+# accumulator.  Migrating two fields at one thread on a 2-vCPU Xeon, with
+# the row-sized ufunc buffer below (medians of 7 fresh processes, two
+# rounds), took, in blocks of 16, 32 and 64 cells, 0.42/0.47, 0.39/0.39
+# and 0.41/0.43 s on the `point` window (2601 cells, 100 frequencies),
+# and 0.42/0.47, 0.43/0.35 and 0.44/0.40 s on the 14,641-cell window of 6
+# frequencies that the benchmark's `wide3d` migrates: 32 is fastest on
+# the first, and on the second no size leads in both rounds.
 _BLOCK_CELLS = 32
+
+# Fewest receivers for which a worker shrinks NumPy's ufunc buffer to one
+# row.  NumPy runs a pass that broadcasts an operand over (cells, N) rows
+# shorter than its buffer (8192 elements) through the buffer, copying
+# each operand chunk by chunk; with a buffer of one row it runs on the
+# operands in place.  Short rows gain from the copying, which merges them.
+# One 32-cell block (geometry and the Horner kernel, two fields, 100
+# frequencies, one CPU of a 2-vCPU Xeon, medians of 20 in each of two or
+# three processes), NumPy's buffer against one row: N = 8, 0.66-0.79
+# against 0.98-1.10 ms; 32, 1.02-1.16 against 1.37-1.41; 64, 1.45-1.79
+# against 1.58-1.80; 80, 1.66-1.98 against 1.69-1.89; 96, 1.96-2.40
+# against 1.83-2.13; 128, 2.34-2.64 against 2.05-2.23; 501, 7.26-7.27
+# against 5.71-5.75.
+_ROW_BUFFER_RECEIVERS = 96
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +195,29 @@ def _horner_kernel(d_recv, d_src, k: np.ndarray, stack: np.ndarray, ws: _Workspa
     return acc.sum(axis=-1).T
 
 
+@contextmanager
+def _worker_numerics(receivers: int):
+    """NumPy's state for a worker's passes over rows of ``receivers``:
+    overflow and invalid warnings off and, from ``_ROW_BUFFER_RECEIVERS``
+    up, a ufunc buffer of one row, rounded up to 16 elements and no larger
+    than the thread's own.  ``np.errstate`` scopes both."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if receivers >= _ROW_BUFFER_RECEIVERS:
+            np.setbufsize(min(np.getbufsize(), -(-receivers // 16) * 16))
+        yield
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform has one."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _check_threads(threads) -> None:
+    """Refuse a thread count that is not an integer >= 1; a bool is not one."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise DataFormatError(f"threads must be an integer >= 1, not {threads!r}")
 
 
 def migrate_broadband_stack(
@@ -199,6 +237,9 @@ def migrate_broadband_stack(
         any other is copied into that layout once.
     window : ImageWindowSpec, optional
         The image window; the scene's when omitted.
+    threads : int
+        Most pool workers, at least 1; anything else, a bool or a float
+        among them, is a DataFormatError raised before any work.
 
     Returns
     -------
@@ -229,7 +270,21 @@ def migrate_broadband_stack(
     compute with NumPy's overflow and invalid warnings off; a cell outside
     the collisions whose sum is not finite raises NumericError naming the
     first such cell (ix, iy).
+
+    For N of at least ``_ROW_BUFFER_RECEIVERS`` (96) receivers, each
+    worker sets NumPy's ufunc buffer to N rounded up to a multiple of 16,
+    and no larger than its own (8192 elements by default).  A pass that
+    broadcasts an operand over (cells, N) rows shorter than the buffer,
+    such as ``acc += stack[:, j, None, :]`` in the Horner loop, is run
+    through the buffer, each operand copied in chunks; with a buffer of
+    one row, it runs on the operands in place.  That took a one-thread
+    `point` migration from about 0.50 to 0.40 s.  Below the crossover the
+    buffer is left alone, since merging short rows in it is faster.  The
+    setting lives in the worker's ``np.errstate`` scope, so the calling
+    thread's buffer is untouched, and it changes how a pass is chunked,
+    not what it computes: no bit of the images.
     """
+    _check_threads(threads)
     window = window or scene.window
     k = _wavenumbers(scene)
     stack = np.asarray(stack, dtype=complex)
@@ -254,9 +309,9 @@ def migrate_broadband_stack(
 
     def run(worker: int) -> None:
         start, stop, ws = edges[worker], edges[worker + 1], spaces[worker]
-        # Error state is per thread, so the pool's threads set their own;
+        # NumPy's state is per thread, so the pool's threads set their own;
         # a sum that overflows is reported once, below.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _worker_numerics(scene.n_receivers):
             for lo in range(start, stop, _BLOCK_CELLS):
                 hi = min(lo + _BLOCK_CELLS, stop)
                 d_recv, d_src, mask = _geometry(scene, cells[lo:hi], window.spacing, ws)
@@ -307,6 +362,7 @@ def spurious_term_image(
     image's.  The geometric visibility check runs first; a failing check is
     reported, not raised.
     """
+    _check_threads(threads)
     geometry = check_geometric_condition(scene)
     g0 = direct_arrivals_band(scene)
     p = array_response_band(scene)

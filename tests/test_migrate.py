@@ -312,6 +312,22 @@ class TestBroadband:
         with pytest.raises(DataFormatError):
             migrate_broadband_stack(sc, np.ones((3, 5), dtype=complex))
 
+    @pytest.mark.parametrize("threads", [0, -1, None, 2.5, True])
+    def test_a_bad_thread_count_is_refused_before_any_work(self, threads, monkeypatch):
+        # 0 divided by zero, -1 reached the pool after the workspaces were
+        # built, None was a TypeError and 2.5 ran.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built before the thread count was checked")
+
+        for name in ("_Workspace", "_wavenumbers", "direct_arrivals_band",
+                     "check_geometric_condition"):
+            monkeypatch.setattr(migrate_module, name, forbidden)
+        sc = imaging_scene(n_receivers=5, count=3, half_extent=2)
+        with pytest.raises(DataFormatError, match="threads"):
+            migrate_broadband_stack(sc, np.ones((3, 5, 1), dtype=complex), threads=threads)
+        with pytest.raises(DataFormatError, match="threads"):
+            spurious_term_image(sc, threads=threads)
+
     def test_matched_filter_peaks_on_the_scatterer(self):
         for dimension, n, count, he in ((3, 17, 9, 8), (2, 9, 5, 4)):
             sc = imaging_scene(dimension, n, count, he)
@@ -482,6 +498,67 @@ class TestWorkspace:
         workspace = block * n * (5 * 8 + 2 * 16 + 2 * 16)
         outputs = cells * (2 * 2 * 16 + 3 * 8)
         assert faults < 4 * (workspace + outputs) // 4096
+
+
+class TestRowBuffer:
+    """From ``_ROW_BUFFER_RECEIVERS`` receivers up, a worker's NumPy ufunc
+    buffer is one row long, so its broadcast passes run on the operands in
+    place rather than through the buffer."""
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_the_row_buffer_changes_no_bit(self, dimension, monkeypatch):
+        # 1 and 33 receivers lie below the crossover, 501 above it; each
+        # image must equal the images with the rule forced off and forced
+        # on, at one thread and at two, and the caller keeps its own buffer.
+        monkeypatch.setattr(migrate_module, "_usable_cpus", lambda: 4)
+        crossover = migrate_module._ROW_BUFFER_RECEIVERS
+        base = preset_scene("point")
+        for n in (1, 33, 501):
+            assert (n >= crossover) == (n == 501)
+            sc = replace(base, dimension=dimension,
+                         receivers=linear_array((0.0, 0.0), 10e-3, n, (0.0, 1.0)),
+                         window=ImageWindowSpec(base.window.center, base.window.spacing, 4))
+            if dimension == 2:
+                sc = replace(sc, band=FrequencyGrid(sc.band.f_min_hz, sc.band.f_max_hz, 3))
+            p = array_response_band(sc)
+            stack = np.stack([p, 2.0 * np.conj(p)], axis=2)
+            for threads in (1, 2):
+                images = {}
+                for rule in (crossover, math.inf, 1):
+                    monkeypatch.setattr(migrate_module, "_ROW_BUFFER_RECEIVERS", rule)
+                    with np.errstate():
+                        np.setbufsize(4096)
+                        images[rule] = migrate_broadband_stack(sc, stack, threads=threads)
+                        assert np.getbufsize() == 4096
+                for got in images.values():
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in images[crossover]]
+
+    def test_a_block_allocates_no_ufunc_buffer(self):
+        # One block of two fields, 32 cells and 501 receivers (the `point`
+        # preset) under a worker's NumPy state.  Its broadcast passes
+        # through NumPy's default buffer allocated 8192 complex elements,
+        # a peak of 134 KB; one row long, the passes allocate none, and the
+        # block's own small arrays peak near 18 KB.
+        sc = preset_scene("point")
+        k = sc.band.omegas / sc.c0
+        cells = sc.window.cell_positions().reshape(-1, sc.coords)[:32]
+        p = array_response_band(sc)
+        stack = np.ascontiguousarray(np.stack([p, np.conj(p)]))
+        ws = _Workspace(32, sc.n_receivers, 2)
+
+        def block():
+            d_recv, d_src, _ = _geometry(sc, cells, sc.window.spacing, ws)
+            return _horner_kernel(d_recv, d_src, k, stack, ws)
+
+        with migrate_module._worker_numerics(sc.n_receivers):
+            block()
+            tracemalloc.start()
+            try:
+                block()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 32 * 1024
 
 
 class TestOneStack:

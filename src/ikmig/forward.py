@@ -75,8 +75,10 @@ class IntensityData:
     illumination: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        ill = np.asarray(self.illumination, dtype=float)
+        # Copies, frozen below: the caller's arrays stay writeable, and
+        # writing to them cannot change the data.
+        vals = np.array(self.values, dtype=float)
+        ill = np.array(self.illumination, dtype=float)
         if vals.ndim != 2 or ill.shape != vals.shape[:1]:
             raise DataFormatError("intensity values must be (F, N) with one "
                                   "illumination value per frequency")

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -51,6 +52,17 @@ def _check_size(elements: int, what: str) -> None:
         raise MemoryError(f"{what} of {elements} elements cannot be allocated")
 
 
+def _integer(value, minimum: int, message: str) -> int:
+    """``value`` as a Python int, if ``operator.index`` takes it, it is not
+    a bool, and it is at least ``minimum``; SceneValidationError otherwise."""
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= minimum:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise SceneValidationError(message)
+
+
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
@@ -73,8 +85,8 @@ class FrequencyGrid:
         # MemoryError, not be allocated here.
         if not math.isfinite(2.0 * math.pi * self.f_max_hz):
             raise SceneValidationError("band.f_max_hz is too large: 2 pi f_max_hz overflows")
-        if not (isinstance(self.count, int) and self.count >= 1):
-            raise SceneValidationError("band.count must be a positive integer")
+        object.__setattr__(
+            self, "count", _integer(self.count, 1, "band.count must be a positive integer"))
         if self.count == 1 and self.f_min_hz != self.f_max_hz:
             raise SceneValidationError("band.count == 1 requires f_min_hz == f_max_hz")
 
@@ -136,8 +148,8 @@ class ImageWindowSpec:
             raise SceneValidationError("window.center must be finite")
         if not (math.isfinite(self.spacing) and self.spacing > 0.0):
             raise SceneValidationError("window.spacing must be positive")
-        if not (isinstance(self.half_extent, int) and self.half_extent >= 0):
-            raise SceneValidationError("window.half_extent must be a nonnegative integer")
+        object.__setattr__(self, "half_extent", _integer(
+            self.half_extent, 0, "window.half_extent must be a nonnegative integer"))
 
     @property
     def cells_per_side(self) -> int:
@@ -179,12 +191,14 @@ class Scene:
             raise SceneValidationError(
                 "c0 is too small for the band: the wavenumber 2 pi f_max_hz / c0 overflows")
 
-        recv = np.asarray(self.receivers, dtype=float)
+        # Copies, frozen below: the caller's arrays stay writeable, and
+        # writing to them cannot change the scene.
+        recv = np.array(self.receivers, dtype=float)
         if recv.ndim != 2 or recv.shape[0] < 1 or recv.shape[1] not in (2, 3):
             raise SceneValidationError("receivers must be an (N, 2) or (N, 3) array")
         if not np.all(np.isfinite(recv)):
             raise SceneValidationError("receiver positions must be finite")
-        src = np.asarray(self.source, dtype=float).reshape(-1)
+        src = np.array(self.source, dtype=float).reshape(-1)
         if src.shape[0] != recv.shape[1]:
             raise SceneValidationError("source length must match receiver coordinates")
         if not np.all(np.isfinite(src)):
@@ -258,8 +272,7 @@ def linear_array(
     center: Sequence[float], length: float, count: int, axis: Sequence[float]
 ) -> np.ndarray:
     """Equally spaced collinear receiver positions (meters)."""
-    if count < 1:
-        raise SceneValidationError("receivers.linear.count must be >= 1")
+    count = _integer(count, 1, "receivers.linear.count must be a positive integer")
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis)
     if not norm > 0.0:

@@ -223,6 +223,15 @@ class TestIntensity:
         data = IntensityData(vals, np.ones(2))
         assert not (data.values.flags.writeable or data.illumination.flags.writeable)
 
+    def test_the_callers_arrays_stay_writeable(self):
+        vals, ill = np.ones((2, 3)), np.ones(2)
+        data = IntensityData(vals, ill)
+        assert vals.flags.writeable and ill.flags.writeable
+        assert not (data.values.flags.writeable or data.illumination.flags.writeable)
+        # Writing to them leaves the validated data as they were.
+        vals[0, 0], ill[0] = math.nan, math.inf
+        assert np.all(data.values == 1.0) and np.all(data.illumination == 1.0)
+
 
 class TestLinearization:
     def test_point_baseline_pinned(self):

@@ -111,6 +111,17 @@ class TestFrequencyGrid:
         with pytest.raises(SceneValidationError):
             FrequencyGrid(math.nan, 2.0, 2)
 
+    @pytest.mark.parametrize("count", [np.int64(3), np.uint8(3), 3])
+    def test_any_integer_is_a_count(self, count):
+        grid = FrequencyGrid(1.0, 2.0, count)
+        assert type(grid.count) is int and grid.count == 3
+        assert grid == FrequencyGrid(1.0, 2.0, 3)
+
+    @pytest.mark.parametrize("count", [True, np.True_, 3.0, np.float64(3.0), "3", None])
+    def test_a_bool_or_a_non_integer_is_not_a_count(self, count):
+        with pytest.raises(SceneValidationError, match="band.count"):
+            FrequencyGrid(1.0, 1.0, count)
+
     def test_angular_frequency_must_be_finite(self):
         # 2 pi f overflows above about 2.86e307 Hz.
         assert math.isfinite(FrequencyGrid(1.0, 2.8e307, 2).omegas[-1])
@@ -142,6 +153,13 @@ class TestLinearArray:
             linear_array((0.0, 0.0), 1.0, 0, (0.0, 1.0))
         with pytest.raises(SceneValidationError):
             linear_array((0.0, 0.0), 1.0, 3, (0.0, 0.0))
+
+    def test_the_count_follows_the_integer_rule(self):
+        want = linear_array((0.0, 0.0), 1.0, 3, (0.0, 1.0))
+        assert np.array_equal(linear_array((0.0, 0.0), 1.0, np.int64(3), (0.0, 1.0)), want)
+        for count in (True, 2.5, None):
+            with pytest.raises(SceneValidationError, match="receivers.linear.count"):
+                linear_array((0.0, 0.0), 1.0, count, (0.0, 1.0))
 
 
 class TestDiskScatterer:
@@ -224,6 +242,18 @@ class TestWindow:
             ImageWindowSpec((math.inf, 0.0), 1.0, 2)
 
 
+    @pytest.mark.parametrize("half_extent", [np.int64(2), np.uint8(2), 2])
+    def test_any_integer_is_a_half_extent(self, half_extent):
+        win = ImageWindowSpec((0.0, 0.0), 1.0, half_extent)
+        assert type(win.half_extent) is int and win.half_extent == 2
+        assert win == ImageWindowSpec((0.0, 0.0), 1.0, 2)
+
+    @pytest.mark.parametrize("half_extent", [True, False, np.True_, 2.0, "2", None])
+    def test_a_bool_or_a_non_integer_is_not_a_half_extent(self, half_extent):
+        with pytest.raises(SceneValidationError, match="window.half_extent"):
+            ImageWindowSpec((0.0, 0.0), 1.0, half_extent)
+
+
 class TestSceneValidation:
     def test_valid_scene_properties(self):
         sc = small_scene()
@@ -240,6 +270,16 @@ class TestSceneValidation:
             sc.receivers[0, 0] = 9.0
         with pytest.raises(ValueError):
             sc.source[0] = 9.0
+
+    def test_the_callers_arrays_stay_writeable(self):
+        receivers = np.array([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]])
+        source = np.array([0.5, -2.0])
+        sc = small_scene(receivers=receivers, source=source)
+        assert receivers.flags.writeable and source.flags.writeable
+        assert not (sc.receivers.flags.writeable or sc.source.flags.writeable)
+        # Writing to them leaves the validated scene as it was.
+        receivers[0] = source
+        assert np.array_equal(sc.receivers[0], [0.0, -1.0])
 
     def test_dimension(self):
         with pytest.raises(SceneValidationError):
@@ -349,6 +389,14 @@ class TestJsonInterface:
         assert again.band == sc.band
         assert again.window == sc.window
         assert again.scatterers == sc.scatterers
+
+    def test_numpy_integer_counts_round_trip(self):
+        sc = small_scene(band=FrequencyGrid(400.0, 800.0, np.int64(5)),
+                         window=ImageWindowSpec((3.0, 0.0), 0.1, np.int64(4)))
+        again = parse_scene(emit_scene(sc))
+        assert again.band == FrequencyGrid(400.0, 800.0, 5)
+        assert again.window == ImageWindowSpec((3.0, 0.0), 0.1, 4)
+        assert emit_scene(again) == emit_scene(sc)
 
     def test_digest_stable_and_sensitive(self):
         sc = parse_scene(json.dumps(self.DOC))

@@ -1,7 +1,11 @@
 """Random illumination, measurement noise, and the time-domain oracle."""
 
+import hashlib
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +18,10 @@ from ikmig.forward import total_field_band
 from ikmig.scene import FrequencyGrid, ImageWindowSpec, PointScatterer, Scene, preset_scene
 from ikmig.stochastic import (
     _KEY_BLOCK,
-    _KI,
-    _WI,
     PowerSpectrum,
     _complex_normals,
     _philox_words,
+    _ziggurat_tables,
     clean_power_data,
     intensity_data,
     noisy_power_data,
@@ -259,8 +262,14 @@ class TestSeedType:
 
 
 class TestZigguratTables:
-    """The checked-in ziggurat tables are the installed NumPy's wi_double
-    and ki_double, derived entry by entry from ``standard_normal``."""
+    """The derived ziggurat tables: wi is the installed NumPy's wi_double
+    and ki a lower bound on its ki_double, checked entry by entry against
+    ``standard_normal``."""
+
+    # sha256 of the little-endian bytes of NumPy's wi_double and
+    # ki_double, as this package's seeded outputs were recorded with.
+    WI_SHA256 = "33c6472209e1d09ea3548f0291e5e1ad67fb4f1d0305e9f1086689584b7bb7fa"
+    KI_SHA256 = "565295797825931547a1036f5b012a247be54abbe077c39fe06c8ed1e9d0a5a9"
 
     def setup_method(self):
         self.bit_gen = np.random.Philox(0)
@@ -288,9 +297,11 @@ class TestZigguratTables:
         # draws wi[idx] itself, and the wedge test of an index whose
         # ki is 0 returns that same draw.
         got = [self.draw(1 << 9 | idx)[0] for idx in range(256)]
-        assert same_bits(np.array(got), _WI)
+        wi, _ = _ziggurat_tables()
+        assert same_bits(np.array(got), wi)
+        assert hashlib.sha256(wi.astype("<f8").tobytes()).hexdigest() == self.WI_SHA256
 
-    def test_ki_is_numpys_ki_double(self):
+    def test_ki_bounds_numpys_ki_double(self):
         # A draw is accepted on its word exactly when rabs < ki[idx], so
         # bisection over rabs finds ki[idx] as the smallest rejected rabs.
         got = []
@@ -303,8 +314,31 @@ class TestZigguratTables:
                 else:
                     hi = mid
             got.append(lo)
-        assert got == _KI.tolist()
-        assert got[1] == 0
+        assert hashlib.sha256(np.array(got, dtype="<u8").tobytes()).hexdigest() == self.KI_SHA256
+        _, ki = _ziggurat_tables()
+        gap = np.array(got) - ki.astype(np.int64)
+        assert gap.min() >= 0 and gap.max() <= 3
+        assert got[1] == ki[1] == 0
+
+    def test_only_a_draw_derives_the_tables(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = (
+            "import sys\n"
+            "from ikmig.cli import main\n"
+            "from ikmig.stochastic import _ziggurat_tables\n"
+            "out = sys.argv[1]\n"
+            "assert main(['simulate', '--scene', 'preset:point', '--out', out + '/d']) == 0\n"
+            "print(_ziggurat_tables.cache_info().currsize)\n"
+            "assert main(['simulate', '--scene', 'preset:point', '--out', out + '/s',\n"
+            "             '--stochastic', '--seed', '1']) == 0\n"
+            "print(_ziggurat_tables.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
 
 
 class TestCleanData:

@@ -582,12 +582,16 @@ def _write_grid(path, header: str, keys, values) -> None:
 
 
 def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
-    """One array per column of a CSV file, of the types ``kinds`` (int/float).
+    """One array per column of a CSV file, of the dtypes ``kinds``.
 
     The shared contract of every reader: the header must match exactly,
-    blank lines are skipped, each row has one field per column, and a
-    field that does not parse, or bytes that do not decode, are a
-    DataFormatError.
+    empty lines are skipped (a line of spaces is a row, and malformed),
+    each row has one field per column, and a field that does not parse,
+    or bytes that do not decode, are a DataFormatError.  The open file
+    goes to NumPy's C reader, which takes its lines in one pass.  A bytes
+    column (``S<w>``) keeps its field's text as written, spaces included,
+    truncated to ``w`` bytes; a character outside Latin-1 there does not
+    parse.
     """
     dtype = [(f"c{j}", kind) for j, kind in enumerate(kinds)]
     try:
@@ -598,8 +602,8 @@ def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
             with warnings.catch_warnings():
                 # loadtxt warns about a table without rows; that is raised below
                 warnings.simplefilter("ignore", UserWarning)
-                columns = np.loadtxt(filter(None, map(str.strip, fh)), dtype=dtype,
-                                     delimiter=",", comments=None, ndmin=1, unpack=True)
+                columns = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                     ndmin=1, unpack=True)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"undecodable bytes in {what} file: {exc}") from None
     except ValueError as exc:
@@ -623,19 +627,33 @@ def _band_keys(omegas: np.ndarray, n: int) -> list:
 def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[np.ndarray]:
     """The value columns of a band file written for ``scene``: (F, N) arrays
     if ``n_keys`` is 3 (frequency index, omega, receiver index), (F,) if it
-    is 2 (no receiver column).
+    is 2 (no receiver column).  They are views of the parsed table; the
+    public readers copy them.
 
     Every value must be finite, and the file must hold exactly the rows the
     writers emit for the scene: its key columns equal ``_band_keys`` of the
-    scene's band and array, row for row (file round trips are bit-exact, so
-    equality is literal).  Errors name the file by ``what`` and give the
-    first data row that differs, or the row count the scene expects.
+    scene's band and array, row for row.  The indices parse as integers.
+    Omega is not parsed: its field must be the writer's own ``%.17g`` text
+    of the band's omega, byte for byte, which is "bit-equal to the band"
+    without a float conversion.  Its column is one byte wider than the
+    longest such text, so a longer field, which NumPy truncates to the
+    column, cannot match; NumPy's fixed-width bytes do drop trailing NUL
+    characters, which the writers never emit.  Errors name the file by
+    ``what`` and give the first data row that differs, or the row count
+    the scene expects.
     """
-    kinds = (int, float, int)[:n_keys] + (float,) * (header.count(",") + 1 - n_keys)
+    omegas = _text(scene.band.omegas)
+    omega_kind = f"S{max(map(len, omegas)) + 1}"
+    # 32-bit indices keep a parsed row near 8 bytes a number: with int64
+    # ones beside the omega text, `migrate`'s peak RSS rose by 1.6 MB on
+    # two 50,100-row field files.  An index past 2**31 - 1 is malformed.
+    index = np.int32
+    kinds = (index, omega_kind, index)[:n_keys] + (float,) * (header.count(",") + 1 - n_keys)
     columns = _read_columns(path, header, kinds, what)
-    if not all(np.isfinite(c).all() for c in columns):
+    values = columns[n_keys:]
+    if not all(np.isfinite(c).all() for c in values):
         raise DataFormatError(f"{what} data must be finite")
-    keys = _band_keys(scene.band.omegas, scene.n_receivers)[:n_keys]
+    keys = _band_keys(np.array(omegas, dtype=omega_kind), scene.n_receivers)[:n_keys]
     grid = np.broadcast_shapes(*(k.shape for k in keys))
     n_rows = math.prod(grid)
     if columns[0].size != n_rows:
@@ -647,13 +665,11 @@ def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[
         mismatch |= c.reshape(grid) != k
     bad = np.flatnonzero(mismatch)
     if bad.size:
-        row = bad[0]
-        expected = [np.broadcast_to(k, grid).ravel() for k in keys]
-        text = ",".join(_text(e[row:row + 1])[0] for e in expected)
-        raise DataFormatError(f"{what} data row {row + 1} does not match the scene: "
+        freq, receiver = divmod(int(bad[0]), grid[1])
+        text = ",".join([str(freq), omegas[freq], str(receiver)][:n_keys])
+        raise DataFormatError(f"{what} data row {bad[0] + 1} does not match the scene: "
                               f"its keys should be {text}")
-    # Copies: the columns are strided views of the whole structured table.
-    return [c.reshape(grid[:n_keys - 1]).copy() for c in columns[n_keys:]]
+    return [c.reshape(grid[:n_keys - 1]) for c in values]
 
 
 def write_intensity_csv(omegas, data: IntensityData, path) -> None:

@@ -83,6 +83,15 @@ _COLLISION_FRACTION = 1e-9
 # and 0.42/0.47, 0.43/0.35 and 0.44/0.40 s on the 14,641-cell window of 6
 # frequencies that the benchmark's `wide3d` migrates: 32 is fastest on
 # the first, and on the second no size leads in both rounds.
+# Two threads barely beat one at this size: each NumPy call of a worker
+# does about 20 us of work, and the pool's two threads queue on the GIL
+# between calls.  The host does scale: a Horner-style add/multiply loop
+# over (2, 32, 501) arrays took 0.142 s at one thread and 0.134 s at
+# two, while two processes pinned to their own CPUs, on 64-cell blocks,
+# took 0.206 and 0.205 s against 0.207 s for one process alone.  Blocks
+# of 64 cells cut `wide3d`'s window at two threads from 365 to 272 ms
+# (8 of 8 pairs), but on `point` at one thread took 348 against 336 ms
+# (slower in 9 of 10 pairs), and they double a workspace to 3.3 MB.
 _BLOCK_CELLS = 32
 
 # Fewest receivers for which a worker shrinks NumPy's ufunc buffer to one

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,6 +64,23 @@ def _integer(value, minimum: int, message: str) -> int:
     raise SceneValidationError(message)
 
 
+def _real(value, message: str, valid=math.isfinite) -> float:
+    """``value`` as a Python float, if it is a real number (``numbers.Real``:
+    Python's and NumPy's ints and floats), not a bool, and ``valid`` of the
+    float holds; SceneValidationError otherwise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if valid(number := float(value)):
+                return number
+        except OverflowError:  # an int past the float range
+            pass
+    raise SceneValidationError(message)
+
+
+def _positive(value: float) -> bool:
+    return 0.0 < value < math.inf
+
+
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
@@ -77,10 +95,11 @@ class FrequencyGrid:
     count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.f_min_hz) and self.f_min_hz > 0.0):
-            raise SceneValidationError("band.f_min_hz must be positive and finite")
-        if not (math.isfinite(self.f_max_hz) and self.f_max_hz >= self.f_min_hz):
-            raise SceneValidationError("band.f_max_hz must be finite and >= f_min_hz")
+        f_min = _real(self.f_min_hz, "band.f_min_hz must be positive and finite", _positive)
+        f_max = _real(self.f_max_hz, "band.f_max_hz must be finite and >= f_min_hz",
+                      lambda v: f_min <= v < math.inf)
+        object.__setattr__(self, "f_min_hz", f_min)
+        object.__setattr__(self, "f_max_hz", f_max)
         # Checked on the scalar: a huge count must still reach ``omegas``'s
         # MemoryError, not be allocated here.
         if not math.isfinite(2.0 * math.pi * self.f_max_hz):
@@ -123,11 +142,11 @@ class PointScatterer:
     rho: float
 
     def __post_init__(self):
-        object.__setattr__(self, "position", tuple(float(v) for v in self.position))
-        if not all(math.isfinite(v) for v in self.position):
-            raise SceneValidationError("scatterer position must be finite")
-        if not (math.isfinite(self.rho) and self.rho != 0.0):
-            raise SceneValidationError("scatterer rho must be finite and nonzero")
+        object.__setattr__(self, "position", tuple(
+            _real(v, "scatterer position must be finite") for v in self.position))
+        object.__setattr__(self, "rho", _real(
+            self.rho, "scatterer rho must be finite and nonzero",
+            lambda v: math.isfinite(v) and v != 0.0))
 
 
 @dataclass(frozen=True)
@@ -143,11 +162,10 @@ class ImageWindowSpec:
     half_extent: int
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        if not all(math.isfinite(v) for v in self.center):
-            raise SceneValidationError("window.center must be finite")
-        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
-            raise SceneValidationError("window.spacing must be positive")
+        object.__setattr__(self, "center", tuple(
+            _real(v, "window.center must be finite") for v in self.center))
+        object.__setattr__(self, "spacing", _real(
+            self.spacing, "window.spacing must be positive", _positive))
         object.__setattr__(self, "half_extent", _integer(
             self.half_extent, 0, "window.half_extent must be a nonnegative integer"))
 
@@ -183,10 +201,12 @@ class Scene:
     window: ImageWindowSpec
 
     def __post_init__(self):
-        if self.dimension not in (2, 3):
+        dimension = _integer(self.dimension, 2, "dimension must be 2 or 3")
+        if dimension > 3:
             raise SceneValidationError("dimension must be 2 or 3")
-        if not (math.isfinite(self.c0) and self.c0 > 0.0):
-            raise SceneValidationError("c0 must be positive and finite")
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "c0", _real(self.c0, "c0 must be positive and finite",
+                                             _positive))
         if not math.isfinite(2.0 * math.pi * self.band.f_max_hz / self.c0):
             raise SceneValidationError(
                 "c0 is too small for the band: the wavenumber 2 pi f_max_hz / c0 overflows")

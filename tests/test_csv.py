@@ -23,6 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 from ikmig import cli, forward
 from ikmig.cli import main
+from ikmig.errors import DataFormatError
 from ikmig.forward import (
     IntensityData,
     read_field_csv,
@@ -175,6 +176,185 @@ def test_read_values_own_their_memory(tmp_path):
     field = read_field_csv(tmp_path / "f.csv", scene)
     for arr in (back.values, back.illumination, field):
         assert arr.flags.c_contiguous and arr.flags.owndata
+
+
+# ---------------------------------------------------------------------------
+# the band reader: omega is the writer's own text
+# ---------------------------------------------------------------------------
+
+# Three frequencies on four receivers; every omega's text has a decimal point.
+READER_SCENE = replace(BASE, band=FrequencyGrid(100.0, 200.0, 3), receivers=BASE.receivers[:4])
+OMEGA_TEXT = ["%.17g" % w for w in READER_SCENE.band.omegas]
+FILES = {"intensity": "i.csv", "illumination": "l.csv", "field": "f.csv"}
+READERS = {
+    "intensity": lambda d: read_intensity_csv(d / "i.csv", READER_SCENE),
+    "illumination": lambda d: read_intensity_csv(d / "i.csv", READER_SCENE, d / "l.csv"),
+    "field": lambda d: read_field_csv(d / "f.csv", READER_SCENE),
+}
+
+
+def write_band_files(d):
+    """The three band files of READER_SCENE in ``d``: (data, field) they hold."""
+    omegas = READER_SCENE.band.omegas
+    rng = np.random.default_rng(5)
+    data = IntensityData(rng.normal(size=(3, 4)), rng.uniform(1.0, 2.0, 3))
+    field = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    write_intensity_csv(omegas, data, d / "i.csv")
+    write_illumination_csv(omegas, data, d / "l.csv")
+    write_field_csv(omegas, field, d / "f.csv")
+    return data, field
+
+
+def set_omega(path, row, text):
+    """Replace the omega field of data row ``row`` (from 1) with ``text``."""
+    lines = path.read_text().splitlines(keepends=True)
+    index, _, rest = lines[row].split(",", 2)
+    lines[row] = ",".join([index, text, rest])
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def assert_reads_back(d, data, field):
+    back = READERS["illumination"](d)
+    assert same_bits(back.values, data.values)
+    assert same_bits(back.illumination, data.illumination)
+    assert same_bits(READERS["field"](d), field)
+
+
+SPELLINGS = {
+    # The same double in exponent form: 6.2831853071795865e+02.
+    "exponent": lambda text: format(float(text), ".16e"),
+    # One character longer than the longest text of the band: the omega
+    # column is wide enough that NumPy's truncation cannot hide it.
+    "trailing-zero": lambda text: text + "0",
+}
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("kind", FILES)
+def test_an_omega_spelled_otherwise_is_refused(tmp_path, kind, spelling):
+    write_band_files(tmp_path)
+    freq = max(range(3), key=lambda j: len(OMEGA_TEXT[j]))
+    text = SPELLINGS[spelling](OMEGA_TEXT[freq])
+    assert text != OMEGA_TEXT[freq] and float(text) == READER_SCENE.band.omegas[freq]
+    row = freq * (1 if kind == "illumination" else 4) + 1
+    set_omega(tmp_path / FILES[kind], row, text)
+    with pytest.raises(DataFormatError, match=f"{kind} data row {row} does not match the scene"):
+        READERS[kind](tmp_path)
+
+
+@pytest.mark.parametrize("kind", FILES)
+def test_a_padded_omega_is_refused(tmp_path, kind):
+    write_band_files(tmp_path)
+    set_omega(tmp_path / FILES[kind], 1, f" {OMEGA_TEXT[0]} ")
+    with pytest.raises(DataFormatError, match=f"{kind} data row 1 does not match the scene"):
+        READERS[kind](tmp_path)
+
+
+def test_spaces_around_indices_and_values_are_accepted(tmp_path):
+    data, field = write_band_files(tmp_path)
+    for name in FILES.values():
+        path = tmp_path / name
+        header, *rows = path.read_text().splitlines()
+        padded = []
+        for row in rows:
+            index, omega, *rest = row.split(",")
+            padded.append(",".join([f" {index} ", omega, *(f" {v}\t" for v in rest)]))
+        path.write_text("\n".join([header, *padded]) + "\n")
+    assert_reads_back(tmp_path, data, field)
+
+
+def test_crlf_files_read_back_bit_for_bit(tmp_path):
+    data, field = write_band_files(tmp_path)
+    for name in FILES.values():
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert_reads_back(tmp_path, data, field)
+
+
+def test_empty_lines_are_skipped(tmp_path):
+    data, field = write_band_files(tmp_path)
+    for name in FILES.values():
+        path = tmp_path / name
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", *(row + "\n" for row in rows), ""]) + "\n")
+    assert_reads_back(tmp_path, data, field)
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "  \t "])
+@pytest.mark.parametrize("kind", FILES)
+def test_a_whitespace_only_line_is_malformed(tmp_path, kind, blank):
+    write_band_files(tmp_path)
+    path = tmp_path / FILES[kind]
+    header, first, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, blank, *rows]) + "\n")
+    with pytest.raises(DataFormatError, match=f"malformed {kind} row"):
+        READERS[kind](tmp_path)
+
+
+@pytest.mark.parametrize("index, message", [
+    ("2147483647", "intensity data row 1 does not match the scene"),
+    ("2147483648", "malformed intensity row"),  # past the 32-bit index column
+])
+def test_a_huge_index_is_a_format_error(tmp_path, index, message):
+    write_band_files(tmp_path)
+    path = tmp_path / "i.csv"
+    path.write_text(path.read_text().replace("\n0,", f"\n{index},", 1))
+    with pytest.raises(DataFormatError, match=message):
+        READERS["intensity"](tmp_path)
+
+@pytest.mark.parametrize("letter, message", [
+    ("é", "does not match the scene"),  # one Latin-1 byte in the omega column
+    ("€", "malformed intensity row"),  # no Latin-1 byte at all
+])
+def test_a_non_ascii_omega_is_a_format_error(tmp_path, letter, message):
+    write_band_files(tmp_path)
+    set_omega(tmp_path / "i.csv", 2, letter + OMEGA_TEXT[0][1:])
+    with pytest.raises(DataFormatError, match=message):
+        READERS["intensity"](tmp_path)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda path: path.write_text(path.read_text().replace("\n", "\n \n", 2)),
+                 id="whitespace-line"),
+    pytest.param(lambda path: set_omega(path, 1, "é" + OMEGA_TEXT[0][1:]), id="latin-1"),
+    pytest.param(lambda path: set_omega(path, 1, "€" + OMEGA_TEXT[0][1:]), id="euro"),
+])
+def test_the_cli_reports_a_bad_band_file_without_a_traceback(tmp_path, capsys, edit):
+    write_band_files(tmp_path)
+    spath = tmp_path / "scene.json"
+    spath.write_text(emit_scene(READER_SCENE))
+    edit(tmp_path / "i.csv")
+    rc = main(["recover", "--scene", str(spath), "--data", str(tmp_path / "i.csv"),
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "intensity" in err and "Traceback" not in err
+
+
+@ROUND_TRIP
+@given(band_scenes(), st.data())
+def test_an_omega_one_ulp_off_is_refused_at_its_row(tmp_path_factory, scene, data):
+    # The text check keeps "bit-equal to the band": the nearest other
+    # double is other text.
+    f, n = scene.band.count, scene.n_receivers
+    written = IntensityData(data.draw(hnp.arrays(float, (f, n), elements=FINITE)),
+                            data.draw(hnp.arrays(float, f, elements=FINITE)))
+    d = tmp_path_factory.mktemp("ulp")
+    write_intensity_csv(scene.band.omegas, written, d / "i.csv")
+    write_illumination_csv(scene.band.omegas, written, d / "l.csv")
+    back = read_intensity_csv(d / "i.csv", scene, d / "l.csv")
+    assert same_bits(back.values, written.values)
+    assert same_bits(back.illumination, written.illumination)
+    freq = data.draw(st.integers(0, f - 1))
+    moved = scene.band.omegas.copy()
+    moved[freq] = np.nextafter(moved[freq], data.draw(st.sampled_from([0.0, math.inf])))
+    write_intensity_csv(moved, written, d / "i.csv")
+    with pytest.raises(DataFormatError, match=f"intensity data row {freq * n + 1} does not"):
+        read_intensity_csv(d / "i.csv", scene)
+    write_intensity_csv(scene.band.omegas, written, d / "i.csv")
+    write_illumination_csv(moved, written, d / "l.csv")
+    with pytest.raises(DataFormatError, match=f"illumination data row {freq + 1} does not"):
+        read_intensity_csv(d / "i.csv", scene, d / "l.csv")
 
 
 @st.composite

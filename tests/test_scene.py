@@ -482,6 +482,121 @@ class TestJsonInterface:
             parse_scene("[1, 2]")
 
 
+# ---------------------------------------------------------------------------
+# one rule per value kind
+# ---------------------------------------------------------------------------
+
+_REAL_KINDS = (int, float, np.int64, np.float32, np.float64)
+
+
+@st.composite
+def typed_real(draw, lo, hi):
+    """(a number in about [lo, hi] as a random kind, its Python float)."""
+    kind = draw(st.sampled_from(_REAL_KINDS))
+    if kind in (int, np.int64):
+        value = kind(draw(st.integers(math.ceil(lo), math.floor(hi))))
+    else:
+        value = kind(draw(st.floats(lo, hi)))
+    return value, float(value)
+
+
+@st.composite
+def typed_int(draw, lo, hi):
+    value = draw(st.integers(lo, hi))
+    return draw(st.sampled_from([int, np.int64]))(value), value
+
+
+@st.composite
+def typed_scene_pairs(draw):
+    """(a scene whose every numeric field is a random kind, the same scene
+    built from Python ints and floats)."""
+    coords = draw(st.sampled_from([2, 3]))
+
+    def point(lo=-1e3, hi=1e3):
+        return tuple(zip(*(draw(typed_real(lo, hi)) for _ in range(coords))))
+
+    def rho():
+        value, plain = draw(typed_real(1e-3, 1e3))
+        return (-value, -plain) if draw(st.booleans()) else (value, plain)
+
+    count = draw(typed_int(1, 5))
+    f_min, f_max = sorted((draw(typed_real(1e-3, 1e6)) for _ in range(2)), key=lambda p: p[1])
+    if count[1] == 1:
+        f_max = f_min
+    fields = dict(
+        dimension=draw(typed_int(2, 3)), c0=draw(typed_real(1e-3, 1e6)),
+        source=point(1.0, 1e3), band=(f_min, f_max, count),
+        scatterers=[(point(), rho()) for _ in range(draw(st.integers(0, 2)))],
+        window=(point(), draw(typed_real(1e-3, 1e3)), draw(typed_int(0, 5))))
+    receivers = np.array([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]])[:, :coords]
+    if coords == 3:
+        receivers = np.hstack([receivers, np.zeros((3, 1))])
+
+    def build(i):
+        band, window = fields["band"], fields["window"]
+        return Scene(
+            dimension=fields["dimension"][i], c0=fields["c0"][i], receivers=receivers,
+            source=np.asarray(fields["source"][i], dtype=float),
+            band=FrequencyGrid(*(p[i] for p in band)),
+            scatterers=tuple(PointScatterer(pos[i], r[i]) for pos, r in fields["scatterers"]),
+            window=ImageWindowSpec(*(p[i] for p in window)))
+
+    return build(0), build(1)
+
+
+class TestValueKinds:
+    @settings(max_examples=80, deadline=None)
+    @given(pair=typed_scene_pairs())
+    def test_any_real_kind_round_trips_as_python_numbers(self, pair):
+        typed, plain = pair
+        assert scene_digest(typed) == scene_digest(plain)
+        assert scene_digest(parse_scene(emit_scene(typed))) == scene_digest(typed)
+        assert type(typed.dimension) is int and type(typed.c0) is float
+        band, window = typed.band, typed.window
+        assert [type(v) for v in (band.f_min_hz, band.f_max_hz, band.count)] == [
+            float, float, int]
+        assert {type(v) for v in (*window.center, window.spacing)} == {float}
+        assert {type(v) for s in typed.scatterers for v in (*s.position, s.rho)} <= {float}
+
+    def test_numpy_scalars_emit_as_the_preset(self):
+        point = preset_scene("point")
+        sc = replace(point, dimension=np.int64(3), c0=np.float32(3e8))
+        assert emit_scene(sc) == emit_scene(point)
+        assert scene_digest(sc) == scene_digest(point)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_],
+                             ids=["True", "False", "np.True_"])
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda b: FrequencyGrid(b, 2.0, 2), id="band.f_min_hz"),
+        pytest.param(lambda b: FrequencyGrid(0.5, b, 2), id="band.f_max_hz"),
+        pytest.param(lambda b: FrequencyGrid(1.0, 1.0, b), id="band.count"),
+        pytest.param(lambda b: PointScatterer((b, 0.0), 1.0), id="scatterer.position"),
+        pytest.param(lambda b: PointScatterer((0.0, 0.0), b), id="scatterer.rho"),
+        pytest.param(lambda b: ImageWindowSpec((0.0, b), 1.0, 2), id="window.center"),
+        pytest.param(lambda b: ImageWindowSpec((0.0, 0.0), b, 2), id="window.spacing"),
+        pytest.param(lambda b: ImageWindowSpec((0.0, 0.0), 1.0, b), id="window.half_extent"),
+        pytest.param(lambda b: small_scene(dimension=b), id="dimension"),
+        pytest.param(lambda b: small_scene(c0=b), id="c0"),
+    ])
+    def test_a_bool_is_no_number(self, build, flag):
+        with pytest.raises(SceneValidationError):
+            build(flag)
+
+    def test_c0_true_is_refused_before_emit(self):
+        with pytest.raises(SceneValidationError, match="c0"):
+            replace(preset_scene("point"), c0=True)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: small_scene(dimension=3.0), id="float-dimension"),
+        pytest.param(lambda: small_scene(c0="343"), id="str-c0"),
+        pytest.param(lambda: PointScatterer(("3", 0.0), 1e-3), id="str-position"),
+        pytest.param(lambda: FrequencyGrid(10 ** 400, 10 ** 400, 1), id="huge-int-f_min_hz"),
+    ])
+    def test_other_non_reals_are_refused(self, build):
+        with pytest.raises(SceneValidationError):
+            build()
+
+
 class TestPresets:
     def test_all_cases_construct(self):
         for case in PRESET_CASES:

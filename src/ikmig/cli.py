@@ -157,7 +157,8 @@ def _write_manifest(out_dir: str, command: str, scene, params: dict,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "scene_sha256": scene_digest(scene) if scene is not None else None,
         "parameters": params,
-        "inputs": {name: {"path": path, "sha256": _sha256(path)}
+        "inputs": {name: {"path": path,
+                          "sha256": _sha256(path) if os.path.isfile(path) else None}
                    for name, path in inputs.items()},
         "outputs": {os.path.basename(path): _sha256(path) for path in outputs},
     }

@@ -16,7 +16,6 @@ geometric visibility check on the scene's imaging window.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -122,77 +121,59 @@ def _window_corners(window: ImageWindowSpec) -> np.ndarray:
     return corners
 
 
-def _source_in_cone_2d(dirs: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
-    """Per receiver, whether the source direction s (N, 2) lies within tol of
-    the fan of its four corner directions dirs (N, 4, 2).  A zero direction,
-    corners that cancel, or a fan of pi or more counts as inside."""
-    norms = np.linalg.norm(dirs, axis=2)
-    sn = np.linalg.norm(s, axis=1)
-    units = dirs / np.where(norms == 0.0, 1.0, norms)[:, :, None]
-    mean = units.mean(axis=1)
-    mn = np.linalg.norm(mean, axis=1)
-    degenerate = (norms == 0.0).any(axis=1) | (mn < 1e-12) | (sn == 0.0)
-    u = mean / np.where(mn < 1e-12, 1.0, mn)[:, None]
-    s = s / np.where(sn == 0.0, 1.0, sn)[:, None]
+def _source_in_cone(dirs: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
+    """Per receiver, whether the source direction s (N, coords) lies within
+    chord 2 sin(tol/2) of the cone spanned by its four corner directions
+    dirs (N, 4, coords).  A zero direction counts as inside.
 
-    def angle(v, ref):
-        """Signed angle from ref to v, both over the last axis."""
-        return np.arctan2(v[..., 0] * ref[..., 1] - v[..., 1] * ref[..., 0],
-                          v[..., 0] * ref[..., 0] + v[..., 1] * ref[..., 1])
-
-    ang = angle(units, u[:, None, :])
-    lo, hi = ang.min(axis=1), ang.max(axis=1)
-    ang_s = angle(s, u)
-    return degenerate | (hi - lo >= math.pi) | ((lo - tol <= ang_s) & (ang_s <= hi + tol))
-
-
-# Column sets of the 4 corner directions that may carry the nonnegative
-# least-squares optimum in R^3: every nonempty set of at most three, since
-# an optimal combination needs no more linearly independent columns.
-_SUPPORTS = tuple(list(c) for m in (1, 2, 3) for c in itertools.combinations(range(4), m))
-
-
-def _source_in_cone_3d(dirs: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
-    """Per receiver, whether the source direction s (N, 3) lies within tol
-    of the cone spanned by its four corner directions dirs (N, 4, 3).  A
-    zero direction counts as inside.
-
-    The distance from the unit source direction to the cone is its exact
-    nonnegative least-squares residual on the unit corner directions: the
-    smallest residual of the least-squares fits on ``_SUPPORTS`` whose
-    coefficients are all nonnegative, or 1, the empty combination's.  Each
-    fit is a feasible point, so its residual is taken from its
-    coefficients, never assumed.
+    Two coordinates are lifted into the plane z = 0.  The distance from
+    the unit source direction to the cone is the least over its rays,
+    faces and solids that the source projects into: to a ray u with
+    u.s >= 0 it is |u x s|; to a face ui, uj whose two Cramer
+    coefficients are nonnegative it is |s.n| / |n|, n = ui x uj; inside
+    a solid triple, whose triple-product coefficients are all
+    nonnegative, it is 0.
     """
+    if dirs.shape[-1] == 2:
+        dirs, s = (np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
+                   for a in (dirs, s))
     norms = np.linalg.norm(dirs, axis=2)
     sn = np.linalg.norm(s, axis=1)
     degenerate = (norms == 0.0).any(axis=1) | (sn == 0.0)
-    units = dirs / np.where(norms == 0.0, 1.0, norms)[:, :, None]
-    s = (s / np.where(sn == 0.0, 1.0, sn)[:, None])[:, :, None]
-    rnorm = np.ones(s.shape[0])
-    for support in _SUPPORTS:
-        a = units[:, support, :].transpose(0, 2, 1)
-        q, r = np.linalg.qr(a)
-        singular = np.linalg.det(r) == 0.0
-        r[singular] = np.eye(len(support))
-        c = np.linalg.solve(r, q.transpose(0, 2, 1) @ s)
-        feasible = ~singular & (c >= 0.0).all(axis=(1, 2))
-        residual = np.linalg.norm(a @ c - s, axis=(1, 2))
-        rnorm = np.where(feasible, np.minimum(rnorm, residual), rnorm)
-    return degenerate | (rnorm <= 2.0 * math.sin(0.5 * tol) + 1e-12)
+    u = dirs / np.where(norms == 0.0, 1.0, norms)[:, :, None]
+    s = (s / np.where(sn == 0.0, 1.0, sn)[:, None])[:, None, :]
+    chord = 2.0 * math.sin(0.5 * tol) + 1e-12
+    ray = ((u * s).sum(axis=2) >= 0.0) & (np.linalg.norm(np.cross(u, s), axis=2) <= chord)
+    # Faces ij = 01, 02, 03, 12, 13, 23, and h = s.n, |n| times the height
+    # of s above each face's plane.
+    ui, uj = u[:, [0, 0, 0, 1, 1, 2]], u[:, [1, 2, 3, 2, 3, 3]]
+    n = np.cross(ui, uj)
+    nn = np.linalg.norm(n, axis=2)
+    h = (s * n).sum(axis=2)
+    face = ((nn > 0.0) & ((np.cross(s, uj) * n).sum(axis=2) >= 0.0)
+            & ((np.cross(ui, s) * n).sum(axis=2) >= 0.0) & (np.abs(h) <= chord * nn))
+    # Solids ijk = 012, 013, 023, 123 take their Cramer numerators
+    # s.(uj x uk), s.(uk x ui), s.(ui x uj) from faces jk, ik (negated), ij.
+    jk, ik, ij = [3, 4, 5, 5], [1, 2, 2, 4], [0, 0, 1, 3]
+    det = (u[:, [0, 0, 0, 1]] * n[:, jk]).sum(axis=2)
+    solid = (det != 0.0) & (np.stack([h[:, jk], -h[:, ik], h[:, ij]]) * det >= 0.0).all(axis=0)
+    return degenerate | ray.any(axis=1) | face.any(axis=1) | solid.any(axis=1)
 
 
 def check_geometric_condition(scene: Scene) -> GeometryReport:
     """Flag receivers whose view cone of the scene window contains the
     source direction.
 
-    The window is convex, so the set of unit directions from a receiver to
-    window points is spanned by the four corner directions; the check tests
-    source-direction membership against that span within ``_THETA_TOL``.
+    The window is convex, so the set of directions from a receiver to
+    window points is the cone spanned by the four corner directions.  One
+    exact test serves windows of two and three coordinates: a receiver is
+    flagged when the unit source direction lies within chord
+    2 sin(``_THETA_TOL``/2) of that cone, or when the receiver sits on a
+    corner or on the source.  A receiver on a window edge sees the closed
+    half-plane on the window's side of it.
     """
     corners = _window_corners(scene.window)
     recv = scene.receivers
-    in_cone = _source_in_cone_2d if scene.coords == 2 else _source_in_cone_3d
-    inside = in_cone(corners - recv[:, None], scene.source - recv, _THETA_TOL)
+    inside = _source_in_cone(corners - recv[:, None], scene.source - recv, _THETA_TOL)
     flagged = tuple(np.flatnonzero(inside).tolist())
     return GeometryReport(not flagged, flagged, _THETA_TOL)

@@ -369,7 +369,9 @@ def parse_scene(text: str) -> Scene:
     """Parse and validate a JSON scene document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past Python's
+        # digit limit; RecursionError, arrays or objects nested too deep.
         raise SceneParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SceneParseError("scene document must be a JSON object")

@@ -126,23 +126,16 @@ def _philox_words(seed: int, key1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _philox_generator(seed: int) -> tuple[np.random.Generator, np.random.Philox, dict]:
-    """A Generator on a NumPy ``Philox``, and the state dict that resets it
-    to key [seed, 0], a zero counter and an empty buffer.
+    """A Generator on a NumPy ``Philox`` with key [seed, 0], and a copy of
+    its state: that key, a zero counter and an empty buffer.
 
-    A caller edits the dict's key, buffer or buffer position and assigns
-    it to the bit generator's ``state``; this is the one place that builds
-    NumPy's layout of that state.
+    A caller edits the copy's key, buffer or buffer position and assigns
+    it to the bit generator's ``state``.  The key goes in as a uint64
+    array: a list holding a word of 2**63 or more would be cast through
+    float.
     """
-    bit_gen = np.random.Philox(0)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(bit_gen), bit_gen, state
+    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    return np.random.Generator(bit_gen), bit_gen, bit_gen.state
 
 
 @functools.cache

@@ -186,6 +186,27 @@ class TestRecover:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "illumination" not in manifest["inputs"]
 
+    def test_data_from_a_pipe_is_not_hashed(self, small_files, tmp_path):
+        # The reader drains a pipe, so no hash of the bytes it read can be
+        # taken afterwards: the manifest records none.
+        content = (small_files / "intensity.csv").read_bytes()
+        assert len(content) < 65536
+        r, w = os.pipe()
+        try:
+            os.write(w, content)
+            os.close(w)
+            out = tmp_path / "out"
+            illum = small_files / "illumination.csv"
+            assert main(["recover", "--scene", str(small_files / "scene.json"),
+                         "--data", f"/dev/fd/{r}", "--illumination", str(illum),
+                         "--out", str(out)]) == 0
+        finally:
+            os.close(r)
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs["data"] == {"path": f"/dev/fd/{r}", "sha256": None}
+        assert inputs["illumination"]["sha256"] == sha256(illum)
+        assert inputs["scene"]["sha256"] == sha256(small_files / "scene.json")
+
     def test_no_scatterers_recovers_nothing(self, tmp_path):
         from dataclasses import replace
         sc = replace(small_scene(), scatterers=())
@@ -574,6 +595,19 @@ class TestExitCodes:
             rc = main(["simulate", "--scene", str(spath),
                        "--out", str(tmp_path / "o")])
             assert rc == 2
+
+    def test_unparseable_scene_json_exits_2_without_a_traceback(self, tmp_path):
+        # Nesting past the recursion limit, and an integer past Python's
+        # digit limit for int(), each fail inside the JSON decoder.
+        spath = tmp_path / "scene.json"
+        for text in ("[" * 100000 + "]" * 100000, '{"dimension": ' + "9" * 5000 + "}"):
+            spath.write_text(text)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ikmig.cli", "check-geometry", "--scene", str(spath)],
+                capture_output=True, text=True, env=src_env(), timeout=300)
+            assert proc.returncode == 2
+            assert "invalid JSON" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_data_scene_grid_mismatch(self, tmp_path):
         sc = small_scene()

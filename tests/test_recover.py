@@ -324,36 +324,15 @@ def flat_scene(source, window_center=(5.0, 0.0), half_extent=2, spacing=0.25):
     )
 
 
-def cone_2d_one_receiver(dirs, s, tol):
-    """The 2-D cone test of one receiver, as a scalar reference for the
-    vectorised ``recover._source_in_cone_2d``: dirs (4, 2) corner
-    directions and s (2,) the source direction."""
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(norms == 0.0):
-        return True
-    units = dirs / norms[:, None]
-    mean = units.mean(axis=0)
-    mn = np.linalg.norm(mean)
-    if mn < 1e-12:
-        return True
-    u = mean / mn
-    ang = np.arctan2(units[:, 0] * u[1] - units[:, 1] * u[0], units @ u)
-    if ang.max() - ang.min() >= math.pi:
-        return True
-    sn = np.linalg.norm(s)
-    if sn == 0.0:
-        return True
-    s = s / sn
-    ang_s = math.atan2(s[0] * u[1] - s[1] * u[0], float(s @ u))
-    return ang.min() - tol <= ang_s <= ang.max() + tol
-
-
-def cone_3d_one_receiver(dirs, s, tol):
-    """The 3-D cone test of one receiver by SciPy's active-set ``nnls``, as
-    a reference for the batched exact ``recover._source_in_cone_3d``: dirs
-    (4, 3) corner directions and s (3,) the source direction."""
+def cone_one_receiver(dirs, s, tol):
+    """The cone test of one receiver by SciPy's active-set ``nnls``, as a
+    reference for the batched closed-form ``recover._source_in_cone``:
+    dirs (4, coords) corner directions and s (coords,) the source
+    direction, two coordinates lifted into the plane z = 0."""
     from scipy.optimize import nnls
 
+    if dirs.shape[-1] == 2:
+        dirs, s = np.column_stack([dirs, np.zeros(4)]), np.append(s, 0.0)
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0.0):
         return True
@@ -367,9 +346,8 @@ def cone_3d_one_receiver(dirs, s, tol):
 
 def flags_one_receiver_at_a_time(scene):
     corners = recover._window_corners(scene.window)
-    cone = cone_2d_one_receiver if scene.coords == 2 else cone_3d_one_receiver
     return tuple(r for r, x in enumerate(scene.receivers)
-                 if cone(corners - x, scene.source - x, recover._THETA_TOL))
+                 if cone_one_receiver(corners - x, scene.source - x, recover._THETA_TOL))
 
 
 def in_three_coordinates(scene):
@@ -465,8 +443,19 @@ class TestGeometryCheck:
     def test_source_inside_window_is_flagged(self):
         assert not check_geometric_condition(flat_scene((5.0, 0.1))).ok
 
+    def test_receiver_on_an_edge_sees_a_half_plane(self):
+        # The receiver at the midpoint of the window's near edge: its view
+        # cone is the closed half-plane on the window's side of the edge.
+        def scene(source):
+            return replace(flat_scene(source), receivers=np.array([[4.5, 0.0]]))
+
+        for lift in (lambda sc: sc, in_three_coordinates):
+            assert check_geometric_condition(lift(scene((-5.0, 0.0)))).ok
+            assert check_geometric_condition(lift(scene((4.5, -3.0)))).violating_receivers == (0,)
+            assert check_geometric_condition(lift(scene((10.0, 0.0)))).violating_receivers == (0,)
+
     def test_tolerance_widens_the_cone(self, monkeypatch):
-        # Direction a bit outside the corner fan: caught only with a loose
+        # Direction a bit outside the corner cone: caught only with a loose
         # angular tolerance.
         sc = flat_scene((5.0, 0.75), half_extent=1, spacing=0.25)
         monkeypatch.setattr(recover, "_THETA_TOL", 1e-6)

@@ -476,8 +476,10 @@ class TestJsonInterface:
         assert again.scatterers == sc.scatterers
 
     def test_invalid_json(self):
-        with pytest.raises(SceneParseError, match="invalid JSON"):
-            parse_scene("{not json")
+        for text in ("{not json", "[" * 100000 + "]" * 100000,
+                     '{"dimension": ' + "9" * 5000 + "}"):
+            with pytest.raises(SceneParseError, match="invalid JSON"):
+                parse_scene(text)
         with pytest.raises(SceneParseError):
             parse_scene("[1, 2]")
 

@@ -31,14 +31,25 @@ CSV band files (intensity, illumination, field) are written on a band's
 omegas and read on the scene they serve, as images live on its window:
 one reader, ``_read_band``, accepts exactly the rows the writers emit for
 the scene's band and array and returns plain value arrays on that band.
+
+Every CSV file goes through one writer, ``_write_grid``, and every float
+value's text is ``'%.17g' % x`` byte for byte, produced in NumPy passes
+(``_g17``): the value scaled to 17 digits exactly with Dekker's
+two-product against a double-double table of powers of ten, the digits
+from a table of 4-digit groups, and the %g layout as NUL-padded 8-byte
+lanes that one ``bytes.translate`` compacts.  The few values that cannot
+be decided safely that way (zeros, non-finite values, magnitudes outside
+[1e-250, 1e250], near-ties) take Python's ``%``.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -526,11 +537,188 @@ def _text(column: np.ndarray) -> list[str]:
     return [fmt % x for x in column.ravel().tolist()]
 
 
-# Values formatted per block of grid lines: a block's Python floats take
-# about 0.5 MB, whatever the size of the grid.  Blocks of 2**16 values
-# were no faster, and raised the peak RSS of `simulate` on the
-# `stochastic` preset (50,100 values a file) by 4.3 MB.
-_BLOCK_VALUES = 1 << 14
+# ``_g17`` writes a value's text as six 8-byte lanes, its characters in
+# order with NULs between them, which the writer deletes: (0) the comma,
+# the sign, the "0.000" prefix and the first digit; (1, 2) digits 2-17
+# that precede the decimal point, then the point; (3, 4) digits 2-17
+# that follow it; (5) the exponent.  Values of magnitude in [1e-250,
+# 1e250] are decided in NumPy passes; the rest take Python's ``%``.
+_LANES = 6
+_EXPONENTS = range(-250, 251)
+_SPLITTER = 134217729.0  # 2**27 + 1, Dekker's split into two 26-bit halves
+
+
+def _lanes(texts) -> np.ndarray:
+    """Each text, NUL-padded to 8 bytes, as one uint64 lane: the lanes
+    hold the bytes in text order whatever the machine's byte order."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = high + low exactly, each of 26 significant bits
+    or fewer, so a product of two halves is exact."""
+    c = a * _SPLITTER
+    high = c - (c - a)
+    return high, a - high
+
+
+@cache
+def _g17_tables() -> SimpleNamespace:
+    """The tables of ``_g17``, built on the first write, per exponent e in
+    ``_EXPONENTS`` and per 4-digit group.
+
+    10**(16 - e) as a double-double hi + lo, within 2**-106 relative: each
+    part is a ratio of Python integers rounded once, hi's Dekker halves
+    beside it.  Per sign and e, the lane of the prefix; per e, that of the
+    exponent, and how many digits precede the decimal point (0 for the
+    "0.000" forms, whose point is in the prefix).  Per first digit, its
+    lane; per group 0..9999, its four digits and its trailing zeros.
+    """
+    hi, lo = [], []
+    for e in _EXPONENTS:
+        if e <= 16:
+            n = 10 ** (16 - e)
+            hi.append(float(n))
+            lo.append(float(n - int(hi[-1])))
+        else:
+            d = 10 ** (e - 16)
+            hi.append(1 / d)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * d) / (den * d))
+    hi = np.array(hi)
+    k = np.arange(10000, dtype=np.uint16)
+    quads = np.empty((10000, 4), np.uint8)
+    for j, scale in enumerate((1000, 100, 10, 1)):
+        quads[:, j] = k // scale % 10
+    quads += ord("0")
+    fixed = [-4 <= e < 17 for e in _EXPONENTS]
+    return SimpleNamespace(
+        hi=hi, hi_split=_split(hi), lo=np.array(lo),
+        quads=quads.view(np.uint32).ravel(),
+        zeros=sum((k % 10**j == 0).astype(np.intp) for j in range(1, 5)),
+        # per sign, then per e
+        prefix=_lanes([b"," + sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+                       for sign in (b"\0", b"-") for e in _EXPONENTS]),
+        first=_lanes([b"\0" * 7 + b"%d" % digit for digit in range(10)]),
+        exponent=_lanes([b"" if f else b"e%+03d" % e for e, f in zip(_EXPONENTS, fixed)]),
+        before_point=np.array([(e + 1 if e >= 0 else 0) if f else 1
+                               for e, f in zip(_EXPONENTS, fixed)]),
+        # keep[j][m], dot[j][m]: digits 2..m, and a point after them, in
+        # lane j of digits 2-9 and 10-17
+        keep=[_lanes([b"\xff" * min(max(m - start, 0), 8) for m in range(18)])
+              for start in (1, 9)],
+        dot=[_lanes([b"\0" * (m - start) + b"." if start <= m < start + 8 else b""
+                     for m in range(18)]) for start in (1, 9)],
+    )
+
+
+def _rounded(a: np.ndarray, i: np.ndarray, t: SimpleNamespace,
+             fast: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D = a 10**(16 - e) rounded to an integer, half to even, where i is
+    e's row of the tables, as the floats D // 1e8 and D % 1e8; clears
+    ``fast`` where D may be wrong or tied."""
+    # a 10**(16 - e) = product + err + a lo: the first two are a hi exactly
+    # (Dekker's two-product), the last is rounded, within 1e-14 with lo's
+    # own error.
+    product = a * t.hi[i]
+    hi_high, hi_low = (part[i] for part in t.hi_split)
+    a_high, a_low = _split(a)
+    err = a_high * hi_high
+    err -= product
+    err += np.multiply(a_high, hi_low, out=a_high)
+    err += np.multiply(a_low, hi_high, out=a_high)
+    err += np.multiply(a_low, hi_low, out=a_low)
+    frac = a * t.lo[i]
+    frac += err
+    units = np.floor(frac)
+    frac -= units
+    fast &= product >= 1e16 + 64
+    fast &= product < 1e17 - 64
+    tie = np.subtract(frac, 0.5, out=err)
+    fast &= np.abs(tie, out=tie) > 1e-6
+    # Every step is exact: high * 1e8 is (high < 2**30, 1e8 = 390625 *
+    # 2**8), and a floor of a rounded quotient that is one off is mended
+    # by the carry.
+    high = np.floor(product / 1e8)
+    low = np.subtract(product, high * 1e8, out=product)
+    low += units
+    low += frac > 0.5
+    carry = np.floor(low / 1e8)
+    low -= carry * 1e8
+    high += carry
+    return high, low
+
+
+def _digit_groups(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The first digit of D, and its other 16 as four 4-digit groups, from
+    D // 1e8 and D % 1e8; the float quotients by 1e4 and 1e8 floor
+    exactly below 2**53."""
+    first = np.floor(high / 1e8)
+    high -= first * 1e8
+    groups = []
+    for part in (high, low):
+        q = np.floor(part / 1e4)
+        groups += [q.astype(np.intp), (part - q * 1e4).astype(np.intp)]
+    return first.astype(np.intp), groups
+
+
+def _g17(x: np.ndarray, out: np.ndarray) -> None:
+    """The ``,%.17g`` text of each float of the 1-D x, byte for byte, into
+    the (6, x.size) uint64 lanes ``out`` (see ``_LANES``).
+
+    %.17g is the value rounded to 17 significant digits D, half to even,
+    times 10**e: fixed notation for -4 <= e < 17, else d.ddde+XX, either
+    with trailing zeros stripped.  Here e = floor(log10 |x|) and D is
+    ``_rounded``.  A value is left to Python's ``%`` when that rounding
+    could be wrong or tied: the scaled value's fraction lies within 1e-6
+    of a half (exact ties such as 1e15 + 0.25 occur, and the product is
+    within 1e-14), or it lies within 64 of [1e16, 1e17)'s edges, where e
+    may be one off.  So do zeros, non-finite values and magnitudes outside
+    [1e-250, 1e250], where the table ends.  D's digits come from a table
+    of 4-digit groups, and each part of the text is a lane masked by the
+    exponent and the count of digits kept.
+    """
+    t = _g17_tables()
+    a = np.abs(x)
+    fast = a >= 1e-250
+    fast &= a <= 1e250
+    np.copyto(a, 1.0, where=~fast)
+    i = np.floor(np.log10(a)).astype(np.intp)
+    i -= _EXPONENTS[0]
+    first, groups = _digit_groups(*_rounded(a, i, t, fast))
+    # the last nonzero digit, 1..17, counted from the first
+    last = 17 - t.zeros[groups[3]]
+    zero = groups[3] == 0
+    for g in groups[2::-1]:
+        last -= zero * t.zeros[g]
+        zero &= g == 0
+    out[0] = t.prefix[np.where(x < 0, i + len(_EXPONENTS), i)]
+    out[0] |= t.first[first]
+    before = t.before_point[i]
+    point = np.where(last > before, before, 0)
+    # two groups side by side, in the order they are stored
+    pair = np.empty((x.shape[0], 2), np.uint32)
+    lane = pair.view(np.uint64).reshape(-1)
+    for j in range(2):
+        pair[:, 0] = t.quads[groups[2 * j]]
+        pair[:, 1] = t.quads[groups[2 * j + 1]]
+        keep = t.keep[j][before]
+        np.bitwise_and(lane, keep, out=out[1 + j])
+        out[1 + j] |= t.dot[j][point]
+        keep = np.invert(keep, out=keep)
+        keep &= t.keep[j][last]
+        np.bitwise_and(lane, keep, out=out[3 + j])
+    out[5] = t.exponent[i]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array([b",%.17g" % v for v in x[slow].tolist()], dtype=f"S{8 * _LANES}")
+        out[:, slow] = text.view(np.uint64).reshape(-1, _LANES).T
+
+
+# Values formatted per block of grid lines, about this many a block.  At
+# 2**11 writing a 50,100-row field file peaks at 0.46 MB (tracemalloc);
+# 2**12 wrote it 10-20% faster and peaked at 0.90 MB.
+_BLOCK_VALUES = 1 << 11
 
 
 def _write_grid(path, header: str, keys, values) -> None:
@@ -544,41 +732,51 @@ def _write_grid(path, header: str, keys, values) -> None:
     The contract every writer shares, and the inverse of ``_read_columns``:
     ``%d`` for an integer column, ``%.17g`` (round-trip exact) for a float
     column, so the bytes equal a ``%``-format of each row.  Each key entry
-    is formatted once, not once per row: the per-position keys into one
-    row template per file, where each per-line key column holds a marker
-    character of its own.  A line is the template with one
-    ``str.replace`` per per-line key column, that line's entry for the
-    marker, and one ``%`` for the value columns' ``%.17g``.  The values
-    are turned into Python floats a block of lines at a time, as many
-    lines as hold about ``_BLOCK_VALUES`` values, so the writer's memory
-    does not grow with the number of lines.
+    is formatted once, not once per row, into a NUL-padded column of a row
+    buffer: the per-position keys when the buffer is made, the per-line
+    keys once per block of lines.  The values of a block, as many lines as
+    hold about ``_BLOCK_VALUES`` values, go through ``_g17`` into their
+    columns, and the block is written with its NULs deleted by one
+    ``bytes.translate``, so the writer's memory does not grow with the
+    number of lines.
     """
     keys = [np.asarray(c) for c in keys]
     shape = np.broadcast_shapes((1, 1), *(np.shape(c) for c in (*keys, *values)))
-    # A per-line key's marker is a control character, which no formatted
-    # number holds.
-    markers, fields = [], []
-    for c in keys:
-        if c.ndim == 2:
-            markers.append(chr(len(markers)))
-            fields.append([markers[-1]] * shape[1])
-        else:
-            fields.append(_text(c))
-    template = "".join(",".join(row) + ",%.17g" * len(values) + "\n"
-                       for row in zip(*fields, strict=True))
-    line_keys = list(zip(*(_text(c) for c in keys if c.ndim == 2))) or [()] * shape[0]
     values = [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values]
     step = max(1, _BLOCK_VALUES // (shape[1] * len(values)))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    texts = [np.array(_text(c), dtype=bytes) for c in keys]
+    # A row: the keys and their commas, padded to whole lanes; each
+    # value's lanes, which begin with its comma; a newline lane.
+    key_lanes = -(-sum(k.itemsize + 1 for k in texts) // 8)
+    width = key_lanes + _LANES * len(values) + 1
+    buffer = bytearray(min(step, shape[0]) * shape[1] * width * 8)
+    rows = np.frombuffer(buffer, np.uint64).reshape(-1, shape[1], width)
+    rows[:, :, -1] = _lanes([b"\n"])
+    chars = rows.view(np.uint8)
+    line_keys, start = [], 0
+    for j, (c, text) in enumerate(zip(keys, texts)):
+        column = chars[:, :, start:start + text.itemsize]
+        start += text.itemsize + 1
+        if j < len(keys) - 1:
+            chars[:, :, start - 1] = ord(",")
+        text = text.view(np.uint8).reshape(-1, text.itemsize)
+        if c.ndim == 2:
+            line_keys.append((column, text))
+        else:
+            column[...] = text
+    cells = rows[:, :, key_lanes:-1].reshape(rows.shape[:2] + (len(values), _LANES))
+    lanes = np.empty((_LANES, cells[:, :, :, 0].size), np.uint64)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, shape[0], step):
-            block = np.stack([v[lo:lo + step] for v in values], axis=-1)
-            rows = block.reshape(block.shape[0], -1).tolist()
-            for text, row in zip(line_keys[lo:lo + step], rows, strict=True):
-                line = template
-                for marker, key in zip(markers, text):
-                    line = line.replace(marker, key)
-                fh.write(line % tuple(row))
+            n = min(step, shape[0] - lo)
+            for column, text in line_keys:
+                column[:n] = text[lo:lo + n, None]
+            block = np.stack([v[lo:lo + n] for v in values], axis=-1)
+            _g17(block.ravel(), lanes[:, :block.size])
+            cells[:n] = lanes[:, :block.size].reshape(_LANES, *block.shape).transpose(1, 2, 3, 0)
+            used = buffer if n == rows.shape[0] else buffer[:n * shape[1] * width * 8]
+            fh.write(used.translate(None, b"\0"))
 
 
 def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
@@ -587,15 +785,25 @@ def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
     The shared contract of every reader: the header must match exactly,
     empty lines are skipped (a line of spaces is a row, and malformed),
     each row has one field per column, and a field that does not parse,
-    or bytes that do not decode, are a DataFormatError.  The open file
-    goes to NumPy's C reader, which takes its lines in one pass.  A bytes
-    column (``S<w>``) keeps its field's text as written, spaces included,
-    truncated to ``w`` bytes; a character outside Latin-1 there does not
-    parse.
+    bytes that do not decode, or a NUL byte anywhere are a DataFormatError.
+    No writer emits a NUL, and NumPy's fixed-width bytes drop NULs at the
+    end of a field, so one after an omega would otherwise match.  The
+    bytes are scanned for it first, in 64 KiB chunks; the file is then
+    rewound, and a pipe, which cannot be, is read into memory first.  The
+    open file goes to NumPy's C reader, which takes its lines in one pass.
+    A bytes column (``S<w>``) keeps its field's text as written, spaces
+    included, truncated to ``w`` bytes; a character outside Latin-1 there
+    does not parse.
     """
     dtype = [(f"c{j}", kind) for j, kind in enumerate(kinds)]
     try:
-        with open(path) as fh:
+        with open(path, "rb") as raw:
+            if not raw.seekable():
+                raw = io.BytesIO(raw.read())
+            if any(b"\0" in chunk for chunk in iter(partial(raw.read, 1 << 16), b"")):
+                raise DataFormatError(f"{what} file holds a NUL byte")
+            raw.seek(0)
+            fh = io.TextIOWrapper(raw)
             first = fh.readline().strip()
             if first != header:
                 raise DataFormatError(f"unexpected {what} header {first!r}")
@@ -637,10 +845,10 @@ def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[
     of the band's omega, byte for byte, which is "bit-equal to the band"
     without a float conversion.  Its column is one byte wider than the
     longest such text, so a longer field, which NumPy truncates to the
-    column, cannot match; NumPy's fixed-width bytes do drop trailing NUL
-    characters, which the writers never emit.  Errors name the file by
-    ``what`` and give the first data row that differs, or the row count
-    the scene expects.
+    column, cannot match; NumPy's fixed-width bytes drop trailing NUL
+    characters, which is why ``_read_columns`` refuses any NUL.  Errors
+    name the file by ``what`` and give the first data row that differs, or
+    the row count the scene expects.
     """
     omegas = _text(scene.band.omegas)
     omega_kind = f"S{max(map(len, omegas)) + 1}"

@@ -331,6 +331,67 @@ def test_the_cli_reports_a_bad_band_file_without_a_traceback(tmp_path, capsys, e
     assert "intensity" in err and "Traceback" not in err
 
 
+def put_nul(path, where):
+    """A NUL byte in data row 2 of a band file: after its omega, inside its
+    last value, or at the end of its line."""
+    lines = path.read_bytes().split(b"\n")
+    index, omega, rest = lines[2].split(b",", 2)
+    lines[2] = {"after-omega": b",".join([index, omega + b"\0", rest]),
+                "in-a-value": lines[2][:-2] + b"\0" + lines[2][-2:],
+                "at-line-end": lines[2] + b"\0"}[where]
+    path.write_bytes(b"\n".join(lines))
+
+
+NUL_PLACES = ["after-omega", "in-a-value", "at-line-end"]
+
+
+@pytest.mark.parametrize("where", NUL_PLACES)
+@pytest.mark.parametrize("kind", FILES)
+def test_a_nul_byte_is_a_format_error(tmp_path, kind, where):
+    # NumPy's fixed-width bytes drop NULs at the end of a field, so the
+    # omega column alone would read "2701769682087222\0" as the writer's
+    # text; the reader refuses a NUL anywhere in the file.
+    write_band_files(tmp_path)
+    put_nul(tmp_path / FILES[kind], where)
+    with pytest.raises(DataFormatError, match=f"{kind} file holds a NUL byte"):
+        READERS[kind](tmp_path)
+
+
+@pytest.mark.parametrize("where", NUL_PLACES)
+@pytest.mark.parametrize("command", ["recover", "migrate"])
+def test_the_cli_refuses_a_nul_byte_without_a_traceback(tmp_path, capsys, command, where):
+    write_band_files(tmp_path)
+    spath = tmp_path / "scene.json"
+    spath.write_text(emit_scene(READER_SCENE))
+    name, flag, what = {"recover": ("i.csv", "--data", "intensity"),
+                        "migrate": ("f.csv", "--field", "field")}[command]
+    put_nul(tmp_path / name, where)
+    rc = main([command, "--scene", str(spath), flag, str(tmp_path / name),
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{what} file holds a NUL byte" in err and "Traceback" not in err
+
+
+def test_band_data_from_a_pipe_are_scanned_and_read(tmp_path):
+    # A pipe cannot be rewound after the scan; its bytes are kept instead.
+    data, field = write_band_files(tmp_path)
+    for name, nul in (("f.csv", False), ("f.csv", True)):
+        if nul:
+            put_nul(tmp_path / name, "after-omega")
+        r, w = os.pipe()
+        os.write(w, (tmp_path / name).read_bytes())
+        os.close(w)
+        try:
+            if nul:
+                with pytest.raises(DataFormatError, match="NUL"):
+                    read_field_csv(f"/dev/fd/{r}", READER_SCENE)
+            else:
+                assert same_bits(read_field_csv(f"/dev/fd/{r}", READER_SCENE), field)
+        finally:
+            os.close(r)
+
+
 @ROUND_TRIP
 @given(band_scenes(), st.data())
 def test_an_omega_one_ulp_off_is_refused_at_its_row(tmp_path_factory, scene, data):
@@ -515,6 +576,86 @@ def test_blocks_of_lines_do_not_change_the_bytes(tmp_path, block):
     assert (tmp_path / "m.csv").read_bytes() == per_row_text("ix,iy,x_m,y_m,re,im,abs", (
         cells.repeat(9), np.tile(cells, 9), pos[:, :, 0].ravel(), pos[:, :, 1].ravel(),
         v.real, v.imag, np.hypot(v.real, v.imag))).encode()
+
+
+def grid_text(tmp_path, values):
+    """The writer's text of a (lines, positions) grid of ``values`` with one
+    per-line key, and the per-row reference text of the same grid."""
+    values = np.asarray(values, dtype=float).reshape(len(values), -1)
+    lines = np.arange(values.shape[0])
+    forward._write_grid(tmp_path / "g.csv", "k,v", [lines[:, None]], [values])
+    want = per_row_text("k,v", (lines.repeat(values.shape[1]), values.ravel()))
+    return (tmp_path / "g.csv").read_bytes(), want.encode()
+
+
+@BYTES
+@given(hnp.arrays(float, st.integers(1, 40), elements=st.floats(width=64)))
+def test_every_float_is_written_as_its_percent_17g(tmp_path_factory, values):
+    # st.floats() draws subnormals, signed zeros, infinities and NaN too.
+    got, want = grid_text(tmp_path_factory.mktemp("g17"), values[None, :])
+    assert got == want
+
+
+def ulp_neighbours(values):
+    values = np.array(values)
+    return np.concatenate([values, np.nextafter(values, -math.inf),
+                           np.nextafter(values, math.inf)])
+
+
+@pytest.mark.parametrize("values", [
+    # Exact ties at the 17th digit, which %.17g rounds half to even.
+    pytest.param([1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125], id="ties"),
+    # Where %g switches notation, and where the fast path ends.
+    pytest.param(ulp_neighbours([1e-5, 1e-4, 1e16, 1e17, 1e-250, 1e250]), id="edges"),
+    pytest.param([TINY, -TINY, MAX, -MAX, 2.2250738585072014e-308], id="extremes"),
+])
+def test_hard_values_are_written_as_their_percent_17g(tmp_path, values):
+    values = np.concatenate([values, np.negative(values)])
+    got, want = grid_text(tmp_path, values[None, :])
+    assert got == want
+
+
+def test_a_tie_rounds_half_to_even(tmp_path):
+    got, _ = grid_text(tmp_path, [[1e15 + 0.25, 1e15 + 0.75]])
+    assert got == b"k,v\n0,1000000000000000.2\n0,1000000000000000.8\n"
+
+
+def test_a_block_of_values_off_the_fast_path(tmp_path):
+    # Zeros, non-finite values and magnitudes past [1e-250, 1e250] all take
+    # Python's %, a whole block of them and mixed with fast values.
+    slow = [0.0, -0.0, math.inf, -math.inf, math.nan, TINY, 1e-300, 3e300, MAX]
+    got, want = grid_text(tmp_path, np.resize(slow, (3, 1000)))
+    assert got == want
+    got, want = grid_text(tmp_path, np.resize(slow + [0.1, 2.5, 1 / 3], (3, 1000)))
+    assert got == want
+
+
+def test_a_million_random_bit_patterns(tmp_path):
+    rng = np.random.default_rng(20261020)
+    values = rng.integers(0, 2**64, size=(1000, 1000), dtype=np.uint64).view(float)
+    got, want = grid_text(tmp_path, values)
+    assert got == want
+
+
+def test_only_a_write_builds_the_tables(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys\n"
+        "from ikmig.cli import main\n"
+        "from ikmig.forward import _g17_tables\n"
+        "built = [_g17_tables.cache_info().currsize]\n"
+        "assert main(['check-geometry', '--scene', 'preset:point']) == 0\n"
+        "built.append(_g17_tables.cache_info().currsize)\n"
+        "assert main(['simulate', '--scene', 'preset:point', '--out', sys.argv[1]]) == 0\n"
+        "built.append(_g17_tables.cache_info().currsize)\n"
+        "print(built)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 1]"
 
 
 @pytest.mark.skipif(importlib.util.find_spec("resource") is None,

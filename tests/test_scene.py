@@ -295,6 +295,22 @@ class TestSceneValidation:
         with pytest.raises(SceneValidationError, match="distinct"):
             small_scene(receivers=np.array([[0.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("receivers", [
+        [[0.0, 1.0], [-0.0, 1.0]],
+        [[2.0, -0.0, 1.0], [1.0, 0.0, 3.0], [2.0, 0.0, 1.0]],
+        [[3.0, 1.0], [1.0, 2.0], [2.0, 1.0], [1.0, 2.0]],
+    ])
+    def test_duplicate_receivers_in_any_order_or_sign_of_zero(self, receivers):
+        receivers = np.array(receivers)
+        extra = {"source": np.full(receivers.shape[1], -5.0), "scatterers": (),
+                 "window": ImageWindowSpec((0.0,) * receivers.shape[1], 0.1, 1)}
+        with pytest.raises(SceneValidationError, match="distinct"):
+            small_scene(receivers=receivers, **extra)
+
+    def test_receivers_sharing_coordinates_are_distinct(self):
+        receivers = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+        assert small_scene(receivers=receivers).n_receivers == 4
+
     def test_source_on_receiver_names_index(self):
         with pytest.raises(SceneValidationError, match="source coincides with receiver 1"):
             small_scene(source=np.array([0.0, 0.0]))

@@ -222,7 +222,9 @@ class TestGreen:
 def test_no_command_imports_scipy(tmp_path):
     """A 2-D simulate -> recover -> migrate --reference chain, a
     three-coordinate check-geometry and a 3-D experiment run with SciPy
-    refused by an import hook, and load no scipy module."""
+    refused by an import hook, and load no scipy module.  Nor do they load
+    numpy.ma (8-10 ms on a process's first scene, through np.unique), or
+    fractions or decimal, which the CSV writer's tables do without."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -258,11 +260,14 @@ def test_no_command_imports_scipy(tmp_path):
         "     '--reference', p('truth.csv'), '--out', p('img')],\n"
         "    ['check-geometry', '--scene', p('cube.json')],\n"
         "    ['experiment', '--case', 'point', '--threads', '2', '--out', p('exp')])]\n"
+        "loaded = sorted(sys.modules)\n"
         "print(json.dumps({'codes': codes,\n"
-        "                  'scipy': sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')}))\n"
+        "                  'scipy': [m for m in loaded if m.partition('.')[0] == 'scipy'],\n"
+        "                  'others': [m for m in ('decimal', 'fractions', 'numpy.ma')\n"
+        "                             if m in loaded]}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {"codes": [0, 0, 0, 0, 0], "scipy": []}, proc.stderr
+    assert got == {"codes": [0, 0, 0, 0, 0], "scipy": [], "others": []}, proc.stderr

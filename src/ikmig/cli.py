@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 validation or format error, 3 numeric or
 singularity error, or a problem too large for memory (an array that
 cannot be allocated), 4 I/O error.  Output files are written atomically
-(temp file + rename) and every command leaves a manifest.json in its
-output directory recording inputs, outputs, and hashes.
+(temp file + rename) with the mode the umask gives, and every command
+that writes files leaves a manifest.json beside them recording its
+inputs, the files it wrote, and their hashes (``check-geometry`` writes
+neither without ``--out``).
 """
 
 from __future__ import annotations
@@ -87,10 +89,23 @@ def _load_scene(spec: str):
     return parse_scene(text)
 
 
-def _atomic(path: str, writer) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+# The files the running ``main`` call has written, in order: its manifest's outputs.
+_written: list = []
+
+
+def _atomic(out_dir: str, name: str, writer) -> None:
+    """Write ``out_dir``/``name`` by ``writer(tmp)`` and a rename, and record it.
+
+    The file gets ``open``'s mode under the umask, not mkstemp's 0600.
+    """
+    directory = os.path.abspath(out_dir)
+    path = os.path.join(directory, name)
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
+    # Reading the umask sets it for a moment; no other thread runs while a command writes.
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)
     os.close(fd)
     try:
         writer(tmp)
@@ -98,6 +113,7 @@ def _atomic(path: str, writer) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _written.append(path)
 
 
 def _sha256(path: str) -> str:
@@ -123,16 +139,16 @@ def _jsonable(obj):
     return obj
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(out_dir: str, name: str, text: str) -> None:
     def write(tmp: str) -> None:
         with open(tmp, "w") as fh:
             fh.write(text)
 
-    _atomic(path, write)
+    _atomic(out_dir, name, write)
 
 
-def _write_json(obj, path: str) -> None:
-    _write_text(path, json.dumps(_jsonable(obj), indent=1, sort_keys=True) + "\n")
+def _write_json(out_dir: str, name: str, obj) -> None:
+    _write_text(out_dir, name, json.dumps(_jsonable(obj), indent=1, sort_keys=True) + "\n")
 
 
 def _scene_inputs(spec: str) -> dict:
@@ -140,17 +156,14 @@ def _scene_inputs(spec: str) -> dict:
     return {} if spec.startswith("preset:") else {"scene": spec}
 
 
-def _write_image_pair(out_dir: str, name: str, image, window) -> list:
-    """Write ``name``.csv and ``name``.pgm of an image on ``window``; returns both paths."""
-    cpath = os.path.join(out_dir, f"{name}.csv")
-    gpath = os.path.join(out_dir, f"{name}.pgm")
-    _atomic(cpath, lambda p: write_image_csv(image, window, p))
-    _atomic(gpath, lambda p: write_image_pgm(image, p))
-    return [cpath, gpath]
+def _write_image_pair(out_dir: str, name: str, image, window) -> None:
+    """Write ``name``.csv and ``name``.pgm of an image on ``window``."""
+    _atomic(out_dir, f"{name}.csv", lambda p: write_image_csv(image, window, p))
+    _atomic(out_dir, f"{name}.pgm", lambda p: write_image_pgm(image, p))
 
 
-def _write_manifest(out_dir: str, command: str, scene, params: dict,
-                    inputs: dict, outputs: list) -> None:
+def _write_manifest(out_dir: str, command: str, scene, params: dict, inputs: dict) -> None:
+    """manifest.json: the run's inputs, with the files written so far as its outputs."""
     manifest = {
         "command": command,
         "version": __version__,
@@ -160,9 +173,9 @@ def _write_manifest(out_dir: str, command: str, scene, params: dict,
         "inputs": {name: {"path": path,
                           "sha256": _sha256(path) if os.path.isfile(path) else None}
                    for name, path in inputs.items()},
-        "outputs": {os.path.basename(path): _sha256(path) for path in outputs},
+        "outputs": {os.path.basename(path): _sha256(path) for path in _written},
     }
-    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    _write_json(out_dir, "manifest.json", manifest)
 
 
 def _synthesize(scene, stochastic: bool, seed, noise_fraction):
@@ -184,22 +197,19 @@ def _synthesize(scene, stochastic: bool, seed, noise_fraction):
     return clean_power_data(scene, fhat)
 
 
-def _write_data(scene, data, out_dir: str) -> list:
-    ipath = os.path.join(out_dir, "intensity.csv")
-    lpath = os.path.join(out_dir, "illumination.csv")
-    _atomic(ipath, lambda p: write_intensity_csv(scene.band.omegas, data, p))
-    _atomic(lpath, lambda p: write_illumination_csv(scene.band.omegas, data, p))
-    return [ipath, lpath]
+def _write_data(scene, data, out_dir: str) -> None:
+    _atomic(out_dir, "intensity.csv", lambda p: write_intensity_csv(scene.band.omegas, data, p))
+    _atomic(out_dir, "illumination.csv",
+            lambda p: write_illumination_csv(scene.band.omegas, data, p))
 
 
-def _write_condition(out_dir: str, scenes: dict) -> str:
+def _write_condition(out_dir: str, scenes: dict) -> None:
     """condition.csv: one column of condition numbers per named scene."""
     omegas = next(iter(scenes.values())).band.omegas
     values = [condition_number(scene) for scene in scenes.values()]
     header = ",".join(["freq_index", "omega_rad_s", *scenes])
-    cpath = os.path.join(out_dir, "condition.csv")
-    _atomic(cpath, lambda p: _write_grid(p, header, [np.arange(omegas.shape[0]), omegas], values))
-    return cpath
+    _atomic(out_dir, "condition.csv",
+            lambda p: _write_grid(p, header, [np.arange(omegas.shape[0]), omegas], values))
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +220,15 @@ def _write_condition(out_dir: str, scenes: dict) -> str:
 def _recover(scene, data, out_dir: str):
     """Recover the projected field and write recovered.csv.
 
-    Returns (ptilde, geometry report, path); a failed geometry check warns.
+    Returns (ptilde, geometry report); a failed geometry check warns.
     """
     ptilde = recover_band(scene, data)
     geometry = check_geometric_condition(scene)
     if not geometry.ok:
         logger.warning("geometric visibility violated at receivers %s",
                        list(geometry.violating_receivers)[:8])
-    fpath = os.path.join(out_dir, "recovered.csv")
-    _atomic(fpath, lambda p: write_field_csv(scene.band.omegas, ptilde, p))
-    return ptilde, geometry, fpath
+    _atomic(out_dir, "recovered.csv", lambda p: write_field_csv(scene.band.omegas, ptilde, p))
+    return ptilde, geometry
 
 
 def _migrate(scene, fields: dict, threads: int, out_dir: str):
@@ -229,17 +238,16 @@ def _migrate(scene, fields: dict, threads: int, out_dir: str):
     so it is the only copy of them: ``fields`` is emptied, and a caller
     that keeps no other reference frees every field before the kernel
     pass.  Writes ``name``.csv and ``name``.pgm per field; returns
-    ({name: image}, written paths).
+    {name: image}.
     """
     names = list(fields)
     stack = np.stack([fields.pop(name) for name in names])
     images = dict(zip(names, migrate_broadband_stack(scene, stack.transpose(1, 2, 0),
                                                      threads=threads)))
     del stack
-    outputs = []
     for name, image in images.items():
-        outputs += _write_image_pair(out_dir, name, image, scene.window)
-    return images, outputs
+        _write_image_pair(out_dir, name, image, scene.window)
+    return images
 
 
 def _compare(image, reference, scene):
@@ -255,37 +263,36 @@ def _compare(image, reference, scene):
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+# Each command returns what its manifest records beyond the files it wrote:
+# (scene, parameters, inputs), or None when it wrote nothing.
+
+
+def cmd_simulate(args):
     scene = _load_scene(args.scene)
     data = _synthesize(scene, args.stochastic, args.seed, args.noise_fraction)
-    outputs = _write_data(scene, data, args.out)
-    _write_manifest(args.out, "simulate", scene,
-                    {"scene": args.scene, "stochastic": args.stochastic,
-                     "seed": args.seed, "noise_fraction": args.noise_fraction},
-                    _scene_inputs(args.scene), outputs)
-    return 0
+    _write_data(scene, data, args.out)
+    return (scene, {"scene": args.scene, "stochastic": args.stochastic,
+                    "seed": args.seed, "noise_fraction": args.noise_fraction},
+            _scene_inputs(args.scene))
 
 
-def cmd_recover(args) -> int:
+def cmd_recover(args):
     scene = _load_scene(args.scene)
     illum = args.illumination
     if illum is None:
         sibling = os.path.join(os.path.dirname(os.path.abspath(args.data)), "illumination.csv")
         illum = sibling if os.path.exists(sibling) else None
     data = read_intensity_csv(args.data, scene, illum)
-    _, geometry, fpath = _recover(scene, data, args.out)
-    rpath = os.path.join(args.out, "report.json")
-    _write_json({"conditioning": condition_number(scene),
-                 "geometry": asdict(geometry)}, rpath)
+    _, geometry = _recover(scene, data, args.out)
+    _write_json(args.out, "report.json", {"conditioning": condition_number(scene),
+                                          "geometry": asdict(geometry)})
     inputs = {"data": args.data, **_scene_inputs(args.scene)}
     if illum is not None:
         inputs["illumination"] = illum
-    _write_manifest(args.out, "recover", scene, {"scene": args.scene},
-                    inputs, [fpath, rpath])
-    return 0
+    return scene, {"scene": args.scene}, inputs
 
 
-def cmd_migrate(args) -> int:
+def cmd_migrate(args):
     scene = _load_scene(args.scene)
     fields = {"image": read_field_csv(args.field, scene)}
     inputs = {"field": args.field, **_scene_inputs(args.scene)}
@@ -293,44 +300,35 @@ def cmd_migrate(args) -> int:
         # By keyword: perfbench's CSV-size counter takes each positional string for a path.
         fields["image_reference"] = read_field_csv(args.reference, scene, what="reference")
         inputs["reference"] = args.reference
-    images, outputs = _migrate(scene, fields, args.threads, args.out)
+    images = _migrate(scene, fields, args.threads, args.out)
     if args.reference:
         image, reference, shift = _compare(images["image"], images["image_reference"], scene)
         payload = {"image": image, "reference": reference, "peak_displacement_cells": shift}
     else:
         payload = {"image": asdict(image_metrics(images["image"], scene))}
-    mpath = os.path.join(args.out, "metrics.json")
-    _write_json(payload, mpath)
-    _write_manifest(args.out, "migrate", scene,
-                    {"scene": args.scene, "threads": args.threads}, inputs, outputs + [mpath])
-    return 0
+    _write_json(args.out, "metrics.json", payload)
+    return scene, {"scene": args.scene, "threads": args.threads}, inputs
 
 
-def _experiment_condition_study(out_dir: str) -> int:
+def _experiment_condition_study(out_dir: str):
     scene3 = preset_scene("point")
-    cpath = _write_condition(out_dir, {"cond_d3": scene3,
-                                       "cond_d2": replace(scene3, dimension=2)})
+    _write_condition(out_dir, {"cond_d3": scene3, "cond_d2": replace(scene3, dimension=2)})
     ratio = float(condition_number(scene3)[0])
-    lpath = os.path.join(out_dir, "limits.json")
-    _write_json({"d3_distance_ratio": ratio, "d2_sqrt_limit": math.sqrt(ratio)}, lpath)
-    _write_manifest(out_dir, "experiment", scene3, {"case": "condition_study"},
-                    {}, [cpath, lpath])
-    return 0
+    _write_json(out_dir, "limits.json",
+                {"d3_distance_ratio": ratio, "d2_sqrt_limit": math.sqrt(ratio)})
+    return scene3, {"case": "condition_study"}, {}
 
 
-def _experiment_spurious(out_dir: str, threads: int) -> int:
+def _experiment_spurious(out_dir: str, threads: int):
     scene = preset_scene("point")
     true_img, mirror, report = spurious_term_image(scene, threads)
-    outputs = (_write_image_pair(out_dir, "image_mirror", mirror, scene.window)
-               + _write_image_pair(out_dir, "image_true", true_img, scene.window))
-    rpath = os.path.join(out_dir, "report.json")
-    _write_json(asdict(report), rpath)
-    _write_manifest(out_dir, "experiment", scene, {"case": "spurious_term"}, {},
-                    outputs + [rpath])
-    return 0
+    _write_image_pair(out_dir, "image_mirror", mirror, scene.window)
+    _write_image_pair(out_dir, "image_true", true_img, scene.window)
+    _write_json(out_dir, "report.json", asdict(report))
+    return scene, {"case": "spurious_term"}, {}
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args):
     case = args.case
     if case not in EXPERIMENT_CASES:
         raise _UsageError(f"unknown case {case!r}; choose from {', '.join(EXPERIMENT_CASES)}")
@@ -343,37 +341,31 @@ def cmd_experiment(args) -> int:
     scene = preset_scene("stochastic" if case == "stochastic_noisy" else case)
     noise = _NOISE_FRACTION_DEFAULT if case == "stochastic_noisy" else None
     data = _synthesize(scene, stochastic, args.seed, noise)
-    spath = os.path.join(args.out, "scene.json")
-    _write_text(spath, emit_scene(scene))
-    outputs = [spath] + _write_data(scene, data, args.out)
+    _write_text(args.out, "scene.json", emit_scene(scene))
+    _write_data(scene, data, args.out)
 
     # `recover` then `migrate --reference` run these stages and write the same bytes.
-    ptilde, geometry, fpath = _recover(scene, data, args.out)
+    ptilde, geometry = _recover(scene, data, args.out)
     fields = {"image_true": array_response_band(scene), "image_recovered": ptilde}
     # The migration's stack is then the one copy of the fields.
     del data, ptilde
-    images, image_paths = _migrate(scene, fields, args.threads, args.out)
+    images = _migrate(scene, fields, args.threads, args.out)
     recovered, true, shift = _compare(images["image_recovered"], images["image_true"], scene)
     residual = float(np.max(linearization_residual(scene)))
-    mpath = os.path.join(args.out, "metrics.json")
-    _write_json({"true": true, "recovered": recovered, "peak_displacement_cells": shift,
-                 "linearization_residual_max": residual, "geometry": asdict(geometry)}, mpath)
-    _write_manifest(args.out, "experiment", scene,
-                    {"case": case, "seed": args.seed, "threads": args.threads,
-                     "noise_fraction": noise},
-                    {}, outputs + [fpath] + image_paths + [mpath])
-    return 0
+    _write_json(args.out, "metrics.json",
+                {"true": true, "recovered": recovered, "peak_displacement_cells": shift,
+                 "linearization_residual_max": residual, "geometry": asdict(geometry)})
+    return (scene, {"case": case, "seed": args.seed, "threads": args.threads,
+                    "noise_fraction": noise}, {})
 
 
-def cmd_condition(args) -> int:
+def cmd_condition(args):
     scene = _load_scene(args.scene)
-    cpath = _write_condition(args.out, {"cond": scene})
-    _write_manifest(args.out, "condition", scene, {"scene": args.scene},
-                    _scene_inputs(args.scene), [cpath])
-    return 0
+    _write_condition(args.out, {"cond": scene})
+    return scene, {"scene": args.scene}, _scene_inputs(args.scene)
 
 
-def cmd_check_geometry(args) -> int:
+def cmd_check_geometry(args):
     scene = _load_scene(args.scene)
     report = check_geometric_condition(scene)
     payload = asdict(report)
@@ -381,11 +373,8 @@ def cmd_check_geometry(args) -> int:
     if not report.ok:
         logger.warning("source lies inside a receiver view cone")
     if args.out:
-        gpath = os.path.join(args.out, "geometry.json")
-        _write_json(payload, gpath)
-        _write_manifest(args.out, "check-geometry", scene, {"scene": args.scene},
-                        _scene_inputs(args.scene), [gpath])
-    return 0
+        _write_json(args.out, "geometry.json", payload)
+        return scene, {"scene": args.scene}, _scene_inputs(args.scene)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +459,12 @@ def main(argv=None) -> int:
     handler.setFormatter(logging.Formatter("warning: %(message)s"))
     package = logging.getLogger("ikmig")
     package.addHandler(handler)
+    _written.clear()
     try:
-        return args.func(args)
+        record = args.func(args)
+        if record is not None:
+            _write_manifest(args.out, args.command, *record)
+        return 0
     except (_UsageError, SceneParseError, SceneValidationError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -501,6 +502,46 @@ class TestCheckGeometry:
         assert saved == payload
 
 
+class TestManifestOutputs:
+    """A manifest's outputs are exactly the files its command wrote."""
+
+    @staticmethod
+    def assert_lists_its_files(out):
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert set(outputs) == {p.name for p in out.iterdir()} - {"manifest.json"}
+
+    def test_point_pipeline(self, point_sim, point_rec, exp_point):
+        for out in (point_sim, point_rec, exp_point):
+            self.assert_lists_its_files(out)
+
+    def test_commands_on_a_scene_file(self, small_files, tmp_path):
+        scene = ["--scene", str(small_files / "scene.json")]
+        field = str(small_files / "recovered.csv")
+        for name, argv in {
+                "sim": ["simulate", *scene, "--stochastic", "--seed", "5",
+                        "--noise-fraction", "0.1"],
+                "mig": ["migrate", *scene, "--field", field],
+                "mig_ref": ["migrate", *scene, "--field", field, "--reference", field],
+                "cond": ["condition", *scene],
+                "geom": ["check-geometry", *scene]}.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0, name
+            self.assert_lists_its_files(tmp_path / name)
+
+    @pytest.mark.parametrize("case", ["spurious_term", "condition_study"])
+    def test_experiments(self, tmp_path, case):
+        assert main(["experiment", "--case", case, "--threads", "2",
+                     "--out", str(tmp_path)]) == 0
+        self.assert_lists_its_files(tmp_path)
+
+    def test_one_call_records_nothing_for_the_next(self, small_files, tmp_path):
+        # Benchmark passes run several commands in one interpreter.
+        scene = ["--scene", str(small_files / "scene.json")]
+        assert main(["simulate", *scene, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["condition", *scene, "--out", str(tmp_path / "cond")]) == 0
+        outputs = json.loads((tmp_path / "cond" / "manifest.json").read_text())["outputs"]
+        assert set(outputs) == {"condition.csv"}
+
+
 class TestWarnings:
     """Each warning reaches stderr once per call, as a "warning: " line,
     and ``main`` leaves no handler behind."""
@@ -796,16 +837,51 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
-def test_commands_close_their_files(tmp_path):
+def test_commands_close_their_files(small_files, tmp_path):
     """Under -X dev an unclosed file prints a ResourceWarning to stderr."""
     env = src_env()
-    for args in (["condition", "--scene", "preset:point", "--out", str(tmp_path / "c")],
-                 ["check-geometry", "--scene", "preset:point", "--out", str(tmp_path / "g")]):
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "ikmig.cli",
-             *args], capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert "ResourceWarning" not in proc.stderr
+    scene = ["--scene", str(small_files / "scene.json")]
+    field = str(small_files / "recovered.csv")
+    content = (small_files / "intensity.csv").read_bytes()
+    assert len(content) < 65536
+    r, w = os.pipe()
+    try:
+        os.write(w, content)
+        os.close(w)
+        for args in (["condition", "--scene", "preset:point", "--out", str(tmp_path / "c")],
+                     ["check-geometry", "--scene", "preset:point", "--out", str(tmp_path / "g")],
+                     ["simulate", *scene, "--out", str(tmp_path / "s")],
+                     ["recover", *scene, "--data", str(small_files / "intensity.csv"),
+                      "--out", str(tmp_path / "r")],
+                     ["recover", *scene, "--data", f"/dev/fd/{r}",
+                      "--illumination", str(small_files / "illumination.csv"),
+                      "--out", str(tmp_path / "p")],
+                     ["migrate", *scene, "--field", field, "--reference", field,
+                      "--out", str(tmp_path / "m")]):
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "ikmig.cli",
+                 *args], capture_output=True, text=True, env=env, timeout=300, pass_fds=(r,))
+            assert proc.returncode == 0, proc.stderr
+            assert "ResourceWarning" not in proc.stderr
+    finally:
+        os.close(r)
+    assert (tmp_path / "p" / "recovered.csv").read_bytes() == (
+        tmp_path / "r" / "recovered.csv").read_bytes()
+
+
+def test_outputs_get_the_mode_the_umask_gives(small_files, tmp_path):
+    # As open(path, "w") would create them, not mkstemp's 0600.
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / oct(umask)
+        previous = os.umask(umask)
+        try:
+            assert main(["simulate", "--scene", str(small_files / "scene.json"),
+                         "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == dict.fromkeys(["intensity.csv", "illumination.csv", "manifest.json"],
+                                      mode)
 
 
 @settings(max_examples=40, deadline=None)

@@ -619,7 +619,7 @@ class TestOneStack:
     def test_cli_migrate_holds_one_stack(self, monkeypatch, tmp_path, threads):
         sc = self.scene()
         want = migrate_broadband_stack(sc, np.ascontiguousarray(np.stack(self.fields(sc), axis=2)))
-        (images, _), peak = self.kernel_peak(monkeypatch, cli, lambda: cli._migrate(
+        images, peak = self.kernel_peak(monkeypatch, cli, lambda: cli._migrate(
             sc, dict(zip(["image_a", "image_b"], self.fields(sc))), threads, str(tmp_path)))
         assert peak < self.bound(sc, threads)
         assert np.array_equal(images["image_a"], want[0])

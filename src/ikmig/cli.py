@@ -81,7 +81,7 @@ class _UsageError(Exception):
 def _load_scene(spec: str):
     if spec.startswith("preset:"):
         return preset_scene(spec[len("preset:"):])
-    with open(spec) as fh:
+    with open(spec, encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -141,7 +141,7 @@ def _jsonable(obj):
 
 def _write_text(out_dir: str, name: str, text: str) -> None:
     def write(tmp: str) -> None:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
     _atomic(out_dir, name, write)

@@ -31,29 +31,31 @@ CSV band files (intensity, illumination, field) are written on a band's
 omegas and read on the scene they serve, as images live on its window:
 one reader, ``_read_band``, accepts exactly the rows the writers emit for
 the scene's band and array and returns plain value arrays on that band.
+It reads a file in blocks of whole lines and is the writer's inverse: a
+block of the writer's own text is decided in NumPy passes
+(``_parse_block``, its values by ``g17._parse_values``); any other block
+goes whole to NumPy's reader (``_load_block``).
 
 Every CSV file goes through one writer, ``_write_grid``, and every float
 value's text is ``'%.17g' % x`` byte for byte, produced in NumPy passes
-(``_g17``): the value scaled to 17 digits exactly with Dekker's
-two-product against a double-double table of powers of ten, the digits
-from a table of 4-digit groups, and the %g layout as NUL-padded 8-byte
-lanes that one ``bytes.translate`` compacts.  The few values that cannot
-be decided safely that way (zeros, non-finite values, magnitudes outside
-[1e-250, 1e250], near-ties) take Python's ``%``.
+(``g17._g17``), whose table of powers of ten (``_g17_tables``) the reader
+shares.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
-from functools import cache, partial
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 
 from .errors import DataFormatError, NumericError, SingularityError
+# _g17_tables is named here too: the writers' and the reader's one table.
+from .g17 import _LANES, _g17, _g17_tables, _lanes, _parse_values, _windows
 from .scene import Scene
 
 __all__ = [
@@ -537,184 +539,6 @@ def _text(column: np.ndarray) -> list[str]:
     return [fmt % x for x in column.ravel().tolist()]
 
 
-# ``_g17`` writes a value's text as six 8-byte lanes, its characters in
-# order with NULs between them, which the writer deletes: (0) the comma,
-# the sign, the "0.000" prefix and the first digit; (1, 2) digits 2-17
-# that precede the decimal point, then the point; (3, 4) digits 2-17
-# that follow it; (5) the exponent.  Values of magnitude in [1e-250,
-# 1e250] are decided in NumPy passes; the rest take Python's ``%``.
-_LANES = 6
-_EXPONENTS = range(-250, 251)
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker's split into two 26-bit halves
-
-
-def _lanes(texts) -> np.ndarray:
-    """Each text, NUL-padded to 8 bytes, as one uint64 lane: the lanes
-    hold the bytes in text order whatever the machine's byte order."""
-    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split: a = high + low exactly, each of 26 significant bits
-    or fewer, so a product of two halves is exact."""
-    c = a * _SPLITTER
-    high = c - (c - a)
-    return high, a - high
-
-
-@cache
-def _g17_tables() -> SimpleNamespace:
-    """The tables of ``_g17``, built on the first write, per exponent e in
-    ``_EXPONENTS`` and per 4-digit group.
-
-    10**(16 - e) as a double-double hi + lo, within 2**-106 relative: each
-    part is a ratio of Python integers rounded once, hi's Dekker halves
-    beside it.  Per sign and e, the lane of the prefix; per e, that of the
-    exponent, and how many digits precede the decimal point (0 for the
-    "0.000" forms, whose point is in the prefix).  Per first digit, its
-    lane; per group 0..9999, its four digits and its trailing zeros.
-    """
-    hi, lo = [], []
-    for e in _EXPONENTS:
-        if e <= 16:
-            n = 10 ** (16 - e)
-            hi.append(float(n))
-            lo.append(float(n - int(hi[-1])))
-        else:
-            d = 10 ** (e - 16)
-            hi.append(1 / d)
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * d) / (den * d))
-    hi = np.array(hi)
-    k = np.arange(10000, dtype=np.uint16)
-    quads = np.empty((10000, 4), np.uint8)
-    for j, scale in enumerate((1000, 100, 10, 1)):
-        quads[:, j] = k // scale % 10
-    quads += ord("0")
-    fixed = [-4 <= e < 17 for e in _EXPONENTS]
-    return SimpleNamespace(
-        hi=hi, hi_split=_split(hi), lo=np.array(lo),
-        quads=quads.view(np.uint32).ravel(),
-        zeros=sum((k % 10**j == 0).astype(np.intp) for j in range(1, 5)),
-        # per sign, then per e
-        prefix=_lanes([b"," + sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
-                       for sign in (b"\0", b"-") for e in _EXPONENTS]),
-        first=_lanes([b"\0" * 7 + b"%d" % digit for digit in range(10)]),
-        exponent=_lanes([b"" if f else b"e%+03d" % e for e, f in zip(_EXPONENTS, fixed)]),
-        before_point=np.array([(e + 1 if e >= 0 else 0) if f else 1
-                               for e, f in zip(_EXPONENTS, fixed)]),
-        # keep[j][m], dot[j][m]: digits 2..m, and a point after them, in
-        # lane j of digits 2-9 and 10-17
-        keep=[_lanes([b"\xff" * min(max(m - start, 0), 8) for m in range(18)])
-              for start in (1, 9)],
-        dot=[_lanes([b"\0" * (m - start) + b"." if start <= m < start + 8 else b""
-                     for m in range(18)]) for start in (1, 9)],
-    )
-
-
-def _rounded(a: np.ndarray, i: np.ndarray, t: SimpleNamespace,
-             fast: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D = a 10**(16 - e) rounded to an integer, half to even, where i is
-    e's row of the tables, as the floats D // 1e8 and D % 1e8; clears
-    ``fast`` where D may be wrong or tied."""
-    # a 10**(16 - e) = product + err + a lo: the first two are a hi exactly
-    # (Dekker's two-product), the last is rounded, within 1e-14 with lo's
-    # own error.
-    product = a * t.hi[i]
-    hi_high, hi_low = (part[i] for part in t.hi_split)
-    a_high, a_low = _split(a)
-    err = a_high * hi_high
-    err -= product
-    err += np.multiply(a_high, hi_low, out=a_high)
-    err += np.multiply(a_low, hi_high, out=a_high)
-    err += np.multiply(a_low, hi_low, out=a_low)
-    frac = a * t.lo[i]
-    frac += err
-    units = np.floor(frac)
-    frac -= units
-    fast &= product >= 1e16 + 64
-    fast &= product < 1e17 - 64
-    tie = np.subtract(frac, 0.5, out=err)
-    fast &= np.abs(tie, out=tie) > 1e-6
-    # Every step is exact: high * 1e8 is (high < 2**30, 1e8 = 390625 *
-    # 2**8), and a floor of a rounded quotient that is one off is mended
-    # by the carry.
-    high = np.floor(product / 1e8)
-    low = np.subtract(product, high * 1e8, out=product)
-    low += units
-    low += frac > 0.5
-    carry = np.floor(low / 1e8)
-    low -= carry * 1e8
-    high += carry
-    return high, low
-
-
-def _digit_groups(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The first digit of D, and its other 16 as four 4-digit groups, from
-    D // 1e8 and D % 1e8; the float quotients by 1e4 and 1e8 floor
-    exactly below 2**53."""
-    first = np.floor(high / 1e8)
-    high -= first * 1e8
-    groups = []
-    for part in (high, low):
-        q = np.floor(part / 1e4)
-        groups += [q.astype(np.intp), (part - q * 1e4).astype(np.intp)]
-    return first.astype(np.intp), groups
-
-
-def _g17(x: np.ndarray, out: np.ndarray) -> None:
-    """The ``,%.17g`` text of each float of the 1-D x, byte for byte, into
-    the (6, x.size) uint64 lanes ``out`` (see ``_LANES``).
-
-    %.17g is the value rounded to 17 significant digits D, half to even,
-    times 10**e: fixed notation for -4 <= e < 17, else d.ddde+XX, either
-    with trailing zeros stripped.  Here e = floor(log10 |x|) and D is
-    ``_rounded``.  A value is left to Python's ``%`` when that rounding
-    could be wrong or tied: the scaled value's fraction lies within 1e-6
-    of a half (exact ties such as 1e15 + 0.25 occur, and the product is
-    within 1e-14), or it lies within 64 of [1e16, 1e17)'s edges, where e
-    may be one off.  So do zeros, non-finite values and magnitudes outside
-    [1e-250, 1e250], where the table ends.  D's digits come from a table
-    of 4-digit groups, and each part of the text is a lane masked by the
-    exponent and the count of digits kept.
-    """
-    t = _g17_tables()
-    a = np.abs(x)
-    fast = a >= 1e-250
-    fast &= a <= 1e250
-    np.copyto(a, 1.0, where=~fast)
-    i = np.floor(np.log10(a)).astype(np.intp)
-    i -= _EXPONENTS[0]
-    first, groups = _digit_groups(*_rounded(a, i, t, fast))
-    # the last nonzero digit, 1..17, counted from the first
-    last = 17 - t.zeros[groups[3]]
-    zero = groups[3] == 0
-    for g in groups[2::-1]:
-        last -= zero * t.zeros[g]
-        zero &= g == 0
-    out[0] = t.prefix[np.where(x < 0, i + len(_EXPONENTS), i)]
-    out[0] |= t.first[first]
-    before = t.before_point[i]
-    point = np.where(last > before, before, 0)
-    # two groups side by side, in the order they are stored
-    pair = np.empty((x.shape[0], 2), np.uint32)
-    lane = pair.view(np.uint64).reshape(-1)
-    for j in range(2):
-        pair[:, 0] = t.quads[groups[2 * j]]
-        pair[:, 1] = t.quads[groups[2 * j + 1]]
-        keep = t.keep[j][before]
-        np.bitwise_and(lane, keep, out=out[1 + j])
-        out[1 + j] |= t.dot[j][point]
-        keep = np.invert(keep, out=keep)
-        keep &= t.keep[j][last]
-        np.bitwise_and(lane, keep, out=out[3 + j])
-    out[5] = t.exponent[i]
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = np.array([b",%.17g" % v for v in x[slow].tolist()], dtype=f"S{8 * _LANES}")
-        out[:, slow] = text.view(np.uint64).reshape(-1, _LANES).T
-
-
 # Values formatted per block of grid lines, about this many a block.  At
 # 2**11 writing a 50,100-row field file peaks at 0.46 MB (tracemalloc);
 # 2**12 wrote it 10-20% faster and peaked at 0.90 MB.
@@ -729,7 +553,7 @@ def _write_grid(path, header: str, keys, values) -> None:
     per position, repeated on every line; a value column is an array that
     broadcasts to the grid.  A 1-D table is one line of positions.
 
-    The contract every writer shares, and the inverse of ``_read_columns``:
+    The contract every writer shares, and the inverse of ``_read_band``:
     ``%d`` for an integer column, ``%.17g`` (round-trip exact) for a float
     column, so the bytes equal a ``%``-format of each row.  Each key entry
     is formatted once, not once per row, into a NUL-padded column of a row
@@ -779,48 +603,6 @@ def _write_grid(path, header: str, keys, values) -> None:
             fh.write(used.translate(None, b"\0"))
 
 
-def _read_columns(path, header: str, kinds, what: str) -> list[np.ndarray]:
-    """One array per column of a CSV file, of the dtypes ``kinds``.
-
-    The shared contract of every reader: the header must match exactly,
-    empty lines are skipped (a line of spaces is a row, and malformed),
-    each row has one field per column, and a field that does not parse,
-    bytes that do not decode, or a NUL byte anywhere are a DataFormatError.
-    No writer emits a NUL, and NumPy's fixed-width bytes drop NULs at the
-    end of a field, so one after an omega would otherwise match.  The
-    bytes are scanned for it first, in 64 KiB chunks; the file is then
-    rewound, and a pipe, which cannot be, is read into memory first.  The
-    open file goes to NumPy's C reader, which takes its lines in one pass.
-    A bytes column (``S<w>``) keeps its field's text as written, spaces
-    included, truncated to ``w`` bytes; a character outside Latin-1 there
-    does not parse.
-    """
-    dtype = [(f"c{j}", kind) for j, kind in enumerate(kinds)]
-    try:
-        with open(path, "rb") as raw:
-            if not raw.seekable():
-                raw = io.BytesIO(raw.read())
-            if any(b"\0" in chunk for chunk in iter(partial(raw.read, 1 << 16), b"")):
-                raise DataFormatError(f"{what} file holds a NUL byte")
-            raw.seek(0)
-            fh = io.TextIOWrapper(raw)
-            first = fh.readline().strip()
-            if first != header:
-                raise DataFormatError(f"unexpected {what} header {first!r}")
-            with warnings.catch_warnings():
-                # loadtxt warns about a table without rows; that is raised below
-                warnings.simplefilter("ignore", UserWarning)
-                columns = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                     ndmin=1, unpack=True)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"undecodable bytes in {what} file: {exc}") from None
-    except ValueError as exc:
-        raise DataFormatError(f"malformed {what} row: {exc}") from None
-    if columns[0].size == 0:
-        raise DataFormatError(f"{what} file holds no rows")
-    return columns
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
@@ -832,52 +614,185 @@ def _band_keys(omegas: np.ndarray, n: int) -> list:
     return [np.arange(omegas.shape[0])[:, None], omegas[:, None], np.arange(n)]
 
 
+# Band files are read in blocks of whole lines, about this many bytes a
+# block, so that the reader's memory does not grow with the file.
+_READ_BYTES = 1 << 18
+# Zero bytes before a block: a field's mantissa is read as the 24 bytes
+# that end where it does.
+_PAD = 24
+def _key_lanes(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per text, its bytes as little-endian lanes, the mask of its bytes in
+    them, and its length: (texts, lanes), (texts, lanes) and (texts,)."""
+    width = -(-max(map(len, texts)) // 8) * 8
+    def lanes(texts):
+        return np.frombuffer(b"".join(x.ljust(width, b"\0") for x in texts),
+                             "<u8").reshape(len(texts), -1)
+    return (lanes(texts), lanes([b"\xff" * len(x) for x in texts]),
+            np.array([len(x) for x in texts]))
+
+
+def _parse_block(block: bytes, keys: list, n_values: int, row0: int,
+                 n_rows: int) -> np.ndarray | None:
+    """The (rows, n_values) values of a block of whole lines that are all
+    the writer's own text for rows ``row0`` on, or None.
+
+    Each line must be the row's key text, byte for byte, then its values,
+    each a field that ``_parse_values`` decides, separated by commas and
+    ended by a newline.  ``keys`` holds the ``_key_lanes`` of the key text
+    per frequency and, if the file has receiver rows, per receiver.
+    """
+    buf = bytes(_PAD) + block + bytes(sum(lanes[0].nbytes for lanes, _, _ in keys))
+    b = np.frombuffer(buf, np.uint8)
+    n_keys = len(keys) + 1
+    sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    if sep.size % (n_keys + n_values):
+        return None
+    sep = sep.reshape(-1, n_keys + n_values)
+    kind = b[sep]
+    rows = sep.shape[0]
+    if not ((kind[:, :-1] == ord(",")).all() and (kind[:, -1] == ord("\n")).all()
+            and row0 + rows <= n_rows):
+        return None
+    at = np.empty(rows, np.intp)
+    at[0] = _PAD
+    at[1:] = sep[:-1, -1] + 1
+    # The key text is the frequency's, then the receiver's if any.
+    index = [np.arange(row0, row0 + rows)]
+    if len(keys) == 2:
+        index = list(divmod(index[0], len(keys[1][2])))
+    for (lanes, masks, lengths), j in zip(keys, index):
+        got = _windows(buf, lanes[0].nbytes)[at].view("<u8").reshape(rows, -1)
+        got &= masks.take(j, axis=0)
+        if not (got == lanes.take(j, axis=0)).all():
+            return None
+        at = at + lengths.take(j)
+    if not (at == sep[:, n_keys - 1] + 1).all():
+        return None
+    values = _parse_values(buf, b, sep[:, n_keys - 1:-1].ravel() + 1, sep[:, n_keys:].ravel())
+    return None if values is None else values.reshape(rows, n_values)
+
+
+def _load_block(block: bytes, dtype, what: str, rows_before: int) -> list[np.ndarray]:
+    """One array per column of a block of lines, by NumPy's reader: the
+    text as a text file reads it, UTF-8 with universal newlines, empty
+    lines skipped.  A row it names is counted from the file's start."""
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns about a block without rows; the caller counts them
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(io.TextIOWrapper(io.BytesIO(block), encoding="utf-8"),
+                              dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                              unpack=True)
+    except UnicodeDecodeError:
+        raise
+    except ValueError as exc:
+        message = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + rows_before}",
+                         str(exc))
+        raise DataFormatError(f"malformed {what} row: {message}") from None
+
+
+def _blocks(raw, pending: bytes):
+    """The rest of the binary file ``raw``, after ``pending``, in blocks of
+    whole lines of about ``_READ_BYTES``; the last line gets a newline if
+    it has none."""
+    while chunk := raw.read(_READ_BYTES):
+        pending += chunk
+        cut = pending.rfind(b"\n") + 1
+        if cut:
+            yield pending[:cut]
+            pending = pending[cut:]
+    if pending:
+        yield pending if pending.endswith(b"\n") else pending + b"\n"
+
+
 def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[np.ndarray]:
     """The value columns of a band file written for ``scene``: (F, N) arrays
     if ``n_keys`` is 3 (frequency index, omega, receiver index), (F,) if it
-    is 2 (no receiver column).  They are views of the parsed table; the
-    public readers copy them.
+    is 2 (no receiver column).
 
-    Every value must be finite, and the file must hold exactly the rows the
-    writers emit for the scene: its key columns equal ``_band_keys`` of the
-    scene's band and array, row for row.  The indices parse as integers.
-    Omega is not parsed: its field must be the writer's own ``%.17g`` text
-    of the band's omega, byte for byte, which is "bit-equal to the band"
-    without a float conversion.  Its column is one byte wider than the
-    longest such text, so a longer field, which NumPy truncates to the
-    column, cannot match; NumPy's fixed-width bytes drop trailing NUL
-    characters, which is why ``_read_columns`` refuses any NUL.  Errors
-    name the file by ``what`` and give the first data row that differs, or
-    the row count the scene expects.
+    The header must match exactly, every value must be finite, and the
+    file must hold exactly the rows the writers emit for the scene: its key
+    columns equal ``_band_keys`` of the scene's band and array, row for
+    row.  Omega is not parsed: its field must be the writer's own ``%.17g``
+    text of the band's omega, byte for byte, which is "bit-equal to the
+    band" without a float conversion.
+
+    The bytes are read in blocks of whole lines (``_blocks``), and a NUL
+    anywhere is a DataFormatError.  A block whose lines are all the
+    writer's own text for their rows is decided in NumPy passes
+    (``_parse_block``); any other block goes whole to NumPy's reader
+    (``_load_block``), which skips empty lines, takes spaces around an
+    index or a value and any spelling of a float, and refuses a line it
+    cannot parse.  There the indices parse as 32-bit integers, so that an
+    index past 2**31 - 1 is malformed, and omega's field is a bytes column
+    one byte wider than the longest text of the band, so that a longer
+    field, which NumPy truncates to the column, cannot match; NumPy's
+    fixed-width bytes drop trailing NULs, which is why a NUL is refused,
+    and hold a character outside Latin-1 as malformed.  Errors name the
+    file by ``what`` and come in this order: a malformed row, no rows, a
+    value that is not finite, the row count the scene expects, and the
+    first data row whose keys differ.
     """
     omegas = _text(scene.band.omegas)
+    n = scene.n_receivers
+    n_rows = len(omegas) * (n if n_keys == 3 else 1)
+    n_values = header.count(",") + 1 - n_keys
+    keys = [_key_lanes([b"%d,%s," % (f, w.encode()) for f, w in enumerate(omegas)])]
+    if n_keys == 3:
+        keys.append(_key_lanes([b"%d," % r for r in range(n)]))
     omega_kind = f"S{max(map(len, omegas)) + 1}"
-    # 32-bit indices keep a parsed row near 8 bytes a number: with int64
-    # ones beside the omega text, `migrate`'s peak RSS rose by 1.6 MB on
-    # two 50,100-row field files.  An index past 2**31 - 1 is malformed.
-    index = np.int32
-    kinds = (index, omega_kind, index)[:n_keys] + (float,) * (header.count(",") + 1 - n_keys)
-    columns = _read_columns(path, header, kinds, what)
-    values = columns[n_keys:]
-    if not all(np.isfinite(c).all() for c in values):
+    omega_keys = np.array(omegas, dtype=omega_kind)
+    dtype = [(f"c{j}", kind) for j, kind in enumerate(
+        (np.int32, omega_kind, np.int32)[:n_keys] + (float,) * n_values)]
+    values = np.empty((n_values, n_rows))
+    rows, finite, bad = 0, True, None
+    try:
+        with open(path, "rb") as raw:
+            first = raw.readline()
+            if b"\0" in first:
+                raise DataFormatError(f"{what} file holds a NUL byte")
+            # A lone CR ends a line too, as in a file read as text.
+            head, _, rest = first.partition(b"\r")
+            head = head.decode("utf-8").strip()
+            if head != header:
+                raise DataFormatError(f"unexpected {what} header {head!r}")
+            for block in _blocks(raw, rest[1:] if rest[:1] == b"\n" else rest):
+                if b"\0" in block:
+                    raise DataFormatError(f"{what} file holds a NUL byte")
+                parsed = _parse_block(block, keys, n_values, rows, n_rows)
+                if parsed is not None:
+                    values[:, rows:rows + len(parsed)] = parsed.T
+                    rows += len(parsed)
+                    continue
+                columns = _load_block(block, dtype, what, rows)
+                pos = np.arange(rows, rows + columns[0].size)
+                rows += pos.size
+                finite &= all(np.isfinite(c).all() for c in columns[n_keys:])
+                inside = pos < n_rows
+                pos = pos[inside]
+                f, r = divmod(pos, n) if n_keys == 3 else (pos, None)
+                differs = (columns[0][inside] != f) | (columns[1][inside] != omega_keys[f])
+                if n_keys == 3:
+                    differs |= columns[2][inside] != r
+                for j, c in enumerate(columns[n_keys:]):
+                    values[j, pos] = c[inside]
+                if bad is None and differs.any():
+                    bad = int(pos[differs][0])
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"undecodable bytes in {what} file: {exc}") from None
+    if rows == 0:
+        raise DataFormatError(f"{what} file holds no rows")
+    if not finite:
         raise DataFormatError(f"{what} data must be finite")
-    keys = _band_keys(np.array(omegas, dtype=omega_kind), scene.n_receivers)[:n_keys]
-    grid = np.broadcast_shapes(*(k.shape for k in keys))
-    n_rows = math.prod(grid)
-    if columns[0].size != n_rows:
-        raise DataFormatError(f"{what} file holds {columns[0].size} data rows; "
+    if rows != n_rows:
+        raise DataFormatError(f"{what} file holds {rows} data rows; "
                               f"the scene expects {n_rows}")
-    # Each key column is compared on the grid with its broadcast key.
-    mismatch = np.zeros(grid, dtype=bool)
-    for c, k in zip(columns, keys):
-        mismatch |= c.reshape(grid) != k
-    bad = np.flatnonzero(mismatch)
-    if bad.size:
-        freq, receiver = divmod(int(bad[0]), grid[1])
+    if bad is not None:
+        freq, receiver = divmod(bad, n) if n_keys == 3 else (bad, 0)
         text = ",".join([str(freq), omegas[freq], str(receiver)][:n_keys])
-        raise DataFormatError(f"{what} data row {bad[0] + 1} does not match the scene: "
+        raise DataFormatError(f"{what} data row {bad + 1} does not match the scene: "
                               f"its keys should be {text}")
-    return [c.reshape(grid[:n_keys - 1]) for c in values]
+    return [v.reshape((len(omegas), n)[:n_keys - 1]) for v in values]
 
 
 def write_intensity_csv(omegas, data: IntensityData, path) -> None:

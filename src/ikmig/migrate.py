@@ -553,5 +553,5 @@ def write_image_pgm(image: np.ndarray, path) -> None:
     pixels[~valid] = 0
     lines = ["P2", f"{n} {n}", "255"]
     lines += (" ".join(map(str, row)) for row in pixels.T[::-1].tolist())
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

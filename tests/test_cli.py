@@ -869,6 +869,30 @@ def test_commands_close_their_files(small_files, tmp_path):
         tmp_path / "r" / "recovered.csv").read_bytes()
 
 
+def test_text_files_name_their_encoding(small_files, tmp_path):
+    """Under -X warn_default_encoding, a text file opened in the locale's
+    encoding warns; as an error, the warning would end the command."""
+    env = src_env()
+    scene = ["--scene", str(small_files / "scene.json")]
+    strict = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    for flags, out in (([], tmp_path / "plain"), (strict, tmp_path / "strict")):
+        for args in (["simulate", *scene, "--out", str(out / "sim")],
+                     ["recover", *scene, "--data", str(out / "sim" / "intensity.csv"),
+                      "--out", str(out / "rec")],
+                     ["migrate", *scene, "--field", str(out / "rec" / "recovered.csv"),
+                      "--reference", str(small_files / "recovered.csv"),
+                      "--out", str(out / "img")]):
+            proc = subprocess.run([sys.executable, *flags, "-m", "ikmig.cli", *args],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+    written = sorted(p.relative_to(tmp_path / "plain") for p in (tmp_path / "plain").rglob("*")
+                     if p.is_file() and p.name != "manifest.json")
+    assert {p.name for p in written} >= {"intensity.csv", "recovered.csv", "report.json",
+                                         "image.pgm", "metrics.json"}
+    for rel in written:
+        assert (tmp_path / "strict" / rel).read_bytes() == (tmp_path / "plain" / rel).read_bytes()
+
+
 def test_outputs_get_the_mode_the_umask_gives(small_files, tmp_path):
     # As open(path, "w") would create them, not mkstemp's 0600.
     for umask, mode in ((0o022, 0o644), (0o077, 0o600)):

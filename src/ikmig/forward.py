@@ -34,7 +34,9 @@ the scene's band and array and returns plain value arrays on that band.
 It reads a file in blocks of whole lines and is the writer's inverse: a
 block of the writer's own text is decided in NumPy passes
 (``_parse_block``, its values by ``g17._parse_values``); any other block
-goes whole to NumPy's reader (``_load_block``).
+is scanned a line at a time against the same grammar (``_scan_block``).
+A file that is not the writer's text, in spacing, line ends or the
+spelling of a number, is refused, naming its row.
 
 Every CSV file goes through one writer, ``_write_grid``, and every float
 value's text is ``'%.17g' % x`` byte for byte, produced in NumPy passes
@@ -44,10 +46,8 @@ shares.
 
 from __future__ import annotations
 
-import io
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DataFormatError, NumericError, SingularityError
 # _g17_tables is named here too: the writers' and the reader's one table.
-from .g17 import _LANES, _g17, _g17_tables, _lanes, _parse_values, _windows
+from .g17 import _FLOAT, _LANES, _g17, _g17_tables, _lanes, _parse_values, _windows
 from .scene import Scene
 
 __all__ = [
@@ -672,29 +672,41 @@ def _parse_block(block: bytes, keys: list, n_values: int, row0: int,
     return None if values is None else values.reshape(rows, n_values)
 
 
-def _load_block(block: bytes, dtype, what: str, rows_before: int) -> list[np.ndarray]:
-    """One array per column of a block of lines, by NumPy's reader: the
-    text as a text file reads it, UTF-8 with universal newlines, empty
-    lines skipped.  A row it names is counted from the file's start."""
-    try:
-        with warnings.catch_warnings():
-            # loadtxt warns about a block without rows; the caller counts them
-            warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(io.TextIOWrapper(io.BytesIO(block), encoding="utf-8"),
-                              dtype=dtype, delimiter=",", comments=None, ndmin=1,
-                              unpack=True)
-    except UnicodeDecodeError:
-        raise
-    except ValueError as exc:
-        message = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + rows_before}",
-                         str(exc))
-        raise DataFormatError(f"malformed {what} row: {message}") from None
+def _scan_block(block: bytes, texts: list, n_values: int, row0: int,
+                what: str) -> tuple[np.ndarray, int | None]:
+    """The (rows, n_values) values of a block of whole lines for rows
+    ``row0`` on, one line at a time, and the first of its rows in the scene
+    whose key text is not the writer's, or None: the path of a block that
+    ``_parse_block`` does not decide.
+
+    A line must match the row's grammar whole: the digits of the frequency
+    index, omega, the digits of the receiver index if the file has
+    receiver rows, then ``n_values`` values, each field a ``g17._FLOAT``,
+    separated by commas.  Any other line is a malformed row, named from
+    the file's first data row; a value is converted by ``float()``.
+    ``texts`` holds the key text per frequency and, if the file has
+    receiver rows, per receiver.
+    """
+    grammar = re.compile(rb"(\d+,%s,%s)(%s)" % (_FLOAT, rb"\d+," * (len(texts) - 1),
+                                                 b",".join([_FLOAT] * n_values)))
+    n_rows = math.prod(map(len, texts))
+    values, bad = [], None
+    for k, line in enumerate(block.split(b"\n")[:-1], row0):
+        row = grammar.fullmatch(line)
+        if row is None:
+            raise DataFormatError(f"malformed {what} row {k + 1}")
+        if bad is None and k < n_rows:
+            index = divmod(k, len(texts[1])) if len(texts) == 2 else (k,)
+            if row[1] != b"".join(t[j] for t, j in zip(texts, index)):
+                bad = k
+        values.append([float(v) for v in row[2].split(b",")])
+    return np.array(values), bad
 
 
-def _blocks(raw, pending: bytes):
-    """The rest of the binary file ``raw``, after ``pending``, in blocks of
-    whole lines of about ``_READ_BYTES``; the last line gets a newline if
-    it has none."""
+def _blocks(raw):
+    """The rest of the binary file ``raw`` in blocks of whole lines of about
+    ``_READ_BYTES``; the last line gets a newline if it has none."""
+    pending = b""
     while chunk := raw.read(_READ_BYTES):
         pending += chunk
         cut = pending.rfind(b"\n") + 1
@@ -710,9 +722,12 @@ def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[
     if ``n_keys`` is 3 (frequency index, omega, receiver index), (F,) if it
     is 2 (no receiver column).
 
-    The header must match exactly, every value must be finite, and the
-    file must hold exactly the rows the writers emit for the scene: its key
-    columns equal ``_band_keys`` of the scene's band and array, row for
+    The file must be the writer's text: the header line ``header`` byte for
+    byte, then one line per row, each ended by a newline, of comma-separated
+    fields without spaces.  The indices are digits; omega and the values
+    are ``g17._FLOAT`` fields.  Every value must be finite, and the file must
+    hold exactly the rows the writers emit for the scene: its key text
+    equals that of ``_band_keys`` of the scene's band and array, row for
     row.  Omega is not parsed: its field must be the writer's own ``%.17g``
     text of the band's omega, byte for byte, which is "bit-equal to the
     band" without a float conversion.
@@ -720,66 +735,46 @@ def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[
     The bytes are read in blocks of whole lines (``_blocks``), and a NUL
     anywhere is a DataFormatError.  A block whose lines are all the
     writer's own text for their rows is decided in NumPy passes
-    (``_parse_block``); any other block goes whole to NumPy's reader
-    (``_load_block``), which skips empty lines, takes spaces around an
-    index or a value and any spelling of a float, and refuses a line it
-    cannot parse.  There the indices parse as 32-bit integers, so that an
-    index past 2**31 - 1 is malformed, and omega's field is a bytes column
-    one byte wider than the longest text of the band, so that a longer
-    field, which NumPy truncates to the column, cannot match; NumPy's
-    fixed-width bytes drop trailing NULs, which is why a NUL is refused,
-    and hold a character outside Latin-1 as malformed.  Errors name the
-    file by ``what`` and come in this order: a malformed row, no rows, a
-    value that is not finite, the row count the scene expects, and the
-    first data row whose keys differ.
+    (``_parse_block``); any other block is scanned a line at a time
+    (``_scan_block``), which also decides the writer's text that the NumPy
+    passes leave: subnormals, powers of ten outside the table and values
+    near a rounding midpoint.  Errors name the file by ``what`` and come in
+    this order: a malformed row, no rows, a value that is not finite, the
+    row count the scene expects, and the first data row whose keys differ.
     """
     omegas = _text(scene.band.omegas)
     n = scene.n_receivers
     n_rows = len(omegas) * (n if n_keys == 3 else 1)
     n_values = header.count(",") + 1 - n_keys
-    keys = [_key_lanes([b"%d,%s," % (f, w.encode()) for f, w in enumerate(omegas)])]
+    texts = [[b"%d,%s," % (f, w.encode()) for f, w in enumerate(omegas)]]
     if n_keys == 3:
-        keys.append(_key_lanes([b"%d," % r for r in range(n)]))
-    omega_kind = f"S{max(map(len, omegas)) + 1}"
-    omega_keys = np.array(omegas, dtype=omega_kind)
-    dtype = [(f"c{j}", kind) for j, kind in enumerate(
-        (np.int32, omega_kind, np.int32)[:n_keys] + (float,) * n_values)]
+        texts.append([b"%d," % r for r in range(n)])
+    keys = [_key_lanes(t) for t in texts]
     values = np.empty((n_values, n_rows))
     rows, finite, bad = 0, True, None
-    try:
-        with open(path, "rb") as raw:
-            first = raw.readline()
-            if b"\0" in first:
+    with open(path, "rb") as raw:
+        first = raw.readline()
+        if b"\0" in first:
+            raise DataFormatError(f"{what} file holds a NUL byte")
+        if first != header.encode() + b"\n":
+            try:
+                head = first.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"undecodable bytes in {what} file: {exc}") from None
+            # Quoted up to two characters past the header's length, which
+            # shows a CRLF and does not quote a CR-only file whole.
+            raise DataFormatError(f"unexpected {what} header {head[:len(header) + 2]!r}")
+        for block in _blocks(raw):
+            if b"\0" in block:
                 raise DataFormatError(f"{what} file holds a NUL byte")
-            # A lone CR ends a line too, as in a file read as text.
-            head, _, rest = first.partition(b"\r")
-            head = head.decode("utf-8").strip()
-            if head != header:
-                raise DataFormatError(f"unexpected {what} header {head!r}")
-            for block in _blocks(raw, rest[1:] if rest[:1] == b"\n" else rest):
-                if b"\0" in block:
-                    raise DataFormatError(f"{what} file holds a NUL byte")
-                parsed = _parse_block(block, keys, n_values, rows, n_rows)
-                if parsed is not None:
-                    values[:, rows:rows + len(parsed)] = parsed.T
-                    rows += len(parsed)
-                    continue
-                columns = _load_block(block, dtype, what, rows)
-                pos = np.arange(rows, rows + columns[0].size)
-                rows += pos.size
-                finite &= all(np.isfinite(c).all() for c in columns[n_keys:])
-                inside = pos < n_rows
-                pos = pos[inside]
-                f, r = divmod(pos, n) if n_keys == 3 else (pos, None)
-                differs = (columns[0][inside] != f) | (columns[1][inside] != omega_keys[f])
-                if n_keys == 3:
-                    differs |= columns[2][inside] != r
-                for j, c in enumerate(columns[n_keys:]):
-                    values[j, pos] = c[inside]
-                if bad is None and differs.any():
-                    bad = int(pos[differs][0])
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"undecodable bytes in {what} file: {exc}") from None
+            parsed = _parse_block(block, keys, n_values, rows, n_rows)
+            if parsed is None:
+                parsed, mismatch = _scan_block(block, texts, n_values, rows, what)
+                finite &= np.isfinite(parsed).all()
+                bad = mismatch if bad is None else bad
+            inside = parsed[:max(n_rows - rows, 0)]
+            values[:, rows:rows + len(inside)] = inside.T
+            rows += len(parsed)
     if rows == 0:
         raise DataFormatError(f"{what} file holds no rows")
     if not finite:

@@ -12,7 +12,7 @@ Reading is the inverse (``_parse_values``): a field's digits are read as
 little-endian 8-byte lanes, turned into an exact integer eight digits at a
 time, and the integer times its power of ten is rounded with the same
 two-product against the same table.  A field that cannot be decided safely
-that way is left to the caller.
+that way is left to the caller, and ``_FLOAT`` states the grammar whole.
 """
 
 from __future__ import annotations
@@ -207,6 +207,9 @@ def _g17(x: np.ndarray, out: np.ndarray) -> None:
         out[:, slow] = text.view(np.uint64).reshape(-1, _LANES).T
 
 
+# A float field as a band file may spell it: the grammar of ``_parse_values``,
+# which every text of ``_g17`` follows, or a value that is not finite.
+_FLOAT = rb"(?:-?(?:\d+\.?\d*|\.\d+)(?:e[+-]\d\d\d?)?|-?inf|nan)"
 _U64 = np.uint64
 
 

@@ -1,16 +1,13 @@
 """The band reader: every double the writers emit reads back bit for bit,
-the writers' own text is decided in NumPy passes, and any other text reads
-as NumPy's reader reads it, with the same errors, in blocks of lines whose
-size changes nothing.
+the writers' own text is decided in NumPy passes, and the reader accepts
+one grammar, that of ``%.17g``, whatever the size of its blocks of lines:
+other spellings in it read as ``float()`` reads them, and any other text,
+spacing or line end is a malformed row, named from the file's start.
 """
 
 import importlib.util
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,6 +29,8 @@ from ikmig.forward import (
     write_intensity_csv,
 )
 from ikmig.scene import FrequencyGrid, ImageWindowSpec, emit_scene, preset_scene
+
+from conftest import peak_growth
 
 TINY = 5e-324
 MAX = 1.7976931348623157e308
@@ -153,7 +152,7 @@ def band_files(tmp_path):
 
 def test_the_writers_band_files_take_the_fast_path(tmp_path):
     read = 0
-    with mock.patch.object(forward, "_load_block", side_effect=AssertionError("fallback")):
+    with mock.patch.object(forward, "_scan_block", side_effect=AssertionError("scan")):
         for scene, d in band_files(tmp_path):
             for path in sorted(d.rglob("*.csv")):
                 if path.name == "intensity.csv":
@@ -166,11 +165,13 @@ def test_the_writers_band_files_take_the_fast_path(tmp_path):
     assert read == 14
 
 
-# Spellings the writer never emits, each as NumPy's reader reads it.
+# Spellings the writer never emits.  Those in the grammar read as float()
+# and NumPy's reader read them; the rest are malformed rows.
 SPELLINGS = ["+1.5", "1E5", "1e5", ".5", "-.5", "5.", "1.50", " 2.0\t", "007", "-0001.25e+02",
              "1e+005", "0.0e-00", "1.5E-7", "\t-3", "12345678901234567890",
              "0.000000000000000000000001", "4.9406564584124654e-324", "1e-400", "1.5e+300",
              "9007199254740993", "2.2250738585072011e-308"]
+REFUSED = {"+1.5", "1E5", "1e5", " 2.0\t", "1.5E-7", "\t-3"}
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -183,10 +184,19 @@ def test_other_spellings_read_as_numpy_reads_them(tmp_path, spelling, newline):
     rows[5] = rows[5].rsplit(",", 1)[0] + "," + spelling
     rows[7] = ",".join(rows[7].split(",")[:3] + [spelling, spelling])
     (tmp_path / "f.csv").write_bytes(newline.join([header, *rows, ""]).encode())
-    want = np.loadtxt(tmp_path / "f.csv", delimiter=",", skiprows=1, usecols=(3, 4))
+    if newline != "\n":
+        with pytest.raises(DataFormatError, match=r"^unexpected field header '[^']+\\r"):
+            read_field_csv(tmp_path / "f.csv", SCENE)
+        return
+    if spelling in REFUSED:
+        with pytest.raises(DataFormatError, match="^malformed field row 6$"):
+            read_field_csv(tmp_path / "f.csv", SCENE)
+        return
     got = read_field_csv(tmp_path / "f.csv", SCENE)
+    want = np.loadtxt(tmp_path / "f.csv", delimiter=",", skiprows=1, usecols=(3, 4))
     assert same_bits(got.real.ravel(), want[:, 0])
     assert same_bits(got.imag.ravel(), want[:, 1])
+    assert same_bits(got[1, 3], np.complex128(complex(float(spelling), float(spelling))))
 
 
 # ---------------------------------------------------------------------------
@@ -211,28 +221,23 @@ def test_the_block_size_changes_nothing(tmp_path, size):
 
 
 def edit_rows(path, edits):
-    """Data row ``row`` (from 1) of the file becomes ``text``, one past the
-    last is appended."""
+    """Data row ``row`` (from 1) of the file becomes ``text``, or goes if
+    ``text`` is None; one past the last is appended."""
     header, *rows = path.read_text().splitlines()
     for row, text in edits.items():
-        rows[row - 1:row] = [text]
+        rows[row - 1:row] = [] if text is None else [text]
     path.write_text("\n".join([header, *rows]) + "\n")
 
 
 @pytest.mark.parametrize("size", [100, 1 << 18])
 def test_a_malformed_row_is_named_from_the_files_start(tmp_path, size):
     big_field(tmp_path / "f.csv")
-    # A row that parses, then one that does not, far into the file.
-    edit_rows(tmp_path / "f.csv", {700: "27, 1e5 ,24,1,2", 900: "35,1,24,x,2"})
-    with pytest.raises(ValueError) as numpy_error:
-        np.loadtxt(tmp_path / "f.csv", delimiter=",", skiprows=1,
-                   dtype=[("f", np.int32), ("w", "S20"), ("r", np.int32), ("re", float),
-                          ("im", float)])
+    # A row in the grammar but not the writer's text, then one outside the
+    # grammar, far into the file.
+    edit_rows(tmp_path / "f.csv", {700: "27,1e+05,24,1.50,2", 900: "35,1,24,x,2"})
     with mock.patch.object(forward, "_READ_BYTES", size):
-        with pytest.raises(DataFormatError) as error:
+        with pytest.raises(DataFormatError, match="^malformed field row 900$"):
             read_field_csv(tmp_path / "f.csv", BIG)
-    assert str(error.value).startswith("malformed field row: ")
-    assert "at row 899" in str(numpy_error.value) and "at row 899" in str(error.value)
 
 
 @pytest.mark.parametrize("size", [100, 1 << 18])
@@ -251,7 +256,7 @@ def test_errors_keep_their_order_across_blocks(tmp_path, size, later, message):
     with mock.patch.object(forward, "_READ_BYTES", size):
         with pytest.raises(DataFormatError, match="holds 1001 data rows; the scene expects 1000"):
             read_field_csv(tmp_path / "f.csv", BIG)
-    edit_rows(tmp_path / "f.csv", {1001: ""})
+    edit_rows(tmp_path / "f.csv", {1001: None})
     with mock.patch.object(forward, "_READ_BYTES", size):
         with pytest.raises(DataFormatError, match="field data row 3 does not match"):
             read_field_csv(tmp_path / "f.csv", BIG)
@@ -268,41 +273,82 @@ def test_a_plain_file_with_a_compressed_suffix_reads_back(tmp_path, suffix):
     assert same_bits(read_field_csv(path, SCENE), field)
 
 
+def in_grammar(sign, whole, point, fraction, exponent):
+    """A float field of the grammar from its parts, or None if it has no
+    digit."""
+    digits = whole + (b"." + fraction if point else b"")
+    return sign + digits + exponent if whole or fraction else None
+
+
+DIGITS = st.from_regex(rb"[0-9]{0,30}", fullmatch=True)
+# A field's text: the writer's, others in the grammar, and any bytes.
+FIELDS = st.one_of(
+    st.floats(width=64).map(lambda x: b"%.17g" % x),
+    st.builds(in_grammar, st.sampled_from([b"", b"-"]), DIGITS, st.booleans(), DIGITS,
+              st.just(b"") | st.from_regex(rb"e[+-][0-9]{2,3}", fullmatch=True)).filter(bool),
+    st.sampled_from([b"1.50", b"-0001.25e+02", b"5.", b"4.9406564584124654e-324", b"1e-400",
+                     b"-inf", b"nan"]),
+    st.text(st.sampled_from("0123456789.-+eE,x \t\r\n\0\u00e9"), max_size=12).map(str.encode),
+    st.binary(max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=st.integers(0, 999), column=st.integers(0, 4), text=FIELDS)
+@example(row=0, column=3, text=b"1e-400")
+@example(row=0, column=3, text=b"5.")
+@example(row=999, column=1, text=b"+62.831853071795862")
+def test_the_fast_path_and_the_scan_accept_one_grammar(tmp_path_factory, row, column, text):
+    # At 100 bytes a block holds a line or two, so the edited row's block is
+    # all that may leave the NumPy passes; at 2**18 the whole file is one
+    # block; and with the NumPy passes off, every block is scanned.
+    path = tmp_path_factory.mktemp("grammar") / "f.csv"
+    big_field(path)
+    header, *rows = path.read_bytes().split(b"\n")
+    fields = rows[row].split(b",")
+    fields[column] = text
+    rows[row] = b",".join(fields)
+    path.write_bytes(b"\n".join([header, *rows]))
+    outcomes = []
+    for size, fast in ((100, True), (1 << 18, True), (1 << 18, False)):
+        with (mock.patch.object(forward, "_READ_BYTES", size),
+              mock.patch.object(forward, "_parse_block",
+                                forward._parse_block if fast else lambda *args: None)):
+            try:
+                outcomes.append(read_field_csv(path, BIG))
+            except DataFormatError as exc:
+                outcomes.append(str(exc))
+    if any(isinstance(outcome, str) for outcome in outcomes):
+        assert all(isinstance(outcome, str) for outcome in outcomes), outcomes
+        assert len(set(outcomes)) == 1, outcomes
+        return
+    got = outcomes[0]
+    assert all(same_bits(outcome, got) for outcome in outcomes)
+    if column >= 3:
+        value = (got.real, got.imag)[column - 3][divmod(row, 25)]
+        assert same_bits(value, np.float64(float(text)))
+
+
 @pytest.mark.skipif(importlib.util.find_spec("resource") is None,
                     reason="needs the resource module")
 def test_reading_a_large_band_file_keeps_memory_bounded(tmp_path):
     # 500,000 rows, a 24 MB intensity file, read in a fresh process.  Read
     # whole by NumPy's reader, which holds the parsed table, it raised the
     # peak RSS by 21 MB; in blocks of lines by 10 MB, 8 MB of it the values
-    # and IntensityData's copy of them.
+    # and IntensityData's copy of them.  Scaled by 1e-300, past the table of
+    # the NumPy passes, every block is scanned a line at a time, in 10 MB.
     scene = replace(POINT, band=FrequencyGrid(100.0, 200.0, 1000), receivers=POINT.receivers[:500])
     rng = np.random.default_rng(12)
-    data = IntensityData(rng.uniform(1.0, 2.0, (1000, 500)), np.ones(1000))
-    path = tmp_path / "intensity.csv"
-    write_intensity_csv(scene.band.omegas, data, path)
+    values = rng.uniform(1.0, 2.0, (1000, 500))
     (tmp_path / "scene.json").write_text(emit_scene(scene), encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = (
-        "import resource, sys\n"
-        "from ikmig.cli import _load_scene\n"
-        "from ikmig.forward import read_intensity_csv\n"
-        "scene = _load_scene(sys.argv[2])\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "data = read_intensity_csv(sys.argv[1], scene)\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        # ru_maxrss counts KiB, and bytes on macOS.
-        "print(data.values.size, (after - before) * (1 if sys.platform == 'darwin' else 1024))\n"
-    )
-    # A process's ru_maxrss starts at its parent's, the image it was forked
-    # from, so the reading process is started by a small one, not by pytest.
-    spawn = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
-    proc = subprocess.run([sys.executable, "-c", spawn, sys.executable, "-c", code, str(path),
-                           str(tmp_path / "scene.json")],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    rows, grown = map(int, proc.stdout.split())
-    assert rows == 500_000
-    assert path.stat().st_size > 20e6
-    assert grown < 14 * 2**20
+    setup = ("from ikmig.cli import _load_scene\n"
+             "from ikmig.forward import read_intensity_csv\n"
+             "scene = _load_scene(sys.argv[2])\n")
+    work = "data = read_intensity_csv(sys.argv[1], scene)\nprint(data.values.size)"
+    path = tmp_path / "intensity.csv"
+    for scale in (1.0, 1e-300):
+        write_intensity_csv(scene.band.omegas, IntensityData(values * scale, np.ones(1000)), path)
+        (rows,), grown = peak_growth(setup, work, str(path), str(tmp_path / "scene.json"))
+        assert int(rows) == 500_000
+        assert path.stat().st_size > 20e6
+        assert grown < 14 * 2**20

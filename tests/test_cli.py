@@ -8,7 +8,6 @@ import stat
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 from ikmig import migrate as migrate_module
 from ikmig.cli import main
 from ikmig.forward import (
+    IntensityData,
     array_response_band,
     direct_arrivals_band,
     read_field_csv,
@@ -39,6 +39,8 @@ from ikmig.scene import (
     preset_scene,
 )
 
+from conftest import src_env
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -57,13 +59,6 @@ def exit_code(argv):
         return exc.code
 
 
-def src_env():
-    """The environment with this checkout's ``src`` first on PYTHONPATH."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-
 def small_scene():
     return Scene(
         dimension=3,
@@ -74,6 +69,13 @@ def small_scene():
         scatterers=(PointScatterer((5.0, 0.0), 1e-3),),
         window=ImageWindowSpec((5.0, 0.0), 0.2, 4),
     )
+
+
+def write_huge_rows(scene, path):
+    """An intensity file of the scene's band and array whose every power
+    row is 1e308, as the writer spells it."""
+    rows = np.full((scene.band.count, scene.n_receivers), 1e308)
+    write_intensity_csv(scene.band.omegas, IntensityData(rows, np.ones(scene.band.count)), path)
 
 
 @pytest.fixture(scope="module")
@@ -786,10 +788,8 @@ class TestExitCodes:
         else:
             sc = replace(sc, dimension=2,
                          window=ImageWindowSpec(sc.window.center, sc.window.spacing, 2))
-            header, *rows = data.read_text().splitlines()
             data = tmp_path / "intensity.csv"
-            data.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",1e308"
-                                                  for row in rows]) + "\n")
+            write_huge_rows(sc, data)
         spath = tmp_path / "scene.json"
         spath.write_text(emit_scene(sc))
         proc = subprocess.run(
@@ -801,7 +801,7 @@ class TestExitCodes:
         assert line == "error: recovered field overflows at frequency 0, receiver 0"
         assert not (tmp_path / "rec" / "recovered.csv").exists()
 
-    def test_band_sum_overflow_prints_one_error_line(self, point_sim, tmp_path):
+    def test_band_sum_overflow_prints_one_error_line(self, tmp_path):
         # Power rows of 1e308 recover to a finite field whose band sum
         # overflows: `migrate` names the first cell and exits 3, with no
         # NumPy RuntimeWarning, so it runs in its own process here.
@@ -809,10 +809,8 @@ class TestExitCodes:
         sc = replace(sc, window=ImageWindowSpec(sc.window.center, sc.window.spacing, 2))
         spath = tmp_path / "scene.json"
         spath.write_text(emit_scene(sc))
-        header, *rows = (point_sim / "intensity.csv").read_text().splitlines()
         data = tmp_path / "intensity.csv"
-        data.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",1e308" for row in rows])
-                        + "\n")
+        write_huge_rows(sc, data)
         rc = main(["recover", "--scene", str(spath), "--data", str(data),
                    "--out", str(tmp_path / "rec")])
         assert rc == 0

@@ -2,6 +2,7 @@
 the phase primitive `_phase`."""
 
 import cmath
+import importlib.util
 import math
 from dataclasses import replace
 
@@ -33,6 +34,7 @@ from ikmig.forward import (
 from ikmig.scene import FrequencyGrid, ImageWindowSpec, PointScatterer, Scene, preset_scene
 from ikmig.stochastic import clean_power_data, intensity_data, noisy_power_data
 
+from conftest import peak_growth
 from ref_green import green0
 
 # Largest |p|/|g0| over the preset bands, frozen from this module.
@@ -140,9 +142,12 @@ class TestDirectArrivals:
 
 class TestArrayResponse:
     @pytest.mark.parametrize("dimension", [2, 3])
-    @pytest.mark.parametrize("seed", [10, 11, 12])
+    @pytest.mark.parametrize("seed", [10, 11, 12, 13])
     def test_matches_brute_force(self, dimension, seed):
-        sc = random_scene(np.random.default_rng(seed), dimension)
+        # Seed 13 sums twelve scatterers, past the eight-term blocks of
+        # NumPy's pairwise sum.
+        sc = random_scene(np.random.default_rng(seed), dimension,
+                          n_scatterers=12 if seed == 13 else 3)
         for omega, got in zip(sc.band.omegas, array_response_band(sc)):
             want = brute_response(sc, float(omega))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -170,6 +175,43 @@ class TestArrayResponse:
         bad = replace(sc, scatterers=(PointScatterer(tuple(sc.source), 1.0),))
         with pytest.raises(SingularityError, match="coincides with the source"):
             array_response_band(bad)
+
+    @pytest.mark.parametrize("places, message", [
+        ({1: "receiver 3", 2: "source", 3: "receiver 0"}, "scatterer 1 coincides with receiver 3"),
+        ({1: "source", 2: "receiver 0"}, "scatterer 1 coincides with the source"),
+    ], ids=["receiver-first", "source-first"])
+    def test_the_first_colliding_scatterer_is_named(self, places, message):
+        # Scatterers in scene order, some of them on a receiver or the
+        # source: the first of them is named, whatever it coincides with.
+        sc = random_scene(np.random.default_rng(9), 3, n_scatterers=4)
+        ends = {"source": sc.source, **{f"receiver {r}": sc.receivers[r] for r in range(4)}}
+        scatterers = [PointScatterer(tuple(ends[places[m]]), 1.0) if m in places else s
+                      for m, s in enumerate(sc.scatterers)]
+        with pytest.raises(SingularityError, match=f"^{message}$"):
+            array_response_band(replace(sc, scatterers=tuple(scatterers)))
+
+    @pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                        reason="needs the resource module")
+    def test_many_scatterers_keep_memory_bounded(self):
+        # 1000 random reflectors in the point window, on its 501 receivers
+        # and 100 frequencies in 3-D.  One (F, N) term at a time, the
+        # synthesis raised the peak RSS of a fresh process by 3.4 MiB (2000
+        # reflectors: 3.3 MiB).  As one (F, N, M) broadcast it grew 269 MiB
+        # per 100 reflectors, about 2.6 GiB for these.
+        setup = ("from dataclasses import replace\n"
+                 "import numpy as np\n"
+                 "from ikmig.forward import array_response_band\n"
+                 "from ikmig.scene import PointScatterer, preset_scene\n"
+                 "point = preset_scene('point')\n"
+                 "(target,) = point.scatterers\n"
+                 "offsets = np.random.default_rng(4).uniform(-1.0, 1.0, (1000, 2))\n"
+                 "scene = replace(point, scatterers=tuple(PointScatterer(\n"
+                 "    tuple(np.add(target.position, 5.0 * point.window.spacing * d)), 1e-17)\n"
+                 "    for d in offsets))\n")
+        (shape,), grown = peak_growth(
+            setup, "p = array_response_band(scene)\nprint('x'.join(map(str, p.shape)))")
+        assert shape == "100x501"
+        assert grown < 16 * 2**20
 
     def test_total_field_band(self):
         sc = random_scene(np.random.default_rng(8), 3)

@@ -8,11 +8,20 @@ downstream works from those rows.  The model functions return (F, N) rows
 over a band, or one value per band frequency.
 
 The scattered field is the first Born sum over the scatterers, p = k^2
-sum_m G(r, x_m) rho_m G(x_m, s), formed one scatterer's (F, N) term at a
-time (``_response_rows``), so synthesis memory is O(F N) whatever their
-number M.  On the ``point`` array in 3-D (F = 100, N = 501) it traces a
-peak of 2.9-3.75 MB for 1, 61 (``disk``) or 500 reflectors, where an
-(F, N, M) broadcast peaked at 172 MB for 61 and 1.41 GB for 500.
+sum_m G(r, x_m) rho_m G(x_m, s), formed one scatterer at a time, so
+synthesis memory is O(F N) whatever their number M.  Every band stage
+writes its (F, N) result in place, and the fields evaluate Green's
+functions a block of frequency rows at a time (``_band_rows``), so a stage
+holds its result plus one block.  At F = 400 and N = 1001, where one
+complex (F, N) array is 6.4 MB, tracemalloc peaks went from 29.0 to 7.5
+MB for ``total_field_band``, from 35.4 to 16.6 MB for
+``stochastic.noisy_power_data``, from 22.6 to 13.2 MB for
+``recover.recover_band``, from 25.8 to 12.8 MB for
+``linearization_residual`` and from 12.8 to 10.0 MB for
+``read_field_csv``.  On the ``point`` array in 3-D (F = 100, N = 501)
+``total_field_band`` peaks at 1.86 MB for one reflector and 2.12 MB for 61
+(``disk``) or 500, where an (F, N, M) broadcast peaked at 172 MB for 61
+and 1.41 GB for 500.
 
 The free-space Green's function is exp(ikr)/(4 pi r) in three dimensions
 and (i/4) H0(kr) in two, where H0 = J0 + i Y0 (``hankel0_1``) is plain
@@ -444,16 +453,21 @@ def _phase(theta: np.ndarray, ws: _PhaseBuffers | None = None,
     return z
 
 
-def _green_from_distance(r: np.ndarray, k, dimension: int) -> np.ndarray:
-    """Green's function values for separations r at wavenumbers k (broadcast)."""
+def _green_from_distance(r: np.ndarray, k, dimension: int, ws: _PhaseBuffers | None = None,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Green's function values for separations r at wavenumbers k (broadcast),
+    into ``out`` if given.  A 3-D evaluation works in the ``_PhaseBuffers``
+    ``ws``, or in fresh ones; without ``out`` its result is a view of
+    ``ws.z``."""
     if dimension == 3:
         # k r is formed in the buffer that _phase reduces it in.
         shape = np.broadcast_shapes(np.shape(k), r.shape)
-        ws = _PhaseBuffers(math.prod(shape))
+        if ws is None:
+            ws = _PhaseBuffers(math.prod(shape))
         z = _phase(np.multiply(k, r, out=_view(ws.r, shape)), ws,
                    np.divide(1.0, _spreading_3d(r)))
-        return np.conjugate(z, out=z)
-    return 0.25j * hankel0_1(k * r)
+        return np.conjugate(z, out=z if out is None else out)
+    return np.multiply(0.25j, hankel0_1(k * r), out=out)
 
 
 def _wavenumbers(scene: Scene) -> np.ndarray:
@@ -461,45 +475,98 @@ def _wavenumbers(scene: Scene) -> np.ndarray:
     return scene.band.omegas / scene.c0
 
 
+# Values per block of frequency rows in the band stages (``_row_blocks``),
+# measured on the ``stochastic`` preset (F = 100, N = 501) and at F = 400,
+# N = 1001, one thread of a 2-vCPU Xeon.  ``total_field_band`` traced peaks
+# of 1.41, 1.86 and 2.79 MB with 2**13, 2**14 and 2**15 values a block at
+# the preset (3.75 MB evaluated over the whole band), and 7.06, 7.50 and
+# 8.40 MB at the larger size.  A block costs about 20 us of NumPy calls:
+# with the heap already grown, ``direct_arrivals_band`` at the preset took
+# 0.63 ms over the whole band against 0.78 ms in blocks of 2**13, and 0.70
+# against 0.76 ms in blocks of 2**14; in a fresh process, where whole-band
+# buffers are new pages, 1.33 against 0.87 ms (medians of 21 interleaved
+# calls).
+_BAND_BLOCK = 1 << 14
+
+
+def _row_blocks(f: int, n: int) -> list[slice]:
+    """Slices of f frequency rows of n values each, in order, the first the
+    largest: as many rows a block as keep it within ``_BAND_BLOCK`` values,
+    and at least one."""
+    step = max(1, _BAND_BLOCK // n)
+    return [slice(lo, min(lo + step, f)) for lo in range(0, f, step)]
+
+
+def _band_rows(scene: Scene, k: np.ndarray, direct: bool, scattered: bool) -> np.ndarray:
+    """(F, N) rows at the wavenumbers k of the direct arrivals g0
+    (``direct``), of the scattered field p (``scattered``), or of g0 + p.
+
+    p is the first Born term, k^2 sum_m G(r, x_m) rho_m G(x_m, s).  Every
+    collision is checked first: the source on a receiver, then the first
+    scatterer in scene order that coincides with a receiver or the source.
+    The rows are then formed in place, a block of frequency rows at a time
+    (``_row_blocks``): the scatterers' terms in scene order, each the
+    receiver leg times rho times the source leg through ``_multiply``,
+    the first written and each later one added; then k^2; then g0, added
+    (p + g0 is g0 + p to the bit) or, without scatterers, written.  The
+    scatterers are the outer loop, so a scatterer's distances and its
+    (F, 1) source leg are evaluated once, not once per block.  Every value
+    is elementwise, so its bits do not depend on the blocks, and the memory
+    is the (F, N) result plus one block's scratch, whatever the number of
+    scatterers.
+    """
+    n, dim = scene.n_receivers, scene.dimension
+    # Distances from a scatterer to the receivers then the source, one
+    # (1, N + 1) row, formed for its check and again for its terms rather
+    # than held for every scatterer.
+    points = np.vstack([scene.receivers, scene.source])[None]
+    if direct:
+        r0 = _distances(scene.receivers, scene.source)
+        if (hit := np.flatnonzero(r0 == 0.0)).size:
+            raise SingularityError(f"source coincides with receiver {hit[0]}")
+    scatterers = scene.scatterers if scattered else ()
+    for m, s in enumerate(scatterers):
+        if (hit := np.flatnonzero(_distances(points, np.asarray(s.position)) == 0.0)).size:
+            end = "the source" if hit[0] == n else f"receiver {hit[0]}"
+            raise SingularityError(f"scatterer {m} coincides with {end}")
+    f = k.shape[0]
+    if not (direct or scatterers):
+        return np.zeros((f, n), dtype=complex)
+    rows = np.empty((f, n), dtype=complex)
+    blocks = _row_blocks(f, n)
+    size = rows[blocks[0]].size
+    ws = _PhaseBuffers(size) if dim == 3 else None
+    term = np.empty(size, dtype=complex) if len(scatterers) > 1 else None
+    for m, s in enumerate(scatterers):
+        r = _distances(points, np.asarray(s.position))
+        src = s.rho * _green_from_distance(r[:, n:], k[:, None], dim)
+        for part in blocks:
+            block = rows[part]
+            leg = _green_from_distance(r[:, :n], k[part, None], dim, ws)
+            if m == 0:
+                _multiply(leg, src[part], block)
+            else:
+                block += _multiply(leg, src[part], _view(term, block.shape))
+    for part in blocks:
+        block, kb = rows[part], k[part, None]
+        if not scatterers:
+            _green_from_distance(r0, kb, dim, ws, out=block)
+            continue
+        block *= kb * kb
+        if direct:
+            block += _green_from_distance(r0, kb, dim, ws)
+    return rows
+
+
 def _direct_rows(scene: Scene, k: np.ndarray) -> np.ndarray:
-    """(F, N) direct arrivals g0 at the wavenumbers k."""
-    r = _distances(scene.receivers, scene.source)
-    hit = np.flatnonzero(r == 0.0)
-    if hit.size:
-        raise SingularityError(f"source coincides with receiver {hit[0]}")
-    return _green_from_distance(r, k[:, None], scene.dimension)
+    """(F, N) direct arrivals g0 at the wavenumbers k (``_band_rows``)."""
+    return _band_rows(scene, k, direct=True, scattered=False)
 
 
 def _response_rows(scene: Scene, k: np.ndarray) -> np.ndarray:
     """(F, N) scattered field p, first Born term, at the wavenumbers k:
-    k^2 sum_m G(r, x_m) rho_m G(x_m, s).
-
-    The sum runs over the scatterers in scene order, one (F, N) term at a
-    time: the receiver leg times rho times the source leg, through
-    ``_multiply``; k^2 is applied once, at the end.  So memory is that of a
-    few (F, N) arrays and one Green's evaluation's scratch, whatever the
-    number of scatterers, and the first scatterer in scene order that
-    coincides with a receiver or the source is named.
-    """
-    n = scene.n_receivers
-    if not scene.scatterers:
-        return np.zeros((k.shape[0], n), dtype=complex)
-    rows = None
-    for m, s in enumerate(scene.scatterers):
-        # Distances to the receivers then the source, as one (1, N + 1) row.
-        # Stacked afresh, not held across scatterers, and with the legs as
-        # (1, N) and (1, 1), NumPy casts the 3-D amplitudes to complex
-        # through a smaller buffer: 8 KB less at the peak for each.
-        r = _distances(np.vstack([scene.receivers, scene.source])[None], np.asarray(s.position))
-        if (hit := np.flatnonzero(r == 0.0)).size:
-            end = "the source" if hit[0] == n else f"receiver {hit[0]}"
-            raise SingularityError(f"scatterer {m} coincides with {end}")
-        term = _multiply(_green_from_distance(r[:, :n], k[:, None], scene.dimension),
-                         s.rho * _green_from_distance(r[:, n:], k[:, None], scene.dimension))
-        rows = term if rows is None else np.add(rows, term, out=rows)
-        # Not held through the next scatterer's evaluation, the peak.
-        del term
-    return (k * k)[:, None] * rows
+    k^2 sum_m G(r, x_m) rho_m G(x_m, s) (``_band_rows``)."""
+    return _band_rows(scene, k, direct=False, scattered=True)
 
 
 def direct_arrivals_band(scene: Scene) -> np.ndarray:
@@ -513,9 +580,9 @@ def array_response_band(scene: Scene) -> np.ndarray:
 
 
 def total_field_band(scene: Scene) -> np.ndarray:
-    """Stacked g0 + p rows, shape (F, N), ascending frequency."""
-    k = _wavenumbers(scene)
-    return _direct_rows(scene, k) + _response_rows(scene, k)
+    """Stacked g0 + p rows, shape (F, N), ascending frequency, formed in
+    one (F, N) array (``_band_rows``)."""
+    return _band_rows(scene, _wavenumbers(scene), direct=True, scattered=True)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +605,8 @@ def _finite_rows(rows: np.ndarray, what: str) -> np.ndarray:
 def linearization_residual(scene: Scene) -> np.ndarray:
     """max_r |p_r| / |g0_r| per band frequency: the size of the neglected
     quadratic term."""
-    ratio = np.abs(array_response_band(scene)) / np.abs(direct_arrivals_band(scene))
+    ratio = np.abs(array_response_band(scene))
+    ratio /= np.abs(direct_arrivals_band(scene))
     return np.max(ratio, axis=1)
 
 
@@ -737,10 +805,12 @@ def _blocks(raw):
         yield pending if pending.endswith(b"\n") else pending + b"\n"
 
 
-def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[np.ndarray]:
-    """The value columns of a band file written for ``scene``: (F, N) arrays
-    if ``n_keys`` is 3 (frequency index, omega, receiver index), (F,) if it
-    is 2 (no receiver column).
+def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> np.ndarray:
+    """The values of a band file written for ``scene``, one per row: an
+    (F, N) array if ``n_keys`` is 3 (frequency index, omega, receiver
+    index), (F,) if it is 2 (no receiver column).  A row of two values (a
+    field's) is read straight into the real and imaginary parts of a
+    complex entry, a row of one into a float.
 
     The file must be the writer's text: the header line ``header`` byte for
     byte, then one line per row, each ended by a newline, of comma-separated
@@ -772,7 +842,8 @@ def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[
     if n_keys == 3:
         texts.append([b"%d," % r for r in range(n)])
     keys = [_key_lanes(t) for t in texts]
-    values = np.empty((n_values, n_rows))
+    out = np.empty((len(omegas), n)[:n_keys - 1], dtype=complex if n_values == 2 else float)
+    values = out.view(float).reshape(n_rows, n_values)
     rows, finite, bad = 0, True, None
     with open(path, "rb") as raw:
         # At most two bytes past the header's length: enough to show a CRLF,
@@ -796,7 +867,7 @@ def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[
                 finite &= np.isfinite(parsed).all()
                 bad = mismatch if bad is None else bad
             inside = parsed[:max(n_rows - rows, 0)]
-            values[:, rows:rows + len(inside)] = inside.T
+            values[rows:rows + len(inside)] = inside
             rows += len(parsed)
     if rows == 0:
         raise DataFormatError(f"{what} file holds no rows")
@@ -810,7 +881,7 @@ def _read_band(path, header: str, n_keys: int, scene: Scene, what: str) -> list[
         text = ",".join([str(freq), omegas[freq], str(receiver)][:n_keys])
         raise DataFormatError(f"{what} data row {bad + 1} does not match the scene: "
                               f"its keys should be {text}")
-    return [v.reshape((len(omegas), n)[:n_keys - 1]) for v in values]
+    return out
 
 
 def write_intensity_csv(omegas, data: IntensityData, path) -> None:
@@ -837,17 +908,17 @@ def write_field_csv(omegas, values, path) -> None:
 def read_intensity_csv(path, scene: Scene, illumination_path=None) -> IntensityData:
     """Intensity rows on the scene's band and array (``_read_band``), with
     the illumination file's divisors, or 1 at every frequency without one."""
-    (values,) = _read_band(path, _INTENSITY_HEADER, 3, scene, "intensity")
+    values = _read_band(path, _INTENSITY_HEADER, 3, scene, "intensity")
     if illumination_path is None:
         illumination = np.ones(scene.band.count)
     else:
-        (illumination,) = _read_band(illumination_path, _ILLUMINATION_HEADER, 2, scene,
-                                     "illumination")
+        illumination = _read_band(illumination_path, _ILLUMINATION_HEADER, 2, scene,
+                                  "illumination")
     return IntensityData(values, illumination)
 
 
 def read_field_csv(path, scene: Scene, what: str = "field") -> np.ndarray:
     """The (F, N) complex field of a file on the scene's band and array
-    (``_read_band``); errors name the file ``what``."""
-    re, im = _read_band(path, _FIELD_HEADER, 3, scene, what)
-    return _complex(re, im)
+    (``_read_band``), read into its real and imaginary parts; errors name
+    the file ``what``."""
+    return _read_band(path, _FIELD_HEADER, 3, scene, what)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NumericError, SingularityError
-from .forward import IntensityData, _distances, _finite_rows, direct_arrivals_band
+from .forward import IntensityData, _distances, _finite_rows, _multiply, direct_arrivals_band
 from .scene import ImageWindowSpec, Scene
 
 __all__ = [
@@ -56,7 +56,7 @@ def recover_ptilde(g0, d, illumination) -> np.ndarray:
     Notes
     -----
     Cost is a fixed number of elementwise operations on (F, N) arrays; no
-    matrix is formed.
+    matrix is formed, and the only (F, N) array made is the result.
     """
     g0, d, illumination = (np.asanyarray(a) for a in (g0, d, illumination))
     if g0.ndim != 2 or d.shape != g0.shape or illumination.shape != g0.shape[:1]:
@@ -68,7 +68,12 @@ def recover_ptilde(g0, d, illumination) -> np.ndarray:
     if np.any(g0 == 0):
         raise SingularityError("zero direct arrival; measurement is rank-deficient")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ptilde = d / (illumination[:, None] * np.conj(g0)) - g0
+        # d / (illumination conj(g0)) - g0, formed in place in the result.
+        ptilde = np.empty(g0.shape, dtype=complex)
+        np.conjugate(g0, out=ptilde)
+        _multiply(illumination[:, None], ptilde, ptilde)
+        np.divide(d, ptilde, out=ptilde)
+        np.subtract(ptilde, g0, out=ptilde)
     return _finite_rows(ptilde, "recovered field")
 
 

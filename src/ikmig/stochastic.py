@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .forward import IntensityData, _finite_rows, total_field_band
+from .forward import IntensityData, _finite_rows, _multiply, _row_blocks, total_field_band
 from .scene import FrequencyGrid, Scene
 
 __all__ = [
@@ -118,11 +118,13 @@ def _philox_words(seed: int, key1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c0, c1, c2, c3 = zero + seed, zero, key1, zero + _PHILOX_M0
     for r in range(1, _PHILOX_ROUNDS):
         k0 = (seed + r * _PHILOX_W0) % 2**64
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        if r == _PHILOX_ROUNDS - 1:
+            # The last round's M0 product makes only words 2 and 3: skipped.
+            return hi1 ^ c1 ^ k0, lo1
         k1 = key1 + (r * _PHILOX_W1) % 2**64
         hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1
 
 
 def _philox_generator(seed: int) -> tuple[np.random.Generator, np.random.Philox, dict]:
@@ -289,7 +291,13 @@ def sample_noise(spectrum: PowerSpectrum, grid: FrequencyGrid, n_receivers: int,
     E|eta|^2 = 2 pi Fhat, i.e. the same spectral shape as the source.
     """
     z = _complex_normals(seed, _TAG_NOISE, (n_receivers, grid.count))
-    return np.sqrt(math.pi * spectrum.value(grid.omegas)) * z
+    return _multiply(np.sqrt(math.pi * spectrum.value(grid.omegas)), z, z)
+
+
+def _squared_moduli(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|z|^2, formed in ``out`` if given: the bits of ``np.abs(z) ** 2``."""
+    out = np.abs(z, out=out)
+    return np.multiply(out, out, out=out)
 
 
 def _power_data(scene: Scene, fhat, illumination: np.ndarray, noise=None) -> IntensityData:
@@ -307,17 +315,28 @@ def _power_data(scene: Scene, fhat, illumination: np.ndarray, noise=None) -> Int
     if np.shape(fhat) != (scene.band.count,):
         raise ValueError("one illumination sample per band frequency required")
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = total_field_band(scene) * np.asarray(fhat)[:, None]
         if noise is not None:
             fraction, raw = noise
-            sig_power = (np.abs(rows) ** 2).sum(axis=0)
-            raw_power = (np.abs(raw) ** 2).sum(axis=1)
+            # Before the rows exist, so its (N, F) squares are not held with them.
+            raw_power = _squared_moduli(raw).sum(axis=1)
+        # Formed in place: the rows, then the power, which first holds the
+        # signal's share.
+        rows = total_field_band(scene)
+        _multiply(rows, np.asarray(fhat)[:, None], rows)
+        power = _squared_moduli(rows)
+        if noise is not None:
+            sig_power = power.sum(axis=0)
             bad = np.nonzero(sig_power == 0.0)[0]
             if bad.size:
                 raise NumericError(f"zero signal power at receiver {bad[0]}: cannot scale noise")
             scale = np.sqrt(fraction * sig_power / raw_power)
-            rows = rows + (scale[:, None] * raw).T
-        power = _finite_rows(np.abs(rows) ** 2, "synthesized power")
+            # Scaled a block of frequencies at a time, so the scaled noise
+            # is never held whole.
+            for block in _row_blocks(*rows.shape):
+                rows[block] += _multiply(scale[:, None], raw[:, block]).T
+            _squared_moduli(rows, power)
+        del rows
+        _finite_rows(power, "synthesized power")
     return IntensityData(power, illumination)
 
 

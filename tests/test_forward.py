@@ -4,6 +4,7 @@ the phase primitive `_phase`."""
 import cmath
 import importlib.util
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ikmig.forward as forward_module
 from ikmig.errors import DataFormatError, NumericError, SingularityError
 from ikmig.forward import (
     IntensityData,
@@ -31,8 +33,11 @@ from ikmig.forward import (
     write_intensity_csv,
     write_illumination_csv,
 )
-from ikmig.scene import FrequencyGrid, ImageWindowSpec, PointScatterer, Scene, preset_scene
-from ikmig.stochastic import clean_power_data, intensity_data, noisy_power_data
+from ikmig.recover import recover_band
+from ikmig.scene import (FrequencyGrid, ImageWindowSpec, PointScatterer, Scene, linear_array,
+                         preset_scene)
+from ikmig.stochastic import (PowerSpectrum, clean_power_data, intensity_data, noisy_power_data,
+                              sample_illumination)
 
 from conftest import peak_growth
 from ref_green import green0
@@ -217,6 +222,61 @@ class TestArrayResponse:
         sc = random_scene(np.random.default_rng(8), 3)
         total = total_field_band(sc)
         assert np.array_equal(total, direct_arrivals_band(sc) + array_response_band(sc))
+
+
+class TestBandBlocks:
+    """The band stages evaluate a block of frequency rows at a time
+    (``forward._BAND_BLOCK`` values): elementwise, so the bits do not depend
+    on the blocks, and each stage holds its (F, N) rows and one block."""
+
+    @staticmethod
+    def stages(sc):
+        fhat = np.random.default_rng(3).normal(size=(sc.band.count, 2)) @ [1.0, 1j]
+        data = noisy_power_data(sc, fhat, 0.1, 5)
+        return [direct_arrivals_band(sc), array_response_band(sc), total_field_band(sc),
+                data.values, recover_band(sc, data)]
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("n_receivers", [1, 4])
+    def test_block_size_does_not_change_bits(self, dimension, n_receivers, monkeypatch):
+        # Thirteen scatterers sum past NumPy's eight-term pairwise blocks; on
+        # one receiver every product of a one-row block is one element long,
+        # which NumPy can round unlike a longer one.
+        sc = replace(random_scene(np.random.default_rng(21), dimension,
+                                  n_receivers=n_receivers, n_scatterers=13),
+                     band=FrequencyGrid(200.0, 400.0, 7))
+        monkeypatch.setattr(forward_module, "_BAND_BLOCK", 8 * n_receivers)
+        want = self.stages(sc)
+        for rows in (1, 3):
+            monkeypatch.setattr(forward_module, "_BAND_BLOCK", rows * n_receivers)
+            got = self.stages(sc)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("stage, bound", [
+        ("total_field_band", 2.0), ("recover_band", 2.5),
+        ("linearization_residual", 2.5), ("noisy_power_data", 3.0)])
+    def test_a_stage_holds_its_rows_and_a_block(self, stage, bound):
+        # The stochastic preset widened to F = 400, N = 1001, where one
+        # complex (F, N) array is 6.4 MB.  Traced peaks, in those arrays:
+        # 1.17, 2.06, 2.00 and 2.59 with blocks of 2**14 values; 4.52,
+        # 3.53, 4.03 and 5.52 with a Green's evaluation over the whole band
+        # and fresh (F, N) temporaries.
+        base = preset_scene("stochastic")
+        sc = replace(base, band=FrequencyGrid(base.band.f_min_hz, base.band.f_max_hz, 400),
+                     receivers=linear_array((0.0, 0.0), 10e-3, 1001, (0.0, 1.0)))
+        fhat = sample_illumination(PowerSpectrum.for_band(sc.band), sc.band, 3)
+        data = noisy_power_data(sc, fhat, 0.1, 7) if stage == "recover_band" else None
+        run = {"total_field_band": lambda: total_field_band(sc),
+               "recover_band": lambda: recover_band(sc, data),
+               "linearization_residual": lambda: linearization_residual(sc),
+               "noisy_power_data": lambda: noisy_power_data(sc, fhat, 0.1, 7)}[stage]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 16 * 400 * 1001
 
 
 class TestIntensity:
